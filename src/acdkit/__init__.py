@@ -15,8 +15,8 @@ from .detectors import (
     score_pixels,
     xi_pixels,
 )
-from .kernels import KernelSpec, gram, kernel_eval, sigma_heuristic
-from .linalg import SingularCovarianceError, SpdFactor, covariance, mahalanobis, spd_factorize
+from .kernels import KernelSpec, gram, sigma_heuristic
+from .linalg import SingularCovarianceError, SpdFactor, covariance, spd_factorize
 from .metrics import (
     DegenerateLabelsError,
     RocCurve,

@@ -37,9 +37,9 @@ from .metrics import (
     threshold_at_quantile,
     threshold_at_tpr,
 )
-from .raster import flatten, sample_pixels, unflatten
+from .raster import flatten, unflatten
 from .simulate import pervasive_noise, scramble_anomalies
-from .tune import anchor_sigma, grid_search, split_train_val
+from .tune import anchor_sigma, grid_search, split_train_val, training_draw
 
 __all__ = ["main", "build_parser"]
 
@@ -126,27 +126,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _training_draw(x, y, labels, n_train, seed):
-    n_total = x.shape[0]
-    if labels is None:
-        candidates = np.arange(n_total)
-    else:
-        candidates = np.nonzero(labels == 0)[0]
-    if n_train > candidates.size:
-        raise ValueError(
-            f"requested {n_train} training samples, only {candidates.size} available"
-        )
-    idx = candidates[sample_pixels(candidates.size, n_train, seed)]
-    return x[idx], y[idx]
-
-
 def cmd_fit(args) -> int:
     cube_x, cube_y = _read_pair(args.x, args.y)
     x, y = flatten(cube_x), flatten(cube_y)
     labels = None
     if args.train_labels:
         labels = _read_labels(args.train_labels, cube_x.height, cube_x.width)
-    x_tr, y_tr = _training_draw(x, y, labels, args.train_samples, args.seed)
+    idx = training_draw(x.shape[0], args.train_samples, args.seed, labels)
+    x_tr, y_tr = x[idx], y[idx]
 
     config = _build_config(args, require_nu=True)
     if config.mode == "kernel" and config.kernel.kind != "linear" and args.sigma is None:
@@ -195,7 +182,7 @@ def cmd_map(args) -> int:
         t = threshold_at_quantile(scores, args.quantile)
     binary = apply_threshold(scores, t)
     io_formats.write_pgm(
-        binary.reshape(scores_cube.height, scores_cube.width), args.out, mode="binary"
+        binary.reshape(scores_cube.height, scores_cube.width), args.out
     )
     print(f"threshold {t:.17g}")
     return EXIT_OK

@@ -65,8 +65,7 @@ __all__ = [
     "FittedDetector",
     "fit",
     "fit_kernel_term",
-    "xi_linear",
-    "xi_kernel",
+    "xi_term",
     "score_gaussian",
     "score_ec",
     "xi_pixels",
@@ -91,8 +90,6 @@ class DetectorConfig:
     """Which family member to build and how.
 
     lam: kernel regularizer; None means auto (1e-5 / n_train).
-    kernel_x / kernel_y / kernel_z: optional per-term overrides of the
-    shared kernel spec.
     """
 
     beta_x: int = 1
@@ -102,10 +99,6 @@ class DetectorConfig:
     mode: str = "linear"
     kernel: KernelSpec | None = None
     lam: float | None = None
-    kernel_x: KernelSpec | None = None
-    kernel_y: KernelSpec | None = None
-    kernel_z: KernelSpec | None = None
-    ridge_scale: float = DEFAULT_RIDGE_SCALE
 
     def __post_init__(self):
         if self.beta_x not in (0, 1) or self.beta_y not in (0, 1):
@@ -122,10 +115,6 @@ class DetectorConfig:
                 raise ValueError("kernel mode requires a kernel spec")
             if self.lam is not None and not self.lam > 0:
                 raise ValueError("lam must be positive (or None for auto)")
-
-    def spec_for_term(self, term: str) -> KernelSpec:
-        override = {"x": self.kernel_x, "y": self.kernel_y, "z": self.kernel_z}[term]
-        return override if override is not None else self.kernel
 
 
 @dataclass(frozen=True)
@@ -180,14 +169,16 @@ class FittedDetector:
     term_z: LinearTerm | KernelTerm
 
     def __post_init__(self):
-        if self.term_z.dim != self.d_x + self.d_y:
-            raise ValueError("z term dimensionality must equal d_x + d_y")
+        dims = (self.band_stats_x.d, self.term_x.dim, self.band_stats_y.d, self.term_y.dim,
+                self.term_z.dim)
+        if dims != (self.d_x, self.d_x, self.d_y, self.d_y, self.d_x + self.d_y):
+            raise ValueError("band stats and terms must have d_x, d_y and d_x + d_y dims")
 
 
-def _fit_linear_term(rows: np.ndarray, ridge_scale: float) -> LinearTerm:
+def _fit_linear_term(rows: np.ndarray) -> LinearTerm:
     mean = rows.mean(axis=0)
     cov = covariance(rows, mean)
-    return LinearTerm(mean=mean, factor=spd_factorize(cov, ridge_scale))
+    return LinearTerm(mean=mean, factor=spd_factorize(cov, DEFAULT_RIDGE_SCALE))
 
 
 def fit_kernel_term(train: np.ndarray, spec: KernelSpec, lam: float) -> KernelTerm:
@@ -226,13 +217,13 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> Fit
 
     if config.mode == "linear":
         terms = {
-            name: _fit_linear_term(rows, config.ridge_scale)
+            name: _fit_linear_term(rows)
             for name, rows in (("x", xs), ("y", ys), ("z", zs))
         }
     else:
         lam = config.lam if config.lam is not None else AUTO_LAMBDA_NUM / n
         terms = {
-            name: fit_kernel_term(rows, config.spec_for_term(name), lam)
+            name: fit_kernel_term(rows, config.kernel, lam)
             for name, rows in (("x", xs), ("y", ys), ("z", zs))
         }
 
@@ -248,31 +239,19 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> Fit
     )
 
 
-def xi_linear(term: LinearTerm, v: np.ndarray) -> float:
-    """Squared Mahalanobis distance of v to the term's fitted Gaussian."""
-    return float(mahalanobis_batch(term.factor, term.mean, np.atleast_2d(v))[0])
+def xi_term(term: LinearTerm | KernelTerm, rows: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distance xi of each row under one fitted term.
 
-
-def _xi_kernel_batch(term: KernelTerm, rows: np.ndarray) -> np.ndarray:
+    Linear terms give (v - mean)^T C^-1 (v - mean) in input space; kernel
+    terms give the dual form k_v (K K + lambda I)^-1 k_v^T, clipped at 0.
+    """
+    if isinstance(term, LinearTerm):
+        return mahalanobis_batch(term.factor, term.mean, rows)
     kc = cross_gram(term.train, rows, term.spec)
     w = solve_triangular(term.solve_factor.L, kc.T, lower=True)
     xi = np.einsum("ij,ij->j", w, w)
     # Analytically PSD; the clip pins any ill-conditioning artifact at 0.
     return np.maximum(xi, 0.0)
-
-
-def xi_kernel(term: KernelTerm, v: np.ndarray) -> float:
-    """Kernelized quadratic form k_v (K K + lambda I)^-1 k_v^T, clipped at 0."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (term.train.shape[1],):
-        raise ValueError("dimension mismatch")
-    return float(_xi_kernel_batch(term, v[None, :])[0])
-
-
-def _xi_term_batch(term, rows: np.ndarray) -> np.ndarray:
-    if isinstance(term, LinearTerm):
-        return mahalanobis_batch(term.factor, term.mean, rows)
-    return _xi_kernel_batch(term, rows)
 
 
 def score_gaussian(xi_z, xi_x, xi_y, beta_x: int, beta_y: int):
@@ -340,9 +319,9 @@ def xi_pixels(
 
     def one(sl):
         return (
-            _xi_term_batch(det.term_z, zs[sl]),
-            _xi_term_batch(det.term_x, xs[sl]),
-            _xi_term_batch(det.term_y, ys[sl]),
+            xi_term(det.term_z, zs[sl]),
+            xi_term(det.term_x, xs[sl]),
+            xi_term(det.term_y, ys[sl]),
         )
 
     if threads > 1 and len(chunks) > 1:

@@ -10,6 +10,7 @@ identical inputs.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from pathlib import Path
 
@@ -36,7 +37,7 @@ __all__ = [
     "load_model",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class RasterFormatError(Exception):
@@ -44,11 +45,11 @@ class RasterFormatError(Exception):
 
 
 class CorruptModelError(Exception):
-    """A model blob failed its checksum."""
+    """The model manifest is malformed or a blob is missing or fails its checksum."""
 
 
 class UnsupportedVersionError(Exception):
-    """The model manifest declares an unknown format version."""
+    """The model manifest declares another format version; the model must be refit."""
 
 
 # ---------------------------------------------------------------------------
@@ -76,14 +77,18 @@ def read_raster(path) -> ImageCube:
         raise FileNotFoundError(f"raster {path} or its sidecar is missing")
     try:
         meta = json.loads(sidecar_path.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not UTF-8 or not JSON
         raise RasterFormatError(f"bad sidecar {sidecar_path}: {e}") from e
+    if not isinstance(meta, dict):
+        raise RasterFormatError(f"bad sidecar {sidecar_path}: not a JSON object")
     for key in ("height", "width", "bands", "dtype", "interleave"):
         if key not in meta:
             raise RasterFormatError(f"sidecar missing {key!r}")
     if meta["dtype"] != "f32" or meta["interleave"] != "bip":
         raise RasterFormatError("unsupported raster dtype or interleave")
-    h, w, d = int(meta["height"]), int(meta["width"]), int(meta["bands"])
+    h, w, d = meta["height"], meta["width"], meta["bands"]
+    if not all(type(v) is int and v > 0 for v in (h, w, d)):
+        raise RasterFormatError("sidecar height, width and bands must be positive integers")
     payload = path.read_bytes()
     if len(payload) != h * w * d * 4:
         raise RasterFormatError(
@@ -114,25 +119,12 @@ def cube_to_labels(cube: ImageCube) -> np.ndarray:
 # PGM
 # ---------------------------------------------------------------------------
 
-def write_pgm(values: np.ndarray, path, mode: str = "binary") -> None:
-    """Render an (H, W) map as an 8-bit P5 PGM.
-
-    binary mode maps {0, 1} to {0, 255}; scaled mode min-max scales to
-    0..255, with constant inputs rendered as all zeros.
-    """
+def write_pgm(values: np.ndarray, path) -> None:
+    """Render an (H, W) binary map as an 8-bit P5 PGM: positive values 255, others 0."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError("expected an (H, W) map")
-    if mode == "binary":
-        pixels = np.where(values > 0, 255, 0).astype(np.uint8)
-    elif mode == "scaled":
-        lo, hi = values.min(), values.max()
-        if hi == lo:
-            pixels = np.zeros(values.shape, dtype=np.uint8)
-        else:
-            pixels = np.rint((values - lo) / (hi - lo) * 255.0).astype(np.uint8)
-    else:
-        raise ValueError(f"unknown pgm mode {mode!r}")
+    pixels = np.where(values > 0, 255, 0).astype(np.uint8)
     h, w = values.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     Path(path).write_bytes(header + pixels.tobytes(order="C"))
@@ -175,17 +167,39 @@ def _write_blob(directory: Path, name: str, arr: np.ndarray) -> dict:
     }
 
 
-def _read_blob(directory: Path, ref: dict) -> np.ndarray:
-    blob_path = directory / ref["path"]
-    if not blob_path.exists():
-        raise CorruptModelError(f"missing blob {ref['path']}")
+_NUMBER = (int, float)
+_OPTIONAL_NUMBER = (int, float, type(None))
+
+
+def _get(d: dict, key: str, types, where: str):
+    """d[key], which must be an instance of types; no manifest field is a bool."""
+    if key not in d:
+        raise CorruptModelError(f"corrupt model: {where} has no {key!r}")
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise CorruptModelError(f"corrupt model: {where}.{key} has the wrong type")
+    return value
+
+
+def _read_blob(directory: Path, entry: dict, key: str, where: str, ndim: int) -> np.ndarray:
+    ref, where = _get(entry, key, dict, where), f"{where}.{key}"
+    name = _get(ref, "path", str, where)
+    count = _get(ref, "count", int, where)
+    shape = _get(ref, "shape", list, where)
+    if Path(name).name != name or name == "..":
+        raise CorruptModelError(f"corrupt model: blob path {name!r} is not a file name")
+    if (len(shape) != ndim or not all(type(n) is int and n >= 0 for n in shape)
+            or math.prod(shape) != count):
+        raise CorruptModelError(f"corrupt model: bad shape {shape!r} for {name}")
+    blob_path = directory / name
+    if not blob_path.is_file():
+        raise CorruptModelError(f"missing blob {name}")
     payload = blob_path.read_bytes()
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != ref["crc32"]:
-        raise CorruptModelError(f"corrupt model: checksum mismatch in {ref['path']}")
-    arr = np.frombuffer(payload, dtype="<f8")
-    if arr.size != ref["count"]:
-        raise CorruptModelError(f"corrupt model: wrong element count in {ref['path']}")
-    return arr.reshape(ref["shape"]).astype(np.float64)
+    if (zlib.crc32(payload) & 0xFFFFFFFF) != _get(ref, "crc32", int, where):
+        raise CorruptModelError(f"corrupt model: checksum mismatch in {name}")
+    if len(payload) != 8 * count:
+        raise CorruptModelError(f"corrupt model: wrong element count in {name}")
+    return np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 def _spec_dict(spec: KernelSpec | None):
@@ -194,10 +208,11 @@ def _spec_dict(spec: KernelSpec | None):
     return {"kind": spec.kind, "sigma": spec.sigma}
 
 
-def _spec_from(d) -> KernelSpec | None:
+def _spec_from(d: dict | None, where: str) -> KernelSpec | None:
     if d is None:
         return None
-    return KernelSpec(kind=d["kind"], sigma=d["sigma"])
+    return KernelSpec(kind=_get(d, "kind", str, where),
+                      sigma=_get(d, "sigma", _OPTIONAL_NUMBER, where))
 
 
 def _config_dict(config: DetectorConfig) -> dict:
@@ -209,26 +224,18 @@ def _config_dict(config: DetectorConfig) -> dict:
         "mode": config.mode,
         "kernel": _spec_dict(config.kernel),
         "lam": config.lam,
-        "kernel_x": _spec_dict(config.kernel_x),
-        "kernel_y": _spec_dict(config.kernel_y),
-        "kernel_z": _spec_dict(config.kernel_z),
-        "ridge_scale": config.ridge_scale,
     }
 
 
-def _config_from(d) -> DetectorConfig:
+def _config_from(d: dict) -> DetectorConfig:
     return DetectorConfig(
-        beta_x=d["beta_x"],
-        beta_y=d["beta_y"],
-        distribution=d["distribution"],
-        nu=d["nu"],
-        mode=d["mode"],
-        kernel=_spec_from(d["kernel"]),
-        lam=d["lam"],
-        kernel_x=_spec_from(d["kernel_x"]),
-        kernel_y=_spec_from(d["kernel_y"]),
-        kernel_z=_spec_from(d["kernel_z"]),
-        ridge_scale=d["ridge_scale"],
+        beta_x=_get(d, "beta_x", int, "config"),
+        beta_y=_get(d, "beta_y", int, "config"),
+        distribution=_get(d, "distribution", str, "config"),
+        nu=_get(d, "nu", _OPTIONAL_NUMBER, "config"),
+        mode=_get(d, "mode", str, "config"),
+        kernel=_spec_from(_get(d, "kernel", (dict, type(None)), "config"), "config.kernel"),
+        lam=_get(d, "lam", _OPTIONAL_NUMBER, "config"),
     )
 
 
@@ -275,46 +282,68 @@ def save_model(det: FittedDetector, directory, metadata: dict | None = None) -> 
     )
 
 
-def _term_from(directory: Path, entry: dict):
-    factor_l = _read_blob(directory, entry["factor"])
-    factor = SpdFactor(dim=factor_l.shape[0], L=factor_l, ridge=entry["ridge"])
-    if entry["type"] == "linear":
-        return LinearTerm(mean=_read_blob(directory, entry["mean"]), factor=factor)
-    if entry["type"] == "kernel":
+def _term_from(directory: Path, entry: dict, where: str):
+    factor_l = _read_blob(directory, entry, "factor", where, 2)
+    ridge = _get(entry, "ridge", _NUMBER, where)
+    factor = SpdFactor(dim=factor_l.shape[0], L=factor_l, ridge=ridge)
+    kind = _get(entry, "type", str, where)
+    if kind == "linear":
+        return LinearTerm(mean=_read_blob(directory, entry, "mean", where, 1), factor=factor)
+    if kind == "kernel":
         return KernelTerm(
-            train=_read_blob(directory, entry["train"]),
-            spec=_spec_from(entry["kernel"]),
-            lam=entry["lam"],
+            train=_read_blob(directory, entry, "train", where, 2),
+            spec=_spec_from(_get(entry, "kernel", dict, where), f"{where}.kernel"),
+            lam=_get(entry, "lam", _NUMBER, where),
             solve_factor=factor,
         )
-    raise CorruptModelError(f"unknown term type {entry['type']!r}")
+    raise CorruptModelError(f"unknown term type {kind!r}")
 
 
 def load_model(directory) -> FittedDetector:
+    """Restore a detector written by save_model.
+
+    A manifest of another format version raises UnsupportedVersionError; any
+    other malformed manifest, missing or corrupt blob raises CorruptModelError.
+    """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json under {directory}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as e:  # not UTF-8 or not JSON
+        raise CorruptModelError(f"corrupt model: bad manifest.json: {e}") from e
+    if not isinstance(manifest, dict):
+        raise CorruptModelError("corrupt model: manifest.json is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(f"unsupported version {version!r}")
-
-    stats = {}
-    for axis in ("x", "y"):
-        entry = manifest["band_stats"][axis]
-        stats[axis] = BandStats(
-            mean=_read_blob(directory, entry["mean"]),
-            std=_read_blob(directory, entry["std"]),
+        raise UnsupportedVersionError(
+            f"unsupported version {version!r} of the model format "
+            f"(this acdkit reads version {FORMAT_VERSION}); refit the model"
         )
-    terms = {name: _term_from(directory, manifest["terms"][name]) for name in ("x", "y", "z")}
-    return FittedDetector(
-        config=_config_from(manifest["config"]),
-        band_stats_x=stats["x"],
-        band_stats_y=stats["y"],
-        d_x=manifest["d_x"],
-        d_y=manifest["d_y"],
-        term_x=terms["x"],
-        term_y=terms["y"],
-        term_z=terms["z"],
-    )
+    band_stats = _get(manifest, "band_stats", dict, "manifest")
+    terms = _get(manifest, "terms", dict, "manifest")
+    try:  # the constructors reject values that are well-typed but inconsistent
+        stats = {}
+        for axis in ("x", "y"):
+            entry, where = _get(band_stats, axis, dict, "band_stats"), f"band_stats.{axis}"
+            stats[axis] = BandStats(
+                mean=_read_blob(directory, entry, "mean", where, 1),
+                std=_read_blob(directory, entry, "std", where, 1),
+            )
+        term = {
+            name: _term_from(directory, _get(terms, name, dict, "terms"), f"terms.{name}")
+            for name in ("x", "y", "z")
+        }
+        return FittedDetector(
+            config=_config_from(_get(manifest, "config", dict, "manifest")),
+            band_stats_x=stats["x"],
+            band_stats_y=stats["y"],
+            d_x=_get(manifest, "d_x", int, "manifest"),
+            d_y=_get(manifest, "d_y", int, "manifest"),
+            term_x=term["x"],
+            term_y=term["y"],
+            term_z=term["z"],
+        )
+    except ValueError as e:
+        raise CorruptModelError(f"corrupt model: {e}") from e

@@ -23,17 +23,14 @@ from .raster import as_pixel_matrix, sample_pixels
 
 __all__ = [
     "KernelSpec",
-    "kernel_eval",
     "gram",
     "cross_gram",
-    "cross_row",
     "sigma_heuristic",
-    "sigma_percentile_grid",
 ]
 
 KERNEL_KINDS = ("linear", "rbf", "sam")
 
-# Pairwise-distance heuristics go exact up to this many rows, subsampled above.
+# The pairwise-distance heuristic goes exact up to this many rows, subsampled above.
 _HEURISTIC_MAX_EXACT = 2000
 
 
@@ -85,15 +82,6 @@ def _eval_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return np.exp(-(angles**2) / (2.0 * spec.sigma**2))
 
 
-def kernel_eval(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
-    """Evaluate the kernel on a single pair of equal-length vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("kernel arguments must be equal-length vectors")
-    return float(_eval_matrix(a[None, :], b[None, :], spec)[0, 0])
-
-
 def gram(rows: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """n x n kernel matrix over the rows, exactly symmetric.
 
@@ -118,23 +106,8 @@ def cross_gram(train: np.ndarray, probes: np.ndarray, spec: KernelSpec) -> np.nd
     return _eval_matrix(probes, train, spec)
 
 
-def cross_row(train: np.ndarray, v: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Length-n vector of kernel values between v and each training row."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("probe must be a vector")
-    return cross_gram(train, v[None, :], spec)[0]
-
-
-def _pairwise_distances(rows: np.ndarray, seed: int) -> np.ndarray:
-    if rows.shape[0] > _HEURISTIC_MAX_EXACT:
-        idx = sample_pixels(rows.shape[0], _HEURISTIC_MAX_EXACT, seed)
-        rows = rows[np.sort(idx)]
-    return pdist(rows)
-
-
-def sigma_heuristic(rows: np.ndarray, method: str = "mean", *, seed: int = 0) -> float:
-    """Mean or median pairwise Euclidean distance over all row pairs i < j.
+def sigma_heuristic(rows: np.ndarray, *, seed: int = 0) -> float:
+    """Mean pairwise Euclidean distance over all row pairs i < j.
 
     Exact up to 2000 rows; above that the estimate uses 2000 seeded random
     rows so the O(n^2) cost stays bounded.
@@ -142,33 +115,10 @@ def sigma_heuristic(rows: np.ndarray, method: str = "mean", *, seed: int = 0) ->
     rows = as_pixel_matrix(rows)
     if rows.shape[0] < 2:
         raise ValueError("need at least 2 rows")
-    if method not in ("mean", "median"):
-        raise ValueError(f"unknown heuristic method {method!r}")
-    dists = _pairwise_distances(rows, seed)
+    if rows.shape[0] > _HEURISTIC_MAX_EXACT:
+        idx = sample_pixels(rows.shape[0], _HEURISTIC_MAX_EXACT, seed)
+        rows = rows[np.sort(idx)]
+    dists = pdist(rows)
     if not np.any(dists > 0):
         raise ValueError("zero dispersion: all rows identical")
-    return float(dists.mean() if method == "mean" else np.median(dists))
-
-
-def sigma_percentile_grid(
-    rows: np.ndarray,
-    low: float = 0.05,
-    high: float = 0.95,
-    num: int = 60,
-    *,
-    seed: int = 0,
-) -> np.ndarray:
-    """Log-spaced sigma candidates between two percentiles of pairwise distances."""
-    rows = as_pixel_matrix(rows)
-    if rows.shape[0] < 2:
-        raise ValueError("need at least 2 rows")
-    if not 0.0 <= low < high <= 1.0:
-        raise ValueError("percentiles must satisfy 0 <= low < high <= 1")
-    dists = _pairwise_distances(rows, seed)
-    lo = float(np.quantile(dists, low))
-    hi = float(np.quantile(dists, high))
-    if not lo > 0:
-        raise ValueError("low percentile of distances is not positive")
-    grid = np.logspace(np.log10(lo), np.log10(hi), num)
-    grid[0], grid[-1] = lo, hi
-    return grid
+    return float(dists.mean())

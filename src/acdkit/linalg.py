@@ -14,7 +14,6 @@ __all__ = [
     "SpdFactor",
     "covariance",
     "spd_factorize",
-    "mahalanobis",
     "mahalanobis_batch",
 ]
 
@@ -42,10 +41,6 @@ class SpdFactor:
             raise ValueError("factor diagonal must be strictly positive")
         L.flags.writeable = False
         object.__setattr__(self, "L", L)
-
-    def reconstruct(self) -> np.ndarray:
-        """Return L @ L.T, the regularized matrix that was factorized."""
-        return self.L @ self.L.T
 
 
 def covariance(m: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -89,21 +84,11 @@ def spd_factorize(c: np.ndarray, ridge_scale: float = DEFAULT_RIDGE_SCALE) -> Sp
     raise SingularCovarianceError("singular covariance")
 
 
-def mahalanobis(f: SpdFactor, mean: np.ndarray, v: np.ndarray) -> float:
-    """Quadratic form (v-mean)^T (L L^T)^-1 (v-mean), nonnegative by construction.
-
-    Computed as the squared norm of the triangular solve L w = v - mean.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    if v.shape != (f.dim,) or mean.shape != (f.dim,):
-        raise ValueError("dimension mismatch")
-    w = solve_triangular(f.L, v - mean, lower=True)
-    return float(w @ w)
-
-
 def mahalanobis_batch(f: SpdFactor, mean: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mahalanobis` over the rows of an (n, d) matrix."""
+    """Quadratic form (v-mean)^T (L L^T)^-1 (v-mean) for each row v of an (n, d) matrix.
+
+    Computed as squared norms of the triangular solve, so nonnegative by construction.
+    """
     rows = as_pixel_matrix(rows)
     if rows.shape[1] != f.dim:
         raise ValueError("dimension mismatch")

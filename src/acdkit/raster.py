@@ -22,7 +22,6 @@ __all__ = [
     "stack_pair",
     "standardize_fit",
     "standardize_apply",
-    "standardize_invert",
     "sample_pixels",
 ]
 
@@ -149,14 +148,6 @@ def standardize_apply(m: np.ndarray, s: BandStats) -> np.ndarray:
         raise ValueError(f"dimension mismatch: matrix has {m.shape[1]} columns, "
                          f"stats have {s.d}")
     return (m - s.mean) / s.std
-
-
-def standardize_invert(m: np.ndarray, s: BandStats) -> np.ndarray:
-    """Undo :func:`standardize_apply`: v * std + mean."""
-    m = as_pixel_matrix(m)
-    if m.shape[1] != s.d:
-        raise ValueError("dimension mismatch")
-    return m * s.std + s.mean
 
 
 def sample_pixels(n_total: int, k: int, seed: int) -> np.ndarray:

@@ -38,6 +38,7 @@ __all__ = [
     "TuneResult",
     "anchor_sigma",
     "default_grid",
+    "training_draw",
     "split_train_val",
     "grid_search",
 ]
@@ -96,13 +97,13 @@ class TuneResult:
     trace: tuple  # of (GridPoint, auc), in canonical grid order
 
 
-def anchor_sigma(x_train: np.ndarray, y_train: np.ndarray, method: str = "mean") -> float:
+def anchor_sigma(x_train: np.ndarray, y_train: np.ndarray) -> float:
     """Bandwidth anchor: pairwise-distance heuristic on standardized stacked rows."""
     x_train = as_pixel_matrix(x_train)
     y_train = as_pixel_matrix(y_train)
     xs = standardize_apply(x_train, standardize_fit(x_train))
     ys = standardize_apply(y_train, standardize_fit(y_train))
-    return sigma_heuristic(stack_pair(xs, ys), method)
+    return sigma_heuristic(stack_pair(xs, ys))
 
 
 def default_grid(config: DetectorConfig, heuristic_sigma: float | None = None) -> TuneGrid:
@@ -125,6 +126,24 @@ def default_grid(config: DetectorConfig, heuristic_sigma: float | None = None) -
     return TuneGrid(nu_grid=nu, sigma_grid=sigma, lambda_grid=lam)
 
 
+def training_draw(
+    n_total: int, n_train: int, seed: int, labels: np.ndarray | None = None
+) -> np.ndarray:
+    """Seeded draw of n_train distinct indices among the non-anomalous pixels.
+
+    Pixels whose label is 0 are background; without labels every pixel is.
+    """
+    if labels is None:
+        background = np.arange(n_total)
+    else:
+        background = np.nonzero(labels == 0)[0]
+    if n_train > background.size:
+        raise ValueError(
+            f"not enough non-anomalous pixels: need {n_train}, have {background.size}"
+        )
+    return background[sample_pixels(background.size, n_train, seed)]
+
+
 def split_train_val(
     labels: np.ndarray, n_train: int, n_val: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -136,14 +155,9 @@ def split_train_val(
     """
     labels = (np.asarray(labels).ravel() > 0).astype(np.int64)
     n_total = labels.size
-    background = np.nonzero(labels == 0)[0]
-    if n_train > background.size:
-        raise ValueError(
-            f"not enough non-anomalous pixels: need {n_train}, have {background.size}"
-        )
+    train_idx = training_draw(n_total, n_train, seed, labels)
     if n_train + n_val > n_total:
         raise ValueError("n_train + n_val exceeds available pixels")
-    train_idx = background[sample_pixels(background.size, n_train, seed)]
     mask = np.ones(n_total, dtype=bool)
     mask[train_idx] = False
     rest = np.nonzero(mask)[0]

@@ -24,8 +24,8 @@ from acdkit.detectors import (
     fit,
     fit_kernel_term,
     score_pixels,
-    xi_kernel,
     xi_pixels,
+    xi_term,
 )
 from acdkit.io_formats import load_model, save_model, write_raster
 from acdkit.kernels import KernelSpec
@@ -89,7 +89,7 @@ def test_2_linear_kernel_reduction():
     probes = rng.normal(size=(100, 5))
     for v in probes:
         expected = v @ gram_inv @ v
-        got = xi_kernel(term, v)
+        got = xi_term(term, v[None])[0]
         assert abs(got - expected) / abs(expected) < 1e-4
     elapsed = time.time() - t0
     assert elapsed < 5.0

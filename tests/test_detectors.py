@@ -11,9 +11,8 @@ from acdkit.detectors import (
     score_gaussian,
     score_pixels,
     with_params,
-    xi_kernel,
-    xi_linear,
     xi_pixels,
+    xi_term,
 )
 from acdkit.kernels import KernelSpec
 from acdkit.linalg import spd_factorize
@@ -75,14 +74,14 @@ def test_fit_recovers_known_covariance():
     base = rng.normal(size=(5000, 2)) @ L.T
     x, y = base[:, :1], base[:, 1:]
     det = fit(x, y, DetectorConfig(beta_x=0, beta_y=0))
-    fitted = det.term_z.factor.reconstruct()
+    fitted = det.term_z.factor.L @ det.term_z.factor.L.T
     assert np.max(np.abs(fitted - true_c)) < 0.1
 
 
 def test_xi_linear_cases():
     term = LinearTerm(mean=np.zeros(2), factor=spd_factorize(np.eye(2), 0.0))
-    assert xi_linear(term, np.zeros(2)) == 0.0
-    assert xi_linear(term, np.ones(2)) == pytest.approx(2.0)
+    assert xi_term(term, np.zeros((1, 2)))[0] == 0.0
+    assert xi_term(term, np.ones((1, 2)))[0] == pytest.approx(2.0)
 
 
 def test_xi_linear_matches_explicit_inverse(rng):
@@ -94,7 +93,7 @@ def test_xi_linear_matches_explicit_inverse(rng):
     term = LinearTerm(mean=mean, factor=spd_factorize(c, 0.0))
     v = rng.normal(size=3)
     expected = (v - mean) @ np.linalg.inv(c) @ (v - mean)
-    assert xi_linear(term, v) == pytest.approx(expected, rel=1e-9)
+    assert xi_term(term, v[None])[0] == pytest.approx(expected, rel=1e-9)
 
 
 def test_xi_kernel_linear_reduction(rng):
@@ -105,14 +104,14 @@ def test_xi_kernel_linear_reduction(rng):
     for _ in range(10):
         v = rng.normal(size=5)
         expected = v @ direct @ v
-        assert xi_kernel(term, v) == pytest.approx(expected, rel=1e-4)
+        assert xi_term(term, v[None])[0] == pytest.approx(expected, rel=1e-4)
 
 
 def test_xi_kernel_training_row_bounded(rng):
     train = rng.normal(size=(40, 3))
     term = fit_kernel_term(train, KernelSpec("rbf", 1.5), lam=1e-6)
     for i in (0, 7, 39):
-        assert xi_kernel(term, train[i]) <= 1.0 + 1e-9
+        assert xi_term(term, train[i][None])[0] <= 1.0 + 1e-9
 
 
 def test_xi_kernel_nonnegative(rng):
@@ -120,7 +119,7 @@ def test_xi_kernel_nonnegative(rng):
     term = fit_kernel_term(train, KernelSpec("rbf", 0.8), lam=1e-8)
     probes = rng.normal(size=(100, 4)) * 3
     for v in probes:
-        assert xi_kernel(term, v) >= 0.0
+        assert xi_term(term, v[None])[0] >= 0.0
 
 
 def test_score_gaussian_cases():

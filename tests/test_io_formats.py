@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from acdkit.cli import main
 from acdkit.detectors import DetectorConfig, fit, score_pixels
 from acdkit.io_formats import (
     CorruptModelError,
@@ -68,6 +70,31 @@ def test_raster_missing_sidecar(tmp_path):
         read_raster(path)
 
 
+@pytest.mark.parametrize("change,payload", [
+    pytest.param("42", None, id="not-an-object"),
+    pytest.param({"height": -1, "width": -4}, None, id="negative"),
+    pytest.param({"height": "a"}, None, id="string"),
+    pytest.param({"height": 0}, b"", id="zero"),
+    pytest.param({"bands": True}, None, id="bool"),
+])
+def test_malformed_sidecar_rejected(tmp_path, capsys, change, payload):
+    path = tmp_path / "img.bin"
+    write_raster(f32_cube(2, 2, 1), path)
+    if payload is not None:
+        path.write_bytes(payload)
+    sidecar = Path(str(path) + ".json")
+    if isinstance(change, dict):
+        change = json.dumps({**json.loads(sidecar.read_text()), **change})
+    sidecar.write_text(change)
+    with pytest.raises(RasterFormatError):
+        read_raster(path)
+    rc = main(["map", "--scores", str(path), "--threshold", "0", "--out",
+               str(tmp_path / "map.pgm")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_labels_cube_round_trip():
     labels = np.array([0, 1, 1, 0, 1, 0], dtype=np.uint8)
     cube = labels_to_cube(labels, 2, 3)
@@ -76,27 +103,8 @@ def test_labels_cube_round_trip():
 
 def test_pgm_binary_bytes(tmp_path):
     path = tmp_path / "map.pgm"
-    write_pgm(np.array([[0.0, 1.0]]), path, mode="binary")
+    write_pgm(np.array([[0.0, 1.0]]), path)
     assert path.read_bytes() == b"P5\n2 1\n255\n\x00\xff"
-
-
-def test_pgm_constant_scaled_is_zero(tmp_path):
-    path = tmp_path / "map.pgm"
-    write_pgm(np.full((3, 4), 7.5), path, mode="scaled")
-    body = path.read_bytes().split(b"255\n", 1)[1]
-    assert body == b"\x00" * 12
-
-
-def test_pgm_scaled_preserves_ranking(tmp_path):
-    rng = np.random.default_rng(2)
-    values = rng.normal(size=(6, 6))
-    path = tmp_path / "map.pgm"
-    write_pgm(values, path, mode="scaled")
-    body = np.frombuffer(path.read_bytes().split(b"255\n", 1)[1], dtype=np.uint8)
-    flat = values.ravel()
-    order = np.argsort(flat)
-    quantized = body[order].astype(int)
-    assert np.all(np.diff(quantized) >= 0)  # ties allowed, no inversions
 
 
 def test_roc_csv_format(tmp_path):
@@ -160,6 +168,50 @@ def test_model_unsupported_version(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(UnsupportedVersionError, match="unsupported version"):
         load_model(tmp_path / "model")
+
+
+def _edited(edit):
+    def apply(text):
+        manifest = json.loads(text)
+        edit(manifest)
+        return json.dumps(manifest)
+    return apply
+
+
+def _as_format_1(manifest):
+    manifest["format_version"] = 1
+    manifest["config"].update(kernel_x=None, kernel_y=None, kernel_z=None, ridge_scale=1e-8)
+
+
+@pytest.mark.parametrize("mutate,error", [
+    pytest.param(lambda text: text[:-10], CorruptModelError, id="not-json"),
+    pytest.param(_edited(lambda m: m.pop("band_stats")), CorruptModelError, id="no-band-stats"),
+    pytest.param(_edited(lambda m: m.update(config="hacd")), CorruptModelError,
+                 id="config-string"),
+    pytest.param(_edited(lambda m: m["terms"]["z"]["factor"].update(shape=[3, 3])),
+                 CorruptModelError, id="shape-disagrees-with-count"),
+    pytest.param(_edited(lambda m: m.update(d_x=1, d_y=3)), CorruptModelError,
+                 id="dims-disagree-with-terms"),
+    pytest.param(_edited(lambda m: m["terms"]["x"]["factor"].update(
+        path="../model/term_x_factor.bin")), CorruptModelError, id="blob-path-not-a-file-name"),
+    pytest.param(_edited(_as_format_1), UnsupportedVersionError, id="format-1"),
+])
+def test_malformed_manifest_rejected(tmp_path, capsys, mutate, error):
+    x, y = correlated_pair(60, 2, seed=9)
+    save_model(fit(x, y, DetectorConfig()), tmp_path / "model")
+    manifest_path = tmp_path / "model" / "manifest.json"
+    manifest_path.write_text(mutate(manifest_path.read_text()))
+    with pytest.raises(error):
+        load_model(tmp_path / "model")
+    for name, m in (("x", x), ("y", y)):
+        write_raster(ImageCube.from_array(m.reshape(6, 10, 2)), tmp_path / f"{name}.bin")
+    rc = main(["score", "--model", str(tmp_path / "model"), "--x", str(tmp_path / "x.bin"),
+               "--y", str(tmp_path / "y.bin"), "--out", str(tmp_path / "scores.bin")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if error is UnsupportedVersionError:
+        assert "refit" in err
 
 
 def test_writers_deterministic(tmp_path):

@@ -1,0 +1,138 @@
+"""Fuzz the two JSON boundaries: raster sidecars and model manifests.
+
+Whatever a sidecar or manifest holds, read_raster and load_model either
+succeed or raise one of the documented format errors, which the CLI maps
+to exit 1. Examples are derandomized so the suite cannot flake.
+"""
+
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from acdkit.detectors import DetectorConfig, fit
+from acdkit.io_formats import (
+    CorruptModelError,
+    RasterFormatError,
+    UnsupportedVersionError,
+    load_model,
+    read_raster,
+    save_model,
+    write_raster,
+)
+from acdkit.kernels import KernelSpec
+from acdkit.raster import ImageCube
+
+from conftest import correlated_pair
+
+DOCUMENTED = (RasterFormatError, CorruptModelError, UnsupportedVersionError, FileNotFoundError)
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+
+
+def node_paths(value, prefix=()):
+    """Key paths to every node below the root of a parsed JSON document."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    out = []
+    for key, child in items:
+        out.append(prefix + (key,))
+        out.extend(node_paths(child, prefix + (key,)))
+    return out
+
+
+def mutate(data, document):
+    """Replace or delete one node of a parsed JSON document, in place."""
+    path = data.draw(st.sampled_from(node_paths(document)))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        parent[path[-1]] = data.draw(json_values)
+    else:
+        del parent[path[-1]]
+
+
+def loads_or_documented_error(load, path):
+    try:
+        load(path)
+    except DOCUMENTED:
+        pass
+
+
+@pytest.fixture(scope="module")
+def raster(tmp_path_factory):
+    path = tmp_path_factory.mktemp("raster") / "img.bin"
+    rng = np.random.default_rng(0)
+    write_raster(ImageCube.from_array(rng.normal(size=(4, 3, 2))), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def models(tmp_path_factory):
+    x, y = correlated_pair(30, 2, seed=11)
+    out = {}
+    for mode, kernel in (("linear", None), ("kernel", KernelSpec("rbf", 1.5))):
+        out[mode] = tmp_path_factory.mktemp(mode) / "model"
+        save_model(fit(x, y, DetectorConfig(mode=mode, kernel=kernel)), out[mode])
+    return out
+
+
+def with_sidecar(raster, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / raster.name
+        shutil.copyfile(raster, path)
+        Path(str(path) + ".json").write_bytes(text)
+        loads_or_documented_error(read_raster, path)
+
+
+def with_manifest(model, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "model"
+        shutil.copytree(model, copy)
+        (copy / "manifest.json").write_bytes(text)
+        loads_or_documented_error(load_model, copy)
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_sidecar(raster, data):
+    meta = json.loads(Path(str(raster) + ".json").read_text())
+    mutate(data, meta)
+    with_sidecar(raster, json.dumps(meta).encode())
+
+
+@FUZZ
+@given(content=json_values.map(lambda v: json.dumps(v).encode()) | st.binary(max_size=64))
+def test_arbitrary_sidecar(raster, content):
+    with_sidecar(raster, content)
+
+
+@FUZZ
+@given(mode=st.sampled_from(["linear", "kernel"]), data=st.data())
+def test_mutated_manifest(models, mode, data):
+    manifest = json.loads((models[mode] / "manifest.json").read_text())
+    mutate(data, manifest)
+    with_manifest(models[mode], json.dumps(manifest).encode())
+
+
+@FUZZ
+@given(content=json_values.map(lambda v: json.dumps(v).encode()) | st.binary(max_size=64))
+def test_arbitrary_manifest(models, content):
+    with_manifest(models["linear"], content)

@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from acdkit.kernels import (
-    KernelSpec,
-    cross_gram,
-    cross_row,
-    gram,
-    kernel_eval,
-    sigma_heuristic,
-    sigma_percentile_grid,
-)
+from acdkit.kernels import KernelSpec, cross_gram, gram, sigma_heuristic
+
+
+def kernel_value(spec, a, b):
+    """k(a, b) for one pair of vectors, through the batch evaluator."""
+    return cross_gram(b[None], a[None], spec)[0, 0]
 
 
 def sam_reference(a, b, sigma):
@@ -32,16 +29,16 @@ def sam_reference(a, b, sigma):
 
 def test_rbf_same_point_is_one():
     a = np.array([0.3, -1.2, 4.0])
-    assert kernel_eval(KernelSpec("rbf", 2.0), a, a) == 1.0
+    assert kernel_value(KernelSpec("rbf", 2.0), a, a) == 1.0
 
 
 def test_sam_collinear_is_one():
     a = np.array([1.0, 2.0, -0.5])
-    assert kernel_eval(KernelSpec("sam", 0.7), a, 2 * a) == pytest.approx(1.0, abs=1e-12)
+    assert kernel_value(KernelSpec("sam", 0.7), a, 2 * a) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rbf_hand_value():
-    k = kernel_eval(KernelSpec("rbf", 1.0), np.zeros(2), np.ones(2))
+    k = kernel_value(KernelSpec("rbf", 1.0), np.zeros(2), np.ones(2))
     assert k == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
@@ -51,7 +48,7 @@ def test_sam_matches_high_precision_reference():
         a = rng.normal(size=5)
         b = rng.normal(size=5)
         sigma = float(rng.uniform(0.2, 3.0))
-        got = kernel_eval(KernelSpec("sam", sigma), a, b)
+        got = kernel_value(KernelSpec("sam", sigma), a, b)
         assert got == pytest.approx(sam_reference(a, b, sigma), abs=1e-12)
 
 
@@ -59,9 +56,9 @@ def test_sam_zero_vector_convention():
     sigma = 1.0
     zero = np.zeros(3)
     v = np.array([1.0, 0.0, 0.0])
-    assert kernel_eval(KernelSpec("sam", sigma), zero, zero) == 1.0
+    assert kernel_value(KernelSpec("sam", sigma), zero, zero) == 1.0
     expected = math.exp(-((math.pi / 2) ** 2) / (2 * sigma**2))
-    assert kernel_eval(KernelSpec("sam", sigma), zero, v) == pytest.approx(expected)
+    assert kernel_value(KernelSpec("sam", sigma), zero, v) == pytest.approx(expected)
 
 
 def test_gram_single_row():
@@ -91,20 +88,20 @@ def test_cross_row_matches_gram(rng):
     rows = rng.normal(size=(10, 4))
     spec = KernelSpec("rbf", 2.0)
     k = gram(rows, spec)
-    stacked = np.array([cross_row(rows, v, spec) for v in rows])
+    stacked = np.array([cross_gram(rows, v[None], spec)[0] for v in rows])
     assert np.allclose(stacked, k, rtol=1e-12, atol=1e-12)
 
 
 def test_cross_row_training_row_is_one(rng):
     rows = rng.normal(size=(8, 3))
-    out = cross_row(rows, rows[4], KernelSpec("rbf", 1.0))
+    out = cross_gram(rows, rows[4][None], KernelSpec("rbf", 1.0))[0]
     assert out[4] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cross_row_linear_is_matvec(rng):
     rows = rng.normal(size=(9, 5))
     v = rng.normal(size=5)
-    assert np.allclose(cross_row(rows, v, KernelSpec("linear")), rows @ v, rtol=1e-12)
+    assert np.allclose(cross_gram(rows, v[None], KernelSpec("linear"))[0], rows @ v, rtol=1e-12)
 
 
 def test_cross_gram_dimension_mismatch(rng):
@@ -125,8 +122,8 @@ def test_sam_scale_invariance(rng):
     for _ in range(10):
         a = rng.normal(size=4)
         b = rng.normal(size=4)
-        assert kernel_eval(spec, a, b) == pytest.approx(
-            kernel_eval(spec, 2 * a, 3 * b), abs=1e-12
+        assert kernel_value(spec, a, b) == pytest.approx(
+            kernel_value(spec, 2 * a, 3 * b), abs=1e-12
         )
 
 
@@ -138,36 +135,25 @@ def test_rbf_huge_sigma_all_ones(rng):
 
 def test_sigma_heuristic_two_rows():
     rows = np.array([[0.0], [2.0]])
-    assert sigma_heuristic(rows, "mean") == 2.0
-    assert sigma_heuristic(rows, "median") == 2.0
+    assert sigma_heuristic(rows) == 2.0
 
 
 def test_sigma_heuristic_hand_case():
     rows = np.array([[0.0], [1.0], [3.0]])
-    assert sigma_heuristic(rows, "mean") == pytest.approx(2.0)
-    assert sigma_heuristic(rows, "median") == pytest.approx(2.0)
+    assert sigma_heuristic(rows) == pytest.approx(2.0)
 
 
 def test_sigma_heuristic_subsample_close_to_exact():
     rng = np.random.default_rng(23)
     rows = rng.normal(size=(5000, 3))
     exact = pdist(rows).mean()
-    approx = sigma_heuristic(rows, "mean")
+    approx = sigma_heuristic(rows)
     assert abs(approx - exact) / exact < 0.10
 
 
 def test_sigma_heuristic_zero_dispersion():
     with pytest.raises(ValueError, match="zero dispersion"):
-        sigma_heuristic(np.ones((5, 2)), "mean")
-
-
-def test_sigma_percentile_grid_brackets_distances(rng):
-    rows = rng.normal(size=(40, 3))
-    grid = sigma_percentile_grid(rows, num=10)
-    d = pdist(rows)
-    assert grid[0] == pytest.approx(np.quantile(d, 0.05))
-    assert grid[-1] == pytest.approx(np.quantile(d, 0.95))
-    assert np.all(np.diff(grid) > 0)
+        sigma_heuristic(np.ones((5, 2)))
 
 
 def test_kernel_spec_validation():

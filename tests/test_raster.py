@@ -9,7 +9,6 @@ from acdkit.raster import (
     stack_pair,
     standardize_apply,
     standardize_fit,
-    standardize_invert,
     unflatten,
 )
 
@@ -104,7 +103,7 @@ def test_standardize_round_trip():
     rng = np.random.default_rng(9)
     m = rng.normal(loc=-7.0, scale=0.3, size=(50, 3))
     s = standardize_fit(m)
-    back = standardize_invert(standardize_apply(m, s), s)
+    back = standardize_apply(m, s) * s.std + s.mean
     assert np.allclose(back, m, rtol=1e-12, atol=0.0)
 
 
