@@ -26,6 +26,12 @@ Kernel mode evaluates xi through the regularized dual form
     xi_H(v) = k_v (K K + lambda I)^-1 k_v^T
 
 with K the training Gram matrix and k_v the probe-to-training kernel row.
+A fitted kernel term factorizes K K + lambda I once (Cholesky), which is
+the cheaper way to serve a single lambda. `xi_kernel_path` serves a whole
+lambda axis from one eigendecomposition K = U diag(s) U^T instead:
+
+    xi_H(v) = sum_j (u_j . k_v)^2 / (s_j^2 + lambda)
+
 With a linear kernel, negligible lambda, and more samples than features
 this reduces to the uncentered input-space quadratic form v (X^T X)^-1 v.
 
@@ -63,9 +69,12 @@ __all__ = [
     "LinearTerm",
     "KernelTerm",
     "FittedDetector",
+    "standardized_training",
     "fit",
     "fit_kernel_term",
+    "kernel_lambda",
     "xi_term",
+    "xi_kernel_path",
     "score_gaussian",
     "score_ec",
     "xi_pixels",
@@ -193,6 +202,23 @@ def fit_kernel_term(train: np.ndarray, spec: KernelSpec, lam: float) -> KernelTe
     )
 
 
+def kernel_lambda(config: DetectorConfig, n_train: int) -> float:
+    """The kernel regularizer a fit on n_train rows applies: config.lam, or auto."""
+    return config.lam if config.lam is not None else AUTO_LAMBDA_NUM / n_train
+
+
+def standardized_training(x_train: np.ndarray, y_train: np.ndarray):
+    """Band stats fit on a training pair, and its standardized x, y and stacked z rows.
+
+    Returns (stats_x, stats_y, xs, ys, zs), the rows `fit` builds its terms on.
+    """
+    stats_x = standardize_fit(x_train)
+    stats_y = standardize_fit(y_train)
+    xs = standardize_apply(x_train, stats_x)
+    ys = standardize_apply(y_train, stats_y)
+    return stats_x, stats_y, xs, ys, stack_pair(xs, ys)
+
+
 def fit(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> FittedDetector:
     """Fit per-term statistics on a training pair.
 
@@ -209,11 +235,7 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> Fit
     if n < 2:
         raise ValueError("need at least 2 training samples")
 
-    stats_x = standardize_fit(x_train)
-    stats_y = standardize_fit(y_train)
-    xs = standardize_apply(x_train, stats_x)
-    ys = standardize_apply(y_train, stats_y)
-    zs = stack_pair(xs, ys)
+    stats_x, stats_y, xs, ys, zs = standardized_training(x_train, y_train)
 
     if config.mode == "linear":
         terms = {
@@ -221,7 +243,7 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> Fit
             for name, rows in (("x", xs), ("y", ys), ("z", zs))
         }
     else:
-        lam = config.lam if config.lam is not None else AUTO_LAMBDA_NUM / n
+        lam = kernel_lambda(config, n)
         terms = {
             name: fit_kernel_term(rows, config.kernel, lam)
             for name, rows in (("x", xs), ("y", ys), ("z", zs))
@@ -252,6 +274,35 @@ def xi_term(term: LinearTerm | KernelTerm, rows: np.ndarray) -> np.ndarray:
     xi = np.einsum("ij,ij->j", w, w)
     # Analytically PSD; the clip pins any ill-conditioning artifact at 0.
     return np.maximum(xi, 0.0)
+
+
+def xi_kernel_path(
+    train: np.ndarray, probes: np.ndarray, spec: KernelSpec, lams
+) -> np.ndarray:
+    """Kernel xi of each probe row for every regularizer in lams at once.
+
+    Returns a (len(lams), m) array whose row i is, up to rounding, what
+    xi_term(fit_kernel_term(train, spec, lams[i]), probes) gives. The Gram
+    matrix is the one fit_kernel_term builds, eigendecomposed once as
+    K = U diag(s) U^T; then xi = (P * P) @ (1 / (s^2 + lambda)) with
+    P = k_v U. K K is never formed, so small lambdas lose less precision
+    than the Cholesky path. Probes are projected in _SCORE_CHUNK blocks.
+    """
+    train = as_pixel_matrix(train)
+    probes = as_pixel_matrix(probes)
+    lams = np.asarray(lams, dtype=np.float64)
+    if lams.ndim != 1 or not np.all(lams > 0):
+        raise ValueError("lams must be a 1-d array of positive values")
+    s, u = np.linalg.eigh(gram(train, spec))
+    weights = 1.0 / (s[:, None] ** 2 + lams[None, :])
+    m = probes.shape[0]
+    xi = np.empty((lams.size, m))
+    for start in range(0, m, _SCORE_CHUNK):
+        sl = slice(start, min(start + _SCORE_CHUNK, m))
+        p = cross_gram(train, probes[sl], spec) @ u
+        np.square(p, out=p)
+        xi[:, sl] = (p @ weights).T
+    return xi
 
 
 def score_gaussian(xi_z, xi_x, xi_y, beta_x: int, beta_y: int):

@@ -95,7 +95,10 @@ def read_raster(path) -> ImageCube:
             f"payload is {len(payload)} bytes, expected {h * w * d * 4}"
         )
     data = np.frombuffer(payload, dtype="<f4").reshape(h, w, d)
-    return ImageCube.from_array(data.astype(np.float64))
+    try:
+        return ImageCube.from_array(data.astype(np.float64))
+    except ValueError as e:  # NaN or inf in the payload; ImageCube's own scan finds it
+        raise RasterFormatError(f"bad raster {path}: {e}") from e
 
 
 def labels_to_cube(labels: np.ndarray, height: int, width: int) -> ImageCube:

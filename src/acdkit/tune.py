@@ -10,9 +10,13 @@ regularizer lambda. Default grids:
     lambda  30 points, log-spaced over [1e-10, 10^2.5]
 
 Training pixels are drawn from non-anomalous positions only; validation
-pixels are drawn from the remainder and keep both classes. Fitting does
-not depend on nu, so the search refits once per (sigma, lambda) pair and
-sweeps nu over cached xi values.
+pixels are drawn from the remainder and keep both classes. Neither the
+fit nor the validation xi depends on nu, so nu is swept over cached xi
+values. In kernel mode neither the Gram matrix nor the validation
+cross-kernel depends on lambda either: per sigma and term the search
+eigendecomposes the Gram matrix once and gets the validation xi of every
+lambda from one projection (detectors.xi_kernel_path), instead of
+refitting per (sigma, lambda). Linear mode fits once.
 """
 
 from __future__ import annotations
@@ -21,16 +25,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detectors import DetectorConfig, combine_xi, fit, with_params, xi_pixels
+from .detectors import (
+    DetectorConfig,
+    combine_xi,
+    fit,
+    kernel_lambda,
+    standardized_training,
+    with_params,
+    xi_kernel_path,
+    xi_pixels,
+)
 from .kernels import sigma_heuristic
 from .metrics import DegenerateLabelsError, roc_curve
-from .raster import (
-    as_pixel_matrix,
-    sample_pixels,
-    stack_pair,
-    standardize_apply,
-    standardize_fit,
-)
+from .raster import as_pixel_matrix, sample_pixels, stack_pair, standardize_apply
 
 __all__ = [
     "TuneGrid",
@@ -99,11 +106,7 @@ class TuneResult:
 
 def anchor_sigma(x_train: np.ndarray, y_train: np.ndarray) -> float:
     """Bandwidth anchor: pairwise-distance heuristic on standardized stacked rows."""
-    x_train = as_pixel_matrix(x_train)
-    y_train = as_pixel_matrix(y_train)
-    xs = standardize_apply(x_train, standardize_fit(x_train))
-    ys = standardize_apply(y_train, standardize_fit(y_train))
-    return sigma_heuristic(stack_pair(xs, ys))
+    return sigma_heuristic(standardized_training(x_train, y_train)[4])
 
 
 def default_grid(config: DetectorConfig, heuristic_sigma: float | None = None) -> TuneGrid:
@@ -193,25 +196,40 @@ def grid_search(
     x_val, y_val = x[val_idx], y[val_idx]
     val_labels = (np.asarray(labels).ravel() > 0).astype(np.int64)[val_idx]
 
-    if grid is None:
-        anchor = anchor_sigma(x_tr, y_tr) if config.mode == "kernel" else None
-        grid = default_grid(config, anchor)
+    if config.mode == "kernel":
+        stats_x, stats_y, xs, ys, zs = standardized_training(x_tr, y_tr)
+        xvs = standardize_apply(x_val, stats_x)
+        yvs = standardize_apply(y_val, stats_y)
+        term_rows = ((zs, stack_pair(xvs, yvs)), (xs, xvs), (ys, yvs))
+        if grid is None:
+            grid = default_grid(config, sigma_heuristic(zs))
+    elif grid is None:
+        grid = default_grid(config)
 
     nu_values = list(grid.nu_grid) if grid.nu_grid.size else [None]
     sigma_values = list(grid.sigma_grid) if grid.sigma_grid.size else [None]
     lambda_values = list(grid.lambda_grid) if grid.lambda_grid.size else [None]
 
-    # nu only affects the score combination, so fit once per (sigma, lambda)
-    # and sweep nu over the cached xi triplets.
+    def xi_per_lambda(sigma):
+        """Validation (xi_z, xi_x, xi_y) for each lambda value, at one sigma."""
+        sigma_config = with_params(config, sigma=sigma)
+        if config.mode == "linear":
+            xi = xi_pixels(fit(x_tr, y_tr, sigma_config), x_val, y_val)
+            return [xi] * len(lambda_values)
+        lams = [kernel_lambda(with_params(sigma_config, lam=lam), n_train)
+                for lam in lambda_values]
+        xi_z, xi_x, xi_y = (xi_kernel_path(train, val, sigma_config.kernel, lams)
+                            for train, val in term_rows)
+        return list(zip(xi_z, xi_x, xi_y))
+
+    # nu only affects the score combination, so it is swept over the cached
+    # xi triplets of each (sigma, lambda).
+    d_x, d_y = x.shape[1], y.shape[1]
     entries = {}
     for i_s, sigma in enumerate(sigma_values):
-        for i_l, lam in enumerate(lambda_values):
-            fit_config = with_params(config, sigma=sigma, lam=lam)
-            det = fit(x_tr, y_tr, fit_config)
-            xi = xi_pixels(det, x_val, y_val)
+        for i_l, (lam, xi) in enumerate(zip(lambda_values, xi_per_lambda(sigma))):
             for i_n, nu in enumerate(nu_values):
-                eval_config = with_params(fit_config, nu=nu)
-                scores = combine_xi(*xi, eval_config, det.d_x, det.d_y)
+                scores = combine_xi(*xi, with_params(config, nu=nu), d_x, d_y)
                 auc = roc_curve(scores, val_labels).auc
                 entries[(i_n, i_s, i_l)] = (GridPoint(nu=nu, sigma=sigma, lam=lam), auc)
 

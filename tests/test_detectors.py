@@ -1,5 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import rankdata
 
 from acdkit.detectors import (
@@ -11,12 +15,15 @@ from acdkit.detectors import (
     score_gaussian,
     score_pixels,
     with_params,
+    xi_kernel_path,
     xi_pixels,
     xi_term,
 )
 from acdkit.kernels import KernelSpec
 from acdkit.linalg import spd_factorize
 from acdkit.detectors import LinearTerm
+from acdkit.raster import stack_pair, standardize_apply
+from acdkit.tune import default_grid
 
 from conftest import correlated_pair
 
@@ -251,3 +258,86 @@ def test_xi_pixels_nonnegative():
         det = fit(x[:150], y[:150], cfg)
         for part in xi_pixels(det, x[150:], y[150:]):
             assert np.all(part >= 0)
+
+
+@pytest.mark.parametrize("spec", [KernelSpec("rbf", 1.5), KernelSpec("sam", 1.5),
+                                  KernelSpec("linear")], ids=lambda s: s.kind)
+def test_xi_kernel_path_matches_cholesky_fit(spec):
+    # The Cholesky side's relative error grows like eps * ||K||^2 / lambda
+    # (~1e-8 here at lambda = 1e-6), so the comparison stops at 1e-6.
+    x, y = correlated_pair(280, 3, seed=21)
+    x_tr, y_tr, x_pr, y_pr = x[:80], y[:80], x[80:], y[80:]
+    lams = default_grid(kernel_config(), heuristic_sigma=1.0).lambda_grid
+    lams = lams[lams >= 1e-6]
+    det = fit(x_tr, y_tr, kernel_config(kernel=spec))
+    xs = standardize_apply(x_pr, det.band_stats_x)
+    ys = standardize_apply(y_pr, det.band_stats_y)
+    probes = {"x": xs, "y": ys, "z": stack_pair(xs, ys)}
+    paths = {name: xi_kernel_path(getattr(det, f"term_{name}").train, rows, spec, lams)
+             for name, rows in probes.items()}
+    for i, lam in enumerate(lams):
+        det = fit(x_tr, y_tr, kernel_config(kernel=spec, lam=lam))
+        for name, rows in probes.items():
+            expected = xi_term(getattr(det, f"term_{name}"), rows)
+            np.testing.assert_allclose(paths[name][i], expected, rtol=1e-6, atol=0)
+
+
+def test_xi_kernel_path_matches_high_precision_reference():
+    # 50-digit k_v (K K + lambda I)^-1 k_v^T from the same float64 rows.
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(44, 3))
+    train, probes = rows[:40], rows[40:]
+    sigma = 1.5
+    spec = KernelSpec("rbf", sigma)
+
+    def k(a, b):
+        sq = mpmath.fsum((mpmath.mpf(float(p)) - mpmath.mpf(float(q))) ** 2
+                         for p, q in zip(a, b))
+        return mpmath.exp(-sq / (2 * mpmath.mpf(sigma) ** 2))
+
+    lams = [1e-10, 1e-6]
+    with mpmath.workdps(50):
+        gram_mp = mpmath.matrix([[k(a, b) for b in train] for a in train])
+        gram_sq = gram_mp * gram_mp
+        k_rows = [mpmath.matrix([k(v, b) for b in train]) for v in probes]
+        refs = []
+        for lam in lams:
+            system = gram_sq + mpmath.mpf(lam) * mpmath.eye(len(train))
+            refs.append([float((kv.T * mpmath.lu_solve(system, kv))[0]) for kv in k_rows])
+    path = xi_kernel_path(train, probes, spec, lams)
+    for i, (lam, ref) in enumerate(zip(lams, np.array(refs))):
+        path_err = np.max(np.abs(path[i] / ref - 1))
+        assert path_err <= 1e-8
+        if lam == 1e-10:
+            chol = xi_term(fit_kernel_term(train, spec, lam), probes)
+            assert path_err < np.max(np.abs(chol / ref - 1))
+
+
+def test_xi_kernel_path_rejects_bad_lambdas(rng):
+    train = rng.normal(size=(10, 2))
+    for lams in ([1e-3, 0.0], [-1.0], [[1e-3]]):
+        with pytest.raises(ValueError):
+            xi_kernel_path(train, train, KernelSpec("rbf", 1.0), lams)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["rbf", "sam", "linear"]),
+    sigma=st.floats(0.1, 10.0),
+    lams=st.lists(st.floats(1e-10, 1e3), min_size=1, max_size=6).map(sorted),
+)
+def test_xi_kernel_path_nonnegative_and_nonincreasing(data, kind, sigma, lams):
+    # Values on a 0.2 grid: exact ties and zero rows occur, underflow does not.
+    d = data.draw(st.integers(1, 4))
+    def rows(n):
+        return arrays(np.float64, (n, d), elements=st.integers(-50, 50).map(lambda v: v / 5))
+    train = data.draw(rows(data.draw(st.integers(1, 12))))
+    probes = data.draw(rows(data.draw(st.integers(1, 6))))
+    xi = xi_kernel_path(train, probes, KernelSpec(kind, sigma), lams)
+    assert xi.shape == (len(lams), probes.shape[0])
+    assert np.all(xi >= 0)
+    # Each xi is a sum of n nonnegative terms whose weights fall as lambda
+    # grows; summation order may differ between lambdas, so allow n roundings.
+    slack = 1 + train.shape[0] * np.finfo(np.float64).eps
+    assert np.all(xi[1:] <= xi[:-1] * slack)

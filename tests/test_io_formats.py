@@ -76,6 +76,8 @@ def test_raster_missing_sidecar(tmp_path):
     pytest.param({"height": "a"}, None, id="string"),
     pytest.param({"height": 0}, b"", id="zero"),
     pytest.param({"bands": True}, None, id="bool"),
+    pytest.param({}, np.array([np.nan, 0, 0, 0], "<f4").tobytes(), id="nan-payload"),
+    pytest.param({}, np.array([0, 0, -np.inf, 0], "<f4").tobytes(), id="inf-payload"),
 ])
 def test_malformed_sidecar_rejected(tmp_path, capsys, change, payload):
     path = tmp_path / "img.bin"

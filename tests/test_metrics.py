@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acdkit.metrics import (
     DegenerateLabelsError,
@@ -52,6 +54,17 @@ def test_trapezoid_equals_mann_whitney(tie_frac):
         scores, labels = random_scored_set(seed, tie_frac=tie_frac)
         got = roc_curve(scores, labels).auc
         assert got == pytest.approx(mann_whitney_auc(scores, labels), abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-5, 5), st.booleans()), min_size=2, max_size=60)
+       .filter(lambda pairs: len({label for _, label in pairs}) == 2))
+def test_auc_equals_mann_whitney_property(pairs):
+    # Integer scores on a small range, so most draws are heavily tied.
+    scores = np.array([score for score, _ in pairs], dtype=np.float64)
+    labels = np.array([label for _, label in pairs], dtype=int)
+    assert roc_curve(scores, labels).auc == pytest.approx(
+        mann_whitney_auc(scores, labels), abs=1e-12)
 
 
 def test_curve_endpoints_and_monotonicity():

@@ -183,6 +183,34 @@ def test_grid_search_selects_near_optimal_sigma():
     assert result.best_val_auc == pytest.approx(exhaustive_max, abs=1e-12)
 
 
+def test_grid_search_matches_brute_force_refits():
+    x, y, labels = labeled_pair(n=500, d=2, seed=19, anomaly_frac=0.08)
+    cfg = DetectorConfig(distribution="ec", nu=1.0, mode="kernel",
+                         kernel=KernelSpec("rbf", 1.0), beta_x=1, beta_y=1)
+    grid = TuneGrid(nu_grid=np.array([0.5, 5.0, 50.0]), sigma_grid=np.array([0.5, 2.0]),
+                    lambda_grid=np.array([1e-6, 1e-3, 1.0]))
+    n_train, n_val, seed = 120, 300, 20
+    result = grid_search(x, y, labels, cfg, grid, n_train, n_val, seed)
+
+    # one fit + score_pixels + roc_curve per point, in canonical order
+    train_idx, val_idx = split_train_val(labels, n_train, n_val, seed)
+    brute = []
+    for nu in grid.nu_grid:
+        for sigma in grid.sigma_grid:
+            for lam in grid.lambda_grid:
+                point_cfg = with_params(cfg, nu=nu, sigma=sigma, lam=lam)
+                det = fit(x[train_idx], y[train_idx], point_cfg)
+                scores = score_pixels(det, x[val_idx], y[val_idx])
+                brute.append((GridPoint(nu=nu, sigma=sigma, lam=lam),
+                              roc_curve(scores, labels[val_idx]).auc))
+    assert [p for p, _ in result.trace] == [p for p, _ in brute]
+    for (_, got), (_, expected) in zip(result.trace, brute):
+        assert got == pytest.approx(expected, abs=1e-12)
+    best_point, best_auc = brute[int(np.argmax([a for _, a in brute]))]
+    assert result.best_params == best_point
+    assert result.best_val_auc == pytest.approx(best_auc, abs=1e-12)
+
+
 def test_anchor_sigma_positive():
     x, y = correlated_pair(100, 3, seed=18)
     assert anchor_sigma(x, y) > 0
