@@ -10,8 +10,6 @@ from .detectors import (
     DetectorConfig,
     FittedDetector,
     fit,
-    score_ec,
-    score_gaussian,
     score_pixels,
     xi_pixels,
 )

@@ -2,7 +2,8 @@
 
 Subcommands: simulate, fit, score, roc, map, tune. Every subcommand takes
 --seed (default 42) and is deterministic given it, independent of
---threads. Randomness per subcommand is drawn in a fixed documented order:
+--threads (the worker pool that scores kernel models). Randomness per
+subcommand is drawn in a fixed documented order:
 
     simulate   pervasive noise with seed, scrambling with seed + 1
     fit        training-pixel draw with seed
@@ -59,13 +60,11 @@ def _positive_or_auto(text: str):
     return value
 
 
-def _resolve_threads(args) -> int:
-    env = os.environ.get("ACD_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    if args.threads is not None:
-        return max(1, args.threads)
-    return os.cpu_count() or 1
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
 
 
 def _read_pair(x_path, y_path):
@@ -83,21 +82,15 @@ def _read_labels(path, height, width) -> np.ndarray:
     return io_formats.cube_to_labels(cube)
 
 
-def _build_config(args, *, require_nu: bool) -> DetectorConfig:
+def _build_config(args, nu, sigma, lam) -> DetectorConfig:
+    """The config of the family flags, with the given nu, sigma and lambda.
+
+    sigma is dropped for the linear kernel, which has no lengthscale.
+    """
     beta_x, beta_y = DETECTOR_BETAS[args.detector]
-    nu = args.nu
-    if args.dist == "ec" and nu is None:
-        if require_nu:
-            raise ValueError("ec distribution requires --nu")
-        nu = 1.0  # placeholder; the tuning grid supplies nu
     kernel = None
     if args.mode == "kernel":
-        if args.kernel == "linear":
-            kernel = KernelSpec("linear")
-        else:
-            # sigma may still be None here ('auto'); resolved against the
-            # training draw before fitting.
-            kernel = KernelSpec(args.kernel, args.sigma if args.sigma else 1.0)
+        kernel = KernelSpec(args.kernel, None if args.kernel == "linear" else sigma)
     return DetectorConfig(
         beta_x=beta_x,
         beta_y=beta_y,
@@ -105,7 +98,7 @@ def _build_config(args, *, require_nu: bool) -> DetectorConfig:
         nu=nu,
         mode=args.mode,
         kernel=kernel,
-        lam=args.lam,
+        lam=lam,
     )
 
 
@@ -135,12 +128,11 @@ def cmd_fit(args) -> int:
     idx = training_draw(x.shape[0], args.train_samples, args.seed, labels)
     x_tr, y_tr = x[idx], y[idx]
 
-    config = _build_config(args, require_nu=True)
-    if config.mode == "kernel" and config.kernel.kind != "linear" and args.sigma is None:
+    sigma = args.sigma
+    if args.mode == "kernel" and args.kernel != "linear" and sigma is None:
         sigma = anchor_sigma(x_tr, y_tr)
-        config = with_params(config, sigma=sigma)
         print(f"sigma auto -> {sigma:.17g}")
-    det = fit(x_tr, y_tr, config)
+    det = fit(x_tr, y_tr, _build_config(args, args.nu, sigma, args.lam))
     io_formats.save_model(det, args.model_out)
     print(f"model written to {args.model_out}")
     return EXIT_OK
@@ -192,7 +184,8 @@ def cmd_tune(args) -> int:
     cube_x, cube_y = _read_pair(args.x, args.y)
     x, y = flatten(cube_x), flatten(cube_y)
     labels = _read_labels(args.labels, cube_x.height, cube_x.width)
-    config = _build_config(args, require_nu=False)
+    # grid_search replaces nu (ec) and sigma (rbf, sam); 1.0 keeps the config valid until then.
+    config = _build_config(args, 1.0 if args.dist == "ec" else None, 1.0, None)
 
     result = grid_search(
         x, y, labels, config, None, args.n_train, args.n_val, args.seed
@@ -220,25 +213,24 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
     common.add_argument(
-        "--threads", type=int, default=None,
-        help="scoring threads (default: all cores; ACD_THREADS overrides)",
+        "--threads", type=_positive_int, default=os.cpu_count() or 1,
+        help="worker threads for scoring kernel models (default: all cores)",
     )
 
-    detector_common = argparse.ArgumentParser(add_help=False)
-    detector_common.add_argument(
-        "--detector", choices=sorted(DETECTOR_BETAS), default="hacd"
-    )
-    detector_common.add_argument("--dist", choices=["gaussian", "ec"], default="gaussian")
-    detector_common.add_argument("--nu", type=float, default=None,
-                                 help="EC shape parameter")
-    detector_common.add_argument("--mode", choices=["linear", "kernel"], default="linear")
-    detector_common.add_argument("--kernel", choices=["linear", "rbf", "sam"],
-                                 default="rbf")
-    detector_common.add_argument(
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--detector", choices=sorted(DETECTOR_BETAS), default="hacd")
+    family.add_argument("--dist", choices=["gaussian", "ec"], default="gaussian")
+    family.add_argument("--mode", choices=["linear", "kernel"], default="linear")
+    family.add_argument("--kernel", choices=["linear", "rbf", "sam"], default="rbf")
+
+    # fit only: tune searches these
+    hyperparameters = argparse.ArgumentParser(add_help=False)
+    hyperparameters.add_argument("--nu", type=float, default=None, help="EC shape parameter")
+    hyperparameters.add_argument(
         "--sigma", type=_positive_or_auto, default="auto", dest="sigma",
         help="kernel lengthscale, or 'auto' for the mean-distance heuristic",
     )
-    detector_common.add_argument(
+    hyperparameters.add_argument(
         "--lambda", type=_positive_or_auto, default="auto", dest="lam",
         help="kernel regularizer, or 'auto' for 1e-5/n",
     )
@@ -258,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", parents=[common, detector_common],
+    p = sub.add_parser("fit", parents=[common, family, hyperparameters],
                        help="fit a detector on a raster pair")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
@@ -293,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("tune", parents=[common, detector_common],
-                       help="grid-search hyperparameters by validation AUC")
+    p = sub.add_parser("tune", parents=[common, family],
+                       help="grid-search nu, sigma and lambda by validation AUC")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--labels", required=True)
@@ -314,7 +306,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        args.threads = _resolve_threads(args)
         return args.func(args)
     except SingularCovarianceError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -75,8 +75,6 @@ __all__ = [
     "kernel_lambda",
     "xi_term",
     "xi_kernel_path",
-    "score_gaussian",
-    "score_ec",
     "xi_pixels",
     "combine_xi",
     "score_pixels",
@@ -305,27 +303,6 @@ def xi_kernel_path(
     return xi
 
 
-def score_gaussian(xi_z, xi_x, xi_y, beta_x: int, beta_y: int):
-    """Gaussian combination xi_z - beta_x * xi_x - beta_y * xi_y."""
-    return xi_z - beta_x * xi_x - beta_y * xi_y
-
-
-def score_ec(xi_z, xi_x, xi_y, beta_x: int, beta_y: int, nu: float, d_x: int, d_y: int):
-    """Elliptically-contoured combination with Student-t shape nu.
-
-    Each term's coefficient uses that term's own input dimensionality, so
-    unequal band counts d_x != d_y are handled consistently.
-    """
-    if not nu > 0:
-        raise ValueError("nu must be positive")
-    score = (d_x + d_y + nu) * np.log1p(xi_z / nu)
-    if beta_x:
-        score = score - (d_x + nu) * np.log1p(xi_x / nu)
-    if beta_y:
-        score = score - (d_y + nu) * np.log1p(xi_y / nu)
-    return score
-
-
 def combine_xi(
     xi_z: np.ndarray,
     xi_x: np.ndarray,
@@ -334,11 +311,23 @@ def combine_xi(
     d_x: int,
     d_y: int,
 ) -> np.ndarray:
-    """Combine per-term xi values into final scores per the config."""
+    """Combine per-term xi values into final scores per the config.
+
+    Gaussian: xi_z - beta_x * xi_x - beta_y * xi_y. EC with Student-t
+    shape nu: each xi becomes (dim + nu) * log1p(xi / nu), with dim that
+    term's own input dimensionality, so unequal band counts d_x != d_y are
+    handled consistently.
+    """
+    beta_x, beta_y = config.beta_x, config.beta_y
     if config.distribution == "gaussian":
-        return score_gaussian(xi_z, xi_x, xi_y, config.beta_x, config.beta_y)
-    return score_ec(xi_z, xi_x, xi_y, config.beta_x, config.beta_y,
-                    config.nu, d_x, d_y)
+        return xi_z - beta_x * xi_x - beta_y * xi_y
+    nu = config.nu
+    score = (d_x + d_y + nu) * np.log1p(xi_z / nu)
+    if beta_x:
+        score = score - (d_x + nu) * np.log1p(xi_x / nu)
+    if beta_y:
+        score = score - (d_y + nu) * np.log1p(xi_y / nu)
+    return score
 
 
 def _standardized_terms(det: FittedDetector, x: np.ndarray, y: np.ndarray):
@@ -363,6 +352,9 @@ def xi_pixels(
 
     Evaluation is chunked at a fixed size independent of the thread count,
     so results are bit-identical whether run sequentially or in parallel.
+    Only kernel models spread the chunks over `threads` workers: their
+    probe kernels dominate and gain from the pool, while a linear chunk is
+    a few BLAS calls that the pool only slows down.
     """
     xs, ys, zs = _standardized_terms(det, x, y)
     n = xs.shape[0]
@@ -375,7 +367,7 @@ def xi_pixels(
             xi_term(det.term_y, ys[sl]),
         )
 
-    if threads > 1 and len(chunks) > 1:
+    if threads > 1 and len(chunks) > 1 and isinstance(det.term_z, KernelTerm):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(one, chunks))
     else:

@@ -202,7 +202,10 @@ def _read_blob(directory: Path, entry: dict, key: str, where: str, ndim: int) ->
         raise CorruptModelError(f"corrupt model: checksum mismatch in {name}")
     if len(payload) != 8 * count:
         raise CorruptModelError(f"corrupt model: wrong element count in {name}")
-    return np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+    values = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+    if not np.isfinite(values).all():
+        raise CorruptModelError(f"corrupt model: non-finite value in {name}")
+    return values
 
 
 def _spec_dict(spec: KernelSpec | None):

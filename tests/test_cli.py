@@ -261,17 +261,26 @@ def test_singular_covariance_exit3(scene, monkeypatch):
     assert rc == 3
 
 
-def test_threads_env_override(monkeypatch):
-    from argparse import Namespace
+@pytest.mark.parametrize("flag,value", [("--nu", "7"), ("--sigma", "0.3"),
+                                        ("--lambda", "0.5")])
+def test_tune_rejects_hyperparameter_flags(scene, capsys, flag, value):
+    # tune searches nu, sigma and lambda, so it takes none of them
+    rc = main([
+        "tune", "--x", str(scene["x"]), "--y", str(scene["y"]),
+        "--labels", str(scene["labels"]), "--dist", "ec", "--mode", "kernel",
+        flag, value,
+    ])
+    assert rc == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
-    from acdkit.cli import _resolve_threads
 
-    args = Namespace(threads=5)
-    monkeypatch.setenv("ACD_THREADS", "2")
-    assert _resolve_threads(args) == 2
-    monkeypatch.delenv("ACD_THREADS")
-    assert _resolve_threads(args) == 5
-    assert _resolve_threads(Namespace(threads=None)) >= 1
+def test_threads_must_be_positive(scene, capsys):
+    rc = main([
+        "score", "--model", str(scene["dir"] / "m"), "--x", str(scene["x"]),
+        "--y", str(scene["y"]), "--out", str(scene["dir"] / "s.bin"), "--threads", "0",
+    ])
+    assert rc == 2
+    assert "argument --threads: must be a positive integer" in capsys.readouterr().err
 
 
 def test_help_exits_zero():

@@ -9,10 +9,9 @@ from scipy.stats import rankdata
 from acdkit.detectors import (
     DETECTOR_BETAS,
     DetectorConfig,
+    combine_xi,
     fit,
     fit_kernel_term,
-    score_ec,
-    score_gaussian,
     score_pixels,
     with_params,
     xi_kernel_path,
@@ -129,33 +128,43 @@ def test_xi_kernel_nonnegative(rng):
         assert xi_term(term, v[None])[0] >= 0.0
 
 
+def gaussian_scores(xi_z, xi_x, xi_y, beta_x, beta_y):
+    return combine_xi(xi_z, xi_x, xi_y, DetectorConfig(beta_x=beta_x, beta_y=beta_y), 0, 0)
+
+
+def ec_scores(xi_z, xi_x, xi_y, beta_x, beta_y, nu, d_x, d_y):
+    config = DetectorConfig(beta_x=beta_x, beta_y=beta_y, distribution="ec", nu=nu)
+    return combine_xi(xi_z, xi_x, xi_y, config, d_x, d_y)
+
+
 def test_score_gaussian_cases():
-    assert score_gaussian(5.0, 2.0, 1.0, 0, 0) == 5.0
-    assert score_gaussian(5.0, 2.0, 1.0, 1, 1) == 2.0
-    assert score_gaussian(3.0, 7.0, 3.0, 0, 1) == 0.0
+    assert gaussian_scores(5.0, 2.0, 1.0, 0, 0) == 5.0
+    assert gaussian_scores(5.0, 2.0, 1.0, 1, 1) == 2.0
+    assert gaussian_scores(3.0, 7.0, 3.0, 0, 1) == 0.0
 
 
 def test_score_ec_zero_case():
-    assert score_ec(0.0, 0.0, 0.0, 1, 1, nu=2.0, d_x=3, d_y=3) == 0.0
+    assert ec_scores(0.0, 0.0, 0.0, 1, 1, nu=2.0, d_x=3, d_y=3) == 0.0
 
 
 def test_score_ec_monotone_in_xi_z():
     xs = np.linspace(0, 50, 100)
-    vals = score_ec(xs, 0.0, 0.0, 0, 0, nu=1.0, d_x=4, d_y=4)
+    vals = ec_scores(xs, 0.0, 0.0, 0, 0, nu=1.0, d_x=4, d_y=4)
     assert np.all(np.diff(vals) > 0)
 
 
 def test_score_ec_high_nu_approaches_gaussian():
     rng = np.random.default_rng(4)
     xi = rng.uniform(0, 20, size=(3, 50))
-    g = score_gaussian(xi[0], xi[1], xi[2], 1, 1)
-    e = score_ec(xi[0], xi[1], xi[2], 1, 1, nu=1e10, d_x=3, d_y=3)
+    g = gaussian_scores(xi[0], xi[1], xi[2], 1, 1)
+    e = ec_scores(xi[0], xi[1], xi[2], 1, 1, nu=1e10, d_x=3, d_y=3)
     assert np.allclose(e, g, rtol=1e-4)
 
 
 def test_score_ec_rejects_bad_nu():
+    # nu is checked once, where the config is built
     with pytest.raises(ValueError):
-        score_ec(1.0, 0.0, 0.0, 0, 0, nu=0.0, d_x=1, d_y=1)
+        DetectorConfig(beta_x=0, beta_y=0, distribution="ec", nu=0.0)
 
 
 @pytest.mark.parametrize("mode", ["linear", "kernel"])
@@ -200,6 +209,39 @@ def test_score_pixels_thread_determinism():
     a = score_pixels(det, x, y, threads=1)
     b = score_pixels(det, x, y, threads=4)
     assert np.array_equal(a, b)
+
+
+def _pool_calls(monkeypatch, fail=False):
+    """Replace detectors.ThreadPoolExecutor with one that counts (or refuses) pools."""
+    from acdkit import detectors
+
+    real, calls = detectors.ThreadPoolExecutor, []
+
+    def pool(*args, **kwargs):
+        if fail:
+            raise AssertionError("linear models are scored without a pool")
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(detectors, "ThreadPoolExecutor", pool)
+    return calls
+
+
+def test_score_pixels_linear_model_skips_pool(monkeypatch):
+    x, y = correlated_pair(20000, 2, seed=9)
+    det = fit(x[:500], y[:500], DetectorConfig())
+    expected = score_pixels(det, x, y, threads=1)
+    _pool_calls(monkeypatch, fail=True)
+    assert np.array_equal(score_pixels(det, x, y, threads=4), expected)
+
+
+def test_score_pixels_kernel_model_uses_pool(monkeypatch):
+    x, y = correlated_pair(20000, 2, seed=9)
+    det = fit(x[:50], y[:50], kernel_config())
+    expected = score_pixels(det, x, y, threads=1)
+    calls = _pool_calls(monkeypatch)
+    assert np.array_equal(score_pixels(det, x, y, threads=4), expected)
+    assert calls == [{"max_workers": 4}]
 
 
 def test_score_pixels_permutation_equivariance():

@@ -1,4 +1,5 @@
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -173,9 +174,25 @@ def test_model_unsupported_version(tmp_path):
 
 
 def _edited(edit):
-    def apply(text):
+    def apply(text, directory):
         manifest = json.loads(text)
         edit(manifest)
+        return json.dumps(manifest)
+    return apply
+
+
+def _blob_holding(value, *keys):
+    """Put value first in the blob at manifest[keys], with a matching CRC."""
+    def apply(text, directory):
+        manifest = json.loads(text)
+        ref = manifest
+        for key in keys:
+            ref = ref[key]
+        blob = directory / ref["path"]
+        values = np.frombuffer(blob.read_bytes(), dtype="<f8").copy()
+        values[0] = value
+        blob.write_bytes(values.tobytes())
+        ref["crc32"] = zlib.crc32(values.tobytes()) & 0xFFFFFFFF
         return json.dumps(manifest)
     return apply
 
@@ -186,7 +203,7 @@ def _as_format_1(manifest):
 
 
 @pytest.mark.parametrize("mutate,error", [
-    pytest.param(lambda text: text[:-10], CorruptModelError, id="not-json"),
+    pytest.param(lambda text, directory: text[:-10], CorruptModelError, id="not-json"),
     pytest.param(_edited(lambda m: m.pop("band_stats")), CorruptModelError, id="no-band-stats"),
     pytest.param(_edited(lambda m: m.update(config="hacd")), CorruptModelError,
                  id="config-string"),
@@ -197,12 +214,16 @@ def _as_format_1(manifest):
     pytest.param(_edited(lambda m: m["terms"]["x"]["factor"].update(
         path="../model/term_x_factor.bin")), CorruptModelError, id="blob-path-not-a-file-name"),
     pytest.param(_edited(_as_format_1), UnsupportedVersionError, id="format-1"),
+    pytest.param(_blob_holding(np.nan, "band_stats", "x", "mean"), CorruptModelError,
+                 id="nan-blob"),
+    pytest.param(_blob_holding(np.inf, "terms", "z", "mean"), CorruptModelError,
+                 id="inf-blob"),
 ])
 def test_malformed_manifest_rejected(tmp_path, capsys, mutate, error):
     x, y = correlated_pair(60, 2, seed=9)
     save_model(fit(x, y, DetectorConfig()), tmp_path / "model")
     manifest_path = tmp_path / "model" / "manifest.json"
-    manifest_path.write_text(mutate(manifest_path.read_text()))
+    manifest_path.write_text(mutate(manifest_path.read_text(), tmp_path / "model"))
     with pytest.raises(error):
         load_model(tmp_path / "model")
     for name, m in (("x", x), ("y", y)):
