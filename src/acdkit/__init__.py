@@ -14,7 +14,7 @@ from .detectors import (
     xi_pixels,
 )
 from .kernels import KernelSpec, gram, sigma_heuristic
-from .linalg import SingularCovarianceError, SpdFactor, covariance, spd_factorize
+from .linalg import covariance
 from .metrics import (
     DegenerateLabelsError,
     RocCurve,

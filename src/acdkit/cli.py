@@ -9,8 +9,8 @@ subcommand is drawn in a fixed documented order:
     fit        training-pixel draw with seed
     tune       training draw with seed, validation draw with seed + 1
 
-Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 numerical failure,
-4 degenerate labels.
+Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 numerical failure
+(np.linalg.LinAlgError), 4 degenerate labels.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .detectors import (
     with_params,
 )
 from .kernels import KernelSpec
-from .linalg import SingularCovarianceError
 from .metrics import (
     DegenerateLabelsError,
     apply_threshold,
@@ -307,7 +306,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except SingularCovarianceError as e:
+    except np.linalg.LinAlgError as e:  # a ValueError too, so caught first
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except DegenerateLabelsError as e:

@@ -21,16 +21,16 @@ xi values directly. The elliptically-contoured (EC) combination wraps
 each xi in a Student-t flavored rescaling (dim + nu) * log1p(xi / nu);
 as nu grows it reproduces the Gaussian ordering.
 
-Kernel mode evaluates xi through the regularized dual form
+Every term computes xi as one whitened quadratic form, with a basis U and
+positive weights w: xi(v) = sum_j p_j^2 w_j for p = (phi(v) - c) U. Linear
+terms take phi(v) = v, c the training mean, C = U diag(s) U^T the training
+covariance and w = 1 / (s + eps), eps = 1e-8 trace(C)/d. Kernel terms
+evaluate the regularized dual form
 
     xi_H(v) = k_v (K K + lambda I)^-1 k_v^T
 
-with K the training Gram matrix and k_v the probe-to-training kernel row.
-A fitted kernel term factorizes K K + lambda I once (Cholesky), which is
-the cheaper way to serve a single lambda. `xi_kernel_path` serves a whole
-lambda axis from one eigendecomposition K = U diag(s) U^T instead:
-
-    xi_H(v) = sum_j (u_j . k_v)^2 / (s_j^2 + lambda)
+with phi(v) = k_v the probe-to-training kernel row, c = 0, the Gram matrix
+K = U diag(s) U^T and w = 1 / (s^2 + lambda), without forming K K.
 
 With a linear kernel, negligible lambda, and more samples than features
 this reduces to the uncentered input-space quadratic form v (X^T X)^-1 v.
@@ -45,16 +45,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .kernels import KernelSpec, cross_gram, gram
-from .linalg import (
-    DEFAULT_RIDGE_SCALE,
-    SpdFactor,
-    covariance,
-    mahalanobis_batch,
-    spd_factorize,
-)
+from .linalg import covariance, inverse_weights, mahalanobis_batch, spd_factorize
 from .raster import (
     BandStats,
     as_pixel_matrix,
@@ -96,6 +89,7 @@ _SCORE_CHUNK = 8192
 class DetectorConfig:
     """Which family member to build and how.
 
+    nu: EC shape; only the ec distribution takes one.
     lam: kernel regularizer; None means auto (1e-5 / n_train).
     """
 
@@ -115,6 +109,8 @@ class DetectorConfig:
         if self.distribution == "ec":
             if self.nu is None or not self.nu > 0:
                 raise ValueError("ec distribution requires nu > 0")
+        elif self.nu is not None:
+            raise ValueError("nu applies to the ec distribution only")
         if self.mode not in ("linear", "kernel"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "kernel":
@@ -124,40 +120,57 @@ class DetectorConfig:
                 raise ValueError("lam must be positive (or None for auto)")
 
 
+def _freeze(term, k: int, **arrays) -> None:
+    """Store read-only float64 arrays on a term, then check its basis (k x k) and weights (k)."""
+    for name, arr in arrays.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        arr.flags.writeable = False
+        object.__setattr__(term, name, arr)
+    if term.basis.shape != (k, k) or term.weights.shape != (k,):
+        raise ValueError(f"basis and weights must have shapes ({k}, {k}) and ({k},)")
+    if not np.all(term.weights > 0):
+        raise ValueError("weights must be positive")
+
+
 @dataclass(frozen=True)
 class LinearTerm:
-    """Mean and SPD covariance factor for one term (x, y, or z)."""
+    """One term (x, y, or z) in input space: xi(v) = ((v - mean) basis)^2 . weights.
+
+    basis and weights whiten the training covariance C = U diag(s) U^T:
+    weights = 1 / (s + ridge).
+    """
 
     mean: np.ndarray = field(repr=False)
-    factor: SpdFactor
+    basis: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+    ridge: float
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        if mean.shape != (self.factor.dim,):
-            raise ValueError("mean length does not match factor dim")
-        mean.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
+        _freeze(self, np.size(self.mean), mean=self.mean, basis=self.basis,
+                weights=self.weights)
 
     @property
     def dim(self) -> int:
-        return self.factor.dim
+        return self.mean.size
 
 
 @dataclass(frozen=True)
 class KernelTerm:
-    """Training samples plus the factorized (K K + lambda I) solve for one term."""
+    """One term in feature space: xi(v) = (k_v basis)^2 . weights.
+
+    With the training Gram matrix K = U diag(s) U^T, basis = U and
+    weights = 1 / (s^2 + lam).
+    """
 
     train: np.ndarray = field(repr=False)
     spec: KernelSpec
     lam: float
-    solve_factor: SpdFactor
+    basis: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         train = as_pixel_matrix(self.train)
-        if self.solve_factor.dim != train.shape[0]:
-            raise ValueError("solve factor dim does not match training count")
-        train.flags.writeable = False
-        object.__setattr__(self, "train", train)
+        _freeze(self, train.shape[0], train=train, basis=self.basis, weights=self.weights)
 
     @property
     def dim(self) -> int:
@@ -184,20 +197,17 @@ class FittedDetector:
 
 def _fit_linear_term(rows: np.ndarray) -> LinearTerm:
     mean = rows.mean(axis=0)
-    cov = covariance(rows, mean)
-    return LinearTerm(mean=mean, factor=spd_factorize(cov, DEFAULT_RIDGE_SCALE))
+    eig = spd_factorize(covariance(rows, mean))
+    return LinearTerm(mean=mean, basis=eig.basis,
+                      weights=inverse_weights(eig.values, eig.ridge), ridge=eig.ridge)
 
 
 def fit_kernel_term(train: np.ndarray, spec: KernelSpec, lam: float) -> KernelTerm:
-    """Fit one kernelized term: Gram, then factorize K K + lambda I."""
+    """Fit one kernelized term: Gram K = U diag(s) U^T, weights 1 / (s^2 + lambda)."""
     train = as_pixel_matrix(train)
-    k = gram(train, spec)
-    m = k @ k
-    m = (m + m.T) / 2.0
-    m[np.diag_indices_from(m)] += lam
-    return KernelTerm(
-        train=train, spec=spec, lam=lam, solve_factor=spd_factorize(m, ridge_scale=0.0)
-    )
+    eig = spd_factorize(gram(train, spec), ridge_scale=0.0)
+    return KernelTerm(train=train, spec=spec, lam=lam, basis=eig.basis,
+                      weights=inverse_weights(eig.values * eig.values, lam))
 
 
 def kernel_lambda(config: DetectorConfig, n_train: int) -> float:
@@ -221,9 +231,9 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> Fit
     """Fit per-term statistics on a training pair.
 
     Band standardization is fit on the training pixels and baked into the
-    detector. Linear mode stores means and covariance factors for x, y and
-    the stacked z; kernel mode stores the standardized training samples and
-    the factorized regularized Gram product per term.
+    detector. Linear mode stores, for x, y and the stacked z, the mean and
+    the whitened covariance; kernel mode stores the standardized training
+    samples and the whitened Gram matrix per term.
     """
     x_train = as_pixel_matrix(x_train)
     y_train = as_pixel_matrix(y_train)
@@ -262,16 +272,14 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> Fit
 def xi_term(term: LinearTerm | KernelTerm, rows: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distance xi of each row under one fitted term.
 
-    Linear terms give (v - mean)^T C^-1 (v - mean) in input space; kernel
-    terms give the dual form k_v (K K + lambda I)^-1 k_v^T, clipped at 0.
+    Linear terms give (v - mean)^T (C + ridge I)^-1 (v - mean) in input
+    space; kernel terms give the dual form k_v (K K + lambda I)^-1 k_v^T.
     """
     if isinstance(term, LinearTerm):
-        return mahalanobis_batch(term.factor, term.mean, rows)
-    kc = cross_gram(term.train, rows, term.spec)
-    w = solve_triangular(term.solve_factor.L, kc.T, lower=True)
-    xi = np.einsum("ij,ij->j", w, w)
-    # Analytically PSD; the clip pins any ill-conditioning artifact at 0.
-    return np.maximum(xi, 0.0)
+        p = (as_pixel_matrix(rows) - term.mean) @ term.basis
+    else:
+        p = cross_gram(term.train, rows, term.spec) @ term.basis
+    return mahalanobis_batch(p, [term.weights])[0]
 
 
 def xi_kernel_path(
@@ -279,27 +287,25 @@ def xi_kernel_path(
 ) -> np.ndarray:
     """Kernel xi of each probe row for every regularizer in lams at once.
 
-    Returns a (len(lams), m) array whose row i is, up to rounding, what
-    xi_term(fit_kernel_term(train, spec, lams[i]), probes) gives. The Gram
-    matrix is the one fit_kernel_term builds, eigendecomposed once as
-    K = U diag(s) U^T; then xi = (P * P) @ (1 / (s^2 + lambda)) with
-    P = k_v U. K K is never formed, so small lambdas lose less precision
-    than the Cholesky path. Probes are projected in _SCORE_CHUNK blocks.
+    Returns a (len(lams), m) array whose row i equals, bit for bit, the xi
+    that fit_kernel_term(train, spec, lams[i]) gives probes scored in
+    _SCORE_CHUNK blocks, as xi_pixels scores them. K is eigendecomposed
+    once, and each probe block is projected and squared once for all lambdas.
     """
     train = as_pixel_matrix(train)
     probes = as_pixel_matrix(probes)
     lams = np.asarray(lams, dtype=np.float64)
     if lams.ndim != 1 or not np.all(lams > 0):
         raise ValueError("lams must be a 1-d array of positive values")
-    s, u = np.linalg.eigh(gram(train, spec))
-    weights = 1.0 / (s[:, None] ** 2 + lams[None, :])
+    eig = spd_factorize(gram(train, spec), ridge_scale=0.0)
+    spectrum = eig.values * eig.values
+    weights = [inverse_weights(spectrum, lam) for lam in lams]
     m = probes.shape[0]
     xi = np.empty((lams.size, m))
     for start in range(0, m, _SCORE_CHUNK):
         sl = slice(start, min(start + _SCORE_CHUNK, m))
-        p = cross_gram(train, probes[sl], spec) @ u
-        np.square(p, out=p)
-        xi[:, sl] = (p @ weights).T
+        p = cross_gram(train, probes[sl], spec) @ eig.basis
+        xi[:, sl] = mahalanobis_batch(p, weights)
     return xi
 
 

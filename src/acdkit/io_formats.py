@@ -18,7 +18,6 @@ import numpy as np
 
 from .detectors import DetectorConfig, FittedDetector, KernelTerm, LinearTerm
 from .kernels import KernelSpec
-from .linalg import SpdFactor
 from .metrics import RocCurve
 from .raster import BandStats, ImageCube
 
@@ -37,7 +36,7 @@ __all__ = [
     "load_model",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class RasterFormatError(Exception):
@@ -264,23 +263,17 @@ def save_model(det: FittedDetector, directory, metadata: dict | None = None) -> 
             "std": _write_blob(directory, f"band_stats_{axis}_std.bin", stats.std),
         }
     for name, term in (("x", det.term_x), ("y", det.term_y), ("z", det.term_z)):
+        entry = {
+            "basis": _write_blob(directory, f"term_{name}_basis.bin", term.basis),
+            "weights": _write_blob(directory, f"term_{name}_weights.bin", term.weights),
+        }
         if isinstance(term, LinearTerm):
-            manifest["terms"][name] = {
-                "type": "linear",
-                "mean": _write_blob(directory, f"term_{name}_mean.bin", term.mean),
-                "factor": _write_blob(directory, f"term_{name}_factor.bin", term.factor.L),
-                "ridge": term.factor.ridge,
-            }
+            entry.update(type="linear", ridge=term.ridge,
+                         mean=_write_blob(directory, f"term_{name}_mean.bin", term.mean))
         else:
-            manifest["terms"][name] = {
-                "type": "kernel",
-                "train": _write_blob(directory, f"term_{name}_train.bin", term.train),
-                "factor": _write_blob(directory, f"term_{name}_factor.bin",
-                                      term.solve_factor.L),
-                "ridge": term.solve_factor.ridge,
-                "lam": term.lam,
-                "kernel": _spec_dict(term.spec),
-            }
+            entry.update(type="kernel", lam=term.lam, kernel=_spec_dict(term.spec),
+                         train=_write_blob(directory, f"term_{name}_train.bin", term.train))
+        manifest["terms"][name] = entry
     if metadata is not None:
         manifest["metadata"] = metadata
     (directory / "manifest.json").write_text(
@@ -289,18 +282,20 @@ def save_model(det: FittedDetector, directory, metadata: dict | None = None) -> 
 
 
 def _term_from(directory: Path, entry: dict, where: str):
-    factor_l = _read_blob(directory, entry, "factor", where, 2)
-    ridge = _get(entry, "ridge", _NUMBER, where)
-    factor = SpdFactor(dim=factor_l.shape[0], L=factor_l, ridge=ridge)
+    whitening = {
+        "basis": _read_blob(directory, entry, "basis", where, 2),
+        "weights": _read_blob(directory, entry, "weights", where, 1),
+    }
     kind = _get(entry, "type", str, where)
     if kind == "linear":
-        return LinearTerm(mean=_read_blob(directory, entry, "mean", where, 1), factor=factor)
+        return LinearTerm(mean=_read_blob(directory, entry, "mean", where, 1),
+                          ridge=_get(entry, "ridge", _NUMBER, where), **whitening)
     if kind == "kernel":
         return KernelTerm(
             train=_read_blob(directory, entry, "train", where, 2),
             spec=_spec_from(_get(entry, "kernel", dict, where), f"{where}.kernel"),
             lam=_get(entry, "lam", _NUMBER, where),
-            solve_factor=factor,
+            **whitening,
         )
     raise CorruptModelError(f"unknown term type {kind!r}")
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .raster import as_pixel_matrix, sample_pixels
 
@@ -118,7 +117,14 @@ def sigma_heuristic(rows: np.ndarray, *, seed: int = 0) -> float:
     if rows.shape[0] > _HEURISTIC_MAX_EXACT:
         idx = sample_pixels(rows.shape[0], _HEURISTIC_MAX_EXACT, seed)
         rows = rows[np.sort(idx)]
-    dists = pdist(rows)
+    # Squared differences are summed column by column, in column order, so
+    # each distance rounds exactly as a per-pair loop over the columns does.
+    i, j = np.triu_indices(rows.shape[0], k=1)
+    sq = np.zeros(i.size)
+    for col in rows.T:
+        diff = col[i] - col[j]
+        sq += diff * diff
+    dists = np.sqrt(sq)
     if not np.any(dists > 0):
         raise ValueError("zero dispersion: all rows identical")
     return float(dists.mean())

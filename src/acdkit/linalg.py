@@ -1,46 +1,37 @@
-"""Covariance estimation, regularized SPD factorization, Mahalanobis forms."""
+"""Covariance estimation, eigen-whitening, and the one Mahalanobis quadratic form.
+
+Every detector term computes xi(v) = sum_j p_j^2 w_j with p = phi(v) U:
+`spd_factorize` gives the eigenbasis U, `inverse_weights` the weights w, and
+`mahalanobis_batch` the sum (both names are the layers bench/ reports on).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .raster import as_pixel_matrix
 
 __all__ = [
-    "SingularCovarianceError",
-    "SpdFactor",
+    "RIDGE_SCALE",
+    "SpdEigen",
     "covariance",
     "spd_factorize",
+    "inverse_weights",
     "mahalanobis_batch",
 ]
 
-DEFAULT_RIDGE_SCALE = 1e-8
-_MAX_RETRIES = 6
+# Relative ridge a linear term adds to its covariance eigenvalues.
+RIDGE_SCALE = 1e-8
 
 
-class SingularCovarianceError(ArithmeticError):
-    """Raised when a matrix stays non-positive-definite after ridge retries."""
+class SpdEigen(NamedTuple):
+    """Eigendecomposition C = U diag(values) U^T plus the ridge chosen for C."""
 
-
-@dataclass(frozen=True)
-class SpdFactor:
-    """Cholesky factor L of a ridged SPD matrix, C_reg = L @ L.T."""
-
-    dim: int
-    L: np.ndarray = field(repr=False)
+    values: np.ndarray
+    basis: np.ndarray
     ridge: float
-
-    def __post_init__(self):
-        L = np.asarray(self.L, dtype=np.float64)
-        if L.shape != (self.dim, self.dim):
-            raise ValueError("factor shape does not match dim")
-        if not np.all(np.diag(L) > 0):
-            raise ValueError("factor diagonal must be strictly positive")
-        L.flags.writeable = False
-        object.__setattr__(self, "L", L)
 
 
 def covariance(m: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -57,40 +48,37 @@ def covariance(m: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return (c + c.T) / 2.0
 
 
-def spd_factorize(c: np.ndarray, ridge_scale: float = DEFAULT_RIDGE_SCALE) -> SpdFactor:
-    """Cholesky-factorize C + eps*I with eps = ridge_scale * trace(C)/d.
+def spd_factorize(c: np.ndarray, ridge_scale: float = RIDGE_SCALE) -> SpdEigen:
+    """Eigendecompose a symmetric matrix and pick its ridge eps = ridge_scale * trace(C)/d.
 
-    On failure the ridge is grown tenfold and the factorization retried, up
-    to six times. A zero starting ridge is bumped to a machine-epsilon floor
-    before the first retry so retries can make progress.
+    When that product is 0 but ridge_scale is not (a zero covariance), eps is
+    the machine-epsilon floor eps_64 * max(trace(C)/d, 1). ridge_scale 0 gives
+    eps 0. Raises np.linalg.LinAlgError if the eigensolver does not converge.
     """
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.allclose(c, c.T, rtol=1e-8, atol=0.0):
-        raise ValueError("matrix is not symmetric")
-    d = c.shape[0]
-    scale = max(float(np.trace(c)) / d, 0.0)
-    eps = ridge_scale * scale
-    floor = np.finfo(np.float64).eps * max(scale, 1.0)
-    for attempt in range(_MAX_RETRIES + 1):
-        ridged = c if eps == 0.0 else c + eps * np.eye(d)
-        try:
-            L = np.linalg.cholesky(ridged)
-        except np.linalg.LinAlgError:
-            eps = eps * 10.0 if eps > 0.0 else floor
-            continue
-        return SpdFactor(dim=d, L=L, ridge=eps)
-    raise SingularCovarianceError("singular covariance")
+    scale = max(float(np.trace(c)) / c.shape[0], 0.0)
+    ridge = ridge_scale * scale
+    if ridge == 0.0 and ridge_scale > 0.0:
+        ridge = float(np.finfo(np.float64).eps) * max(scale, 1.0)
+    values, basis = np.linalg.eigh(c)
+    return SpdEigen(values=values, basis=basis, ridge=ridge)
 
 
-def mahalanobis_batch(f: SpdFactor, mean: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Quadratic form (v-mean)^T (L L^T)^-1 (v-mean) for each row v of an (n, d) matrix.
+def inverse_weights(spectrum: np.ndarray, shift: float) -> np.ndarray:
+    """Weights w = 1 / (spectrum + shift); LinAlgError unless all are positive and finite."""
+    with np.errstate(divide="ignore", over="ignore"):
+        w = 1.0 / (spectrum + shift)
+    if not np.all((w > 0.0) & np.isfinite(w)):
+        raise np.linalg.LinAlgError("matrix is not positive definite after its ridge")
+    return w
 
-    Computed as squared norms of the triangular solve, so nonnegative by construction.
+
+def mahalanobis_batch(p: np.ndarray, weights) -> list:
+    """(p * p) @ w for each weight vector w: one xi per row of the projection p = phi(v) U.
+
+    p is squared in place. Nonnegative by construction, since every w is positive.
     """
-    rows = as_pixel_matrix(rows)
-    if rows.shape[1] != f.dim:
-        raise ValueError("dimension mismatch")
-    w = solve_triangular(f.L, (rows - mean).T, lower=True)
-    return np.einsum("ij,ij->j", w, w)
+    np.square(p, out=p)
+    return [p @ w for w in weights]

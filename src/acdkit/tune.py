@@ -16,7 +16,8 @@ values. In kernel mode neither the Gram matrix nor the validation
 cross-kernel depends on lambda either: per sigma and term the search
 eigendecomposes the Gram matrix once and gets the validation xi of every
 lambda from one projection (detectors.xi_kernel_path), instead of
-refitting per (sigma, lambda). Linear mode fits once.
+refitting per (sigma, lambda). Linear mode fits once. Either way each
+trace AUC equals, bit for bit, the validation AUC of a refit at its point.
 """
 
 from __future__ import annotations
@@ -223,13 +224,15 @@ def grid_search(
         return list(zip(xi_z, xi_x, xi_y))
 
     # nu only affects the score combination, so it is swept over the cached
-    # xi triplets of each (sigma, lambda).
+    # xi triplets of each (sigma, lambda). Gaussian scores take no nu at all.
     d_x, d_y = x.shape[1], y.shape[1]
+    nu_configs = [with_params(config, nu=nu) if config.distribution == "ec" else config
+                  for nu in nu_values]
     entries = {}
     for i_s, sigma in enumerate(sigma_values):
         for i_l, (lam, xi) in enumerate(zip(lambda_values, xi_per_lambda(sigma))):
-            for i_n, nu in enumerate(nu_values):
-                scores = combine_xi(*xi, with_params(config, nu=nu), d_x, d_y)
+            for i_n, (nu, nu_config) in enumerate(zip(nu_values, nu_configs)):
+                scores = combine_xi(*xi, nu_config, d_x, d_y)
                 auc = roc_curve(scores, val_labels).auc
                 entries[(i_n, i_s, i_l)] = (GridPoint(nu=nu, sigma=sigma, lam=lam), auc)
 

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +97,30 @@ def test_fit_ec_requires_nu(scene):
         "--model-out", str(scene["dir"] / "m"),
     ])
     assert rc == 2
+
+
+def test_fit_gaussian_rejects_nu(scene, capsys):
+    model = scene["dir"] / "m"
+    rc = main([
+        "fit", "--x", str(scene["x"]), "--y", str(scene["y"]),
+        "--dist", "gaussian", "--nu", "-3", "--train-samples", "100",
+        "--model-out", str(model),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: nu applies to the ec distribution only\n"
+    assert not model.exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    import acdkit
+
+    src = str(Path(acdkit.__file__).resolve().parent.parent)
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import acdkit; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("name,betas", [("rx", (0, 0)), ("yx", (0, 1)),
@@ -246,12 +273,11 @@ def test_fit_auto_sigma_matches_heuristic(scene):
     assert manifest["config"]["kernel"]["sigma"] == expected
 
 
-def test_singular_covariance_exit3(scene, monkeypatch):
+def test_singular_covariance_exit3(scene, monkeypatch, capsys):
     from acdkit import cli
-    from acdkit.linalg import SingularCovarianceError
 
     def boom(*args, **kwargs):
-        raise SingularCovarianceError("singular covariance")
+        raise np.linalg.LinAlgError("matrix is not positive definite after its ridge")
 
     monkeypatch.setattr(cli, "fit", boom)
     rc = main([
@@ -259,6 +285,8 @@ def test_singular_covariance_exit3(scene, monkeypatch):
         "--train-samples", "100", "--model-out", str(scene["dir"] / "m_err"),
     ])
     assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: matrix is not positive definite after its ridge\n")
 
 
 @pytest.mark.parametrize("flag,value", [("--nu", "7"), ("--sigma", "0.3"),

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_triangular
 from scipy.stats import rankdata
 
 from acdkit.detectors import (
     DETECTOR_BETAS,
     DetectorConfig,
+    KernelTerm,
+    LinearTerm,
     combine_xi,
     fit,
     fit_kernel_term,
@@ -18,9 +21,8 @@ from acdkit.detectors import (
     xi_pixels,
     xi_term,
 )
-from acdkit.kernels import KernelSpec
-from acdkit.linalg import spd_factorize
-from acdkit.detectors import LinearTerm
+from acdkit.kernels import KernelSpec, cross_gram, gram
+from acdkit.linalg import covariance, inverse_weights, spd_factorize
 from acdkit.raster import stack_pair, standardize_apply
 from acdkit.tune import default_grid
 
@@ -31,6 +33,13 @@ def kernel_config(**kw):
     kw.setdefault("kernel", KernelSpec("rbf", 2.0))
     kw.setdefault("mode", "kernel")
     return DetectorConfig(**kw)
+
+
+def linear_term(c, mean, ridge):
+    """LinearTerm whitening covariance c with the given ridge."""
+    eig = spd_factorize(c, ridge_scale=0.0)
+    return LinearTerm(mean=mean, basis=eig.basis, weights=inverse_weights(eig.values, ridge),
+                      ridge=ridge)
 
 
 def test_detector_beta_table():
@@ -48,6 +57,20 @@ def test_config_validation():
         kernel_config(lam=-1.0)
 
 
+@pytest.mark.parametrize("nu", [-3.0, 0.0, 4.0])
+def test_gaussian_config_rejects_nu(nu):
+    with pytest.raises(ValueError, match="nu applies to the ec distribution only"):
+        DetectorConfig(distribution="gaussian", nu=nu)
+
+
+def test_terms_reject_malformed_whitening():
+    with pytest.raises(ValueError, match="weights must be positive"):
+        LinearTerm(mean=np.zeros(2), basis=np.eye(2), weights=np.array([1.0, 0.0]), ridge=0.0)
+    with pytest.raises(ValueError, match="shapes"):
+        KernelTerm(train=np.zeros((3, 2)), spec=KernelSpec("linear"), lam=1.0,
+                   basis=np.eye(2), weights=np.ones(2))
+
+
 def test_fit_linear_dimensions():
     x, y = correlated_pair(100, 2, seed=0)
     det = fit(x, y, DetectorConfig(beta_x=0, beta_y=0))
@@ -60,7 +83,8 @@ def test_fit_kernel_dimensions():
     x, y = correlated_pair(50, 3, seed=1)
     det = fit(x, y, kernel_config())
     for term in (det.term_x, det.term_y, det.term_z):
-        assert term.solve_factor.dim == 50
+        assert term.basis.shape == (50, 50)
+        assert term.weights.shape == (50,)
     assert det.term_z.dim == 6
 
 
@@ -80,12 +104,26 @@ def test_fit_recovers_known_covariance():
     base = rng.normal(size=(5000, 2)) @ L.T
     x, y = base[:, :1], base[:, 1:]
     det = fit(x, y, DetectorConfig(beta_x=0, beta_y=0))
-    fitted = det.term_z.factor.L @ det.term_z.factor.L.T
+    term = det.term_z
+    fitted = (term.basis / term.weights) @ term.basis.T
     assert np.max(np.abs(fitted - true_c)) < 0.1
 
 
+def test_linear_fit_on_constant_x_uses_machine_epsilon_floor():
+    # every x band constant: standardized x rows and their covariance are all zero
+    x, y = correlated_pair(100, 2, seed=30)
+    x = np.full_like(x, 7.0)
+    det = fit(x, y, DetectorConfig())
+    assert det.term_x.ridge == np.finfo(np.float64).eps
+    assert det.term_y.ridge == pytest.approx(1e-8)  # standardized bands: trace(C)/d ~ 1
+    x_probe = x.copy()
+    x_probe[::2] += 1.0
+    scores = score_pixels(det, x_probe, y)
+    assert np.all(np.isfinite(scores))
+
+
 def test_xi_linear_cases():
-    term = LinearTerm(mean=np.zeros(2), factor=spd_factorize(np.eye(2), 0.0))
+    term = linear_term(np.eye(2), np.zeros(2), 0.0)
     assert xi_term(term, np.zeros((1, 2)))[0] == 0.0
     assert xi_term(term, np.ones((1, 2)))[0] == pytest.approx(2.0)
 
@@ -93,10 +131,8 @@ def test_xi_linear_cases():
 def test_xi_linear_matches_explicit_inverse(rng):
     rows = rng.normal(size=(300, 3))
     mean = rows.mean(axis=0)
-    from acdkit.linalg import covariance
-
     c = covariance(rows, mean)
-    term = LinearTerm(mean=mean, factor=spd_factorize(c, 0.0))
+    term = linear_term(c, mean, 0.0)
     v = rng.normal(size=3)
     expected = (v - mean) @ np.linalg.inv(c) @ (v - mean)
     assert xi_term(term, v[None])[0] == pytest.approx(expected, rel=1e-9)
@@ -305,12 +341,11 @@ def test_xi_pixels_nonnegative():
 @pytest.mark.parametrize("spec", [KernelSpec("rbf", 1.5), KernelSpec("sam", 1.5),
                                   KernelSpec("linear")], ids=lambda s: s.kind)
 def test_xi_kernel_path_matches_cholesky_fit(spec):
-    # The Cholesky side's relative error grows like eps * ||K||^2 / lambda
-    # (~1e-8 here at lambda = 1e-6), so the comparison stops at 1e-6.
+    # fit and the path share one eigendecomposition, weights and quadratic
+    # form, so they agree bit for bit at every lambda of the default grid.
     x, y = correlated_pair(280, 3, seed=21)
     x_tr, y_tr, x_pr, y_pr = x[:80], y[:80], x[80:], y[80:]
     lams = default_grid(kernel_config(), heuristic_sigma=1.0).lambda_grid
-    lams = lams[lams >= 1e-6]
     det = fit(x_tr, y_tr, kernel_config(kernel=spec))
     xs = standardize_apply(x_pr, det.band_stats_x)
     ys = standardize_apply(y_pr, det.band_stats_y)
@@ -321,7 +356,18 @@ def test_xi_kernel_path_matches_cholesky_fit(spec):
         det = fit(x_tr, y_tr, kernel_config(kernel=spec, lam=lam))
         for name, rows in probes.items():
             expected = xi_term(getattr(det, f"term_{name}"), rows)
-            np.testing.assert_allclose(paths[name][i], expected, rtol=1e-6, atol=0)
+            np.testing.assert_array_equal(paths[name][i], expected)
+
+
+def cholesky_xi(train, probes, spec, lam):
+    """k_v (K K + lambda I)^-1 k_v^T by Cholesky of K K + lambda I, as fit computed it
+    before the eigen form: the accuracy baseline the eigen form has to beat."""
+    k = gram(train, spec)
+    m = k @ k
+    m = (m + m.T) / 2.0
+    m[np.diag_indices_from(m)] += lam
+    w = solve_triangular(np.linalg.cholesky(m), cross_gram(train, probes, spec).T, lower=True)
+    return np.einsum("ij,ij->j", w, w)
 
 
 def test_xi_kernel_path_matches_high_precision_reference():
@@ -351,8 +397,50 @@ def test_xi_kernel_path_matches_high_precision_reference():
         path_err = np.max(np.abs(path[i] / ref - 1))
         assert path_err <= 1e-8
         if lam == 1e-10:
-            chol = xi_term(fit_kernel_term(train, spec, lam), probes)
+            chol = cholesky_xi(train, probes, spec, lam)
             assert path_err < np.max(np.abs(chol / ref - 1))
+
+
+@pytest.mark.parametrize("ridge", [1e-10, 1e-6, 1.0])
+def test_xi_terms_match_high_precision_reference(ridge):
+    # 60-digit references from the same float64 inputs: (v - m)^T (C + eps I)^-1 (v - m)
+    # for a linear term and k_v (K K + lambda I)^-1 k_v^T for a kernel term. A
+    # backward-stable linear solve is good to ~cond(C + eps I) roundings; the kernel
+    # form never builds K K + lambda I, whose condition number tops 1e12 at lambda 1e-10.
+    rng = np.random.default_rng(61)
+    rows = rng.normal(size=(44, 3))
+    rows[:, 2] = rows[:, 0] + 1e-4 * rows[:, 2]  # near-collinear band: eps matters
+    train, probes = rows[:40], rows[40:]
+    mean = train.mean(axis=0)
+    c = covariance(train, mean)
+    sigma = 1.5
+
+    def k(a, b):
+        sq = mpmath.fsum((mpmath.mpf(float(p)) - mpmath.mpf(float(q))) ** 2
+                         for p, q in zip(a, b))
+        return mpmath.exp(-sq / (2 * mpmath.mpf(sigma) ** 2))
+
+    with mpmath.workdps(60):
+        eye = mpmath.eye(3)
+        c_mp = mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in c]) + \
+            mpmath.mpf(ridge) * eye
+        linear_ref = []
+        for v in probes:
+            dv = mpmath.matrix([mpmath.mpf(float(a)) - mpmath.mpf(float(b))
+                                for a, b in zip(v, mean)])
+            linear_ref.append(float((dv.T * mpmath.lu_solve(c_mp, dv))[0]))
+        gram_mp = mpmath.matrix([[k(a, b) for b in train] for a in train])
+        system = gram_mp * gram_mp + mpmath.mpf(ridge) * mpmath.eye(len(train))
+        kernel_ref = []
+        for v in probes:
+            kv = mpmath.matrix([k(v, b) for b in train])
+            kernel_ref.append(float((kv.T * mpmath.lu_solve(system, kv))[0]))
+
+    linear = xi_term(linear_term(c, mean, ridge), probes)
+    kernel = xi_term(fit_kernel_term(train, KernelSpec("rbf", sigma), ridge), probes)
+    cond = np.linalg.cond(c + ridge * np.eye(3))
+    assert np.max(np.abs(linear / np.array(linear_ref) - 1)) <= 16 * cond * np.finfo(float).eps
+    assert np.max(np.abs(kernel / np.array(kernel_ref) - 1)) <= 1e-8
 
 
 def test_xi_kernel_path_rejects_bad_lambdas(rng):

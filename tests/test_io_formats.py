@@ -153,7 +153,7 @@ def test_model_tamper_detected(tmp_path):
     x, y = correlated_pair(60, 2, seed=4)
     det = fit(x, y, DetectorConfig())
     save_model(det, tmp_path / "model")
-    blob = tmp_path / "model" / "term_z_factor.bin"
+    blob = tmp_path / "model" / "term_z_basis.bin"
     raw = bytearray(blob.read_bytes())
     raw[3] ^= 0xFF
     blob.write_bytes(bytes(raw))
@@ -207,13 +207,15 @@ def _as_format_1(manifest):
     pytest.param(_edited(lambda m: m.pop("band_stats")), CorruptModelError, id="no-band-stats"),
     pytest.param(_edited(lambda m: m.update(config="hacd")), CorruptModelError,
                  id="config-string"),
-    pytest.param(_edited(lambda m: m["terms"]["z"]["factor"].update(shape=[3, 3])),
+    pytest.param(_edited(lambda m: m["terms"]["z"]["basis"].update(shape=[3, 3])),
                  CorruptModelError, id="shape-disagrees-with-count"),
     pytest.param(_edited(lambda m: m.update(d_x=1, d_y=3)), CorruptModelError,
                  id="dims-disagree-with-terms"),
-    pytest.param(_edited(lambda m: m["terms"]["x"]["factor"].update(
-        path="../model/term_x_factor.bin")), CorruptModelError, id="blob-path-not-a-file-name"),
+    pytest.param(_edited(lambda m: m["terms"]["x"]["basis"].update(
+        path="../model/term_x_basis.bin")), CorruptModelError, id="blob-path-not-a-file-name"),
     pytest.param(_edited(_as_format_1), UnsupportedVersionError, id="format-1"),
+    pytest.param(_edited(lambda m: m.update(format_version=2)), UnsupportedVersionError,
+                 id="format-2"),
     pytest.param(_blob_holding(np.nan, "band_stats", "x", "mean"), CorruptModelError,
                  id="nan-blob"),
     pytest.param(_blob_holding(np.inf, "terms", "z", "mean"), CorruptModelError,

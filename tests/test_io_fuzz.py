@@ -2,9 +2,12 @@
 
 Whatever a sidecar or manifest holds, read_raster and load_model either
 succeed or raise one of the documented format errors, which the CLI maps
-to exit 1. Examples are derandomized so the suite cannot flake.
+to exit 1. Whatever a raster or fitted model holds, writing and reading it
+back restores every value bit for bit. Examples are derandomized so the
+suite cannot flake.
 """
 
+import dataclasses
 import json
 import shutil
 import tempfile
@@ -14,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from acdkit.detectors import DetectorConfig, fit
 from acdkit.io_formats import (
@@ -136,3 +140,55 @@ def test_mutated_manifest(models, mode, data):
 @given(content=json_values.map(lambda v: json.dumps(v).encode()) | st.binary(max_size=64))
 def test_arbitrary_manifest(models, content):
     with_manifest(models["linear"], content)
+
+
+def same_bits(a, b):
+    """Equal values, with arrays compared by dtype, shape and bytes."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_bits(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (float, np.floating)):
+        return isinstance(b, (float, np.floating)) and np.float64(a).tobytes() == \
+            np.float64(b).tobytes()
+    return type(a) is type(b) and a == b
+
+
+@FUZZ
+@given(data=arrays(np.float32, st.tuples(st.integers(1, 5), st.integers(1, 5),
+                                         st.integers(1, 4)),
+                   elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
+def test_raster_round_trip_bit_exact(data):
+    cube = ImageCube.from_array(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_raster(cube, Path(tmp) / "img.bin")
+        assert same_bits(read_raster(Path(tmp) / "img.bin"), cube)
+
+
+@FUZZ
+@given(
+    data=st.data(),
+    mode=st.sampled_from(["linear", "rbf", "sam", "linear-kernel"]),
+    betas=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    nu=st.none() | st.floats(1e-3, 1e6),
+    sigma=st.floats(0.1, 10.0),
+    lam=st.none() | st.floats(1e-10, 1e2),
+)
+def test_model_round_trip_bit_exact(data, mode, betas, nu, sigma, lam):
+    n = data.draw(st.integers(3, 12))
+    d_x, d_y = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    rows = [data.draw(arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3)))
+            for d in (d_x, d_y)]
+    kernel = None
+    if mode != "linear":
+        kernel = KernelSpec("linear") if mode == "linear-kernel" else KernelSpec(mode, sigma)
+    config = DetectorConfig(beta_x=betas[0], beta_y=betas[1],
+                            distribution="gaussian" if nu is None else "ec", nu=nu,
+                            mode="linear" if kernel is None else "kernel", kernel=kernel,
+                            lam=lam if kernel is not None else None)
+    det = fit(*rows, config)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(det, Path(tmp) / "model")
+        assert same_bits(load_model(Path(tmp) / "model"), det)

@@ -151,6 +151,15 @@ def test_sigma_heuristic_subsample_close_to_exact():
     assert abs(approx - exact) / exact < 0.10
 
 
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 5), (57, 2), (400, 8), (1000, 16), (2000, 3)])
+def test_sigma_heuristic_equals_pdist_mean_exactly(n, d):
+    rng = np.random.default_rng(n + d)
+    rows = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0, size=d) + rng.normal(size=d)
+    if n > 2:
+        rows[n // 2] = rows[0]  # a duplicate row: one zero distance
+    assert sigma_heuristic(rows) == pdist(rows).mean()
+
+
 def test_sigma_heuristic_zero_dispersion():
     with pytest.raises(ValueError, match="zero dispersion"):
         sigma_heuristic(np.ones((5, 2)))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from acdkit.linalg import (
-    SingularCovarianceError,
-    SpdFactor,
+    RIDGE_SCALE,
     covariance,
+    inverse_weights,
     mahalanobis_batch,
     spd_factorize,
 )
@@ -14,6 +14,13 @@ def random_spd(d, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(d, d))
     return a @ a.T + d * np.eye(d)
+
+
+def linear_xi(c, mean, rows, ridge_scale=RIDGE_SCALE):
+    """xi of each row under covariance c: factorize, weigh, then the one quadratic form."""
+    eig = spd_factorize(c, ridge_scale)
+    p = (np.asarray(rows, dtype=np.float64) - mean) @ eig.basis
+    return mahalanobis_batch(p, [inverse_weights(eig.values, eig.ridge)])[0]
 
 
 def test_covariance_hand_case():
@@ -44,70 +51,88 @@ def test_covariance_requires_two_rows():
 
 
 def test_spd_factorize_identity_no_ridge():
-    f = spd_factorize(np.eye(3), ridge_scale=0.0)
-    assert np.array_equal(f.L, np.eye(3))
-    assert f.ridge == 0.0
+    eig = spd_factorize(np.eye(3), ridge_scale=0.0)
+    assert np.array_equal(eig.values, np.ones(3))
+    assert np.array_equal(np.abs(eig.basis), np.eye(3))
+    assert eig.ridge == 0.0
 
 
 def test_spd_factorize_rank_deficient_with_ridge():
-    f = spd_factorize(np.array([[1.0, 1.0], [1.0, 1.0]]), ridge_scale=1e-8)
-    assert f.dim == 2
-    assert np.all(np.diag(f.L) > 0)
+    eig = spd_factorize(np.array([[1.0, 1.0], [1.0, 1.0]]), ridge_scale=1e-8)
+    assert eig.basis.shape == (2, 2)
+    assert eig.ridge == 1e-8
+    w = inverse_weights(eig.values, eig.ridge)
+    assert np.all(w > 0) and np.all(np.isfinite(w))
 
 
 def test_spd_factorize_reconstruction():
     for seed in range(5):
         c = random_spd(6, seed)
-        f = spd_factorize(c, ridge_scale=1e-8)
-        target = c + f.ridge * np.eye(6)
-        rel = np.abs(f.L @ f.L.T - target) / (np.abs(target) + 1e-300)
+        eig = spd_factorize(c, ridge_scale=1e-8)
+        target = c + eig.ridge * np.eye(6)
+        w = inverse_weights(eig.values, eig.ridge)
+        rel = np.abs((eig.basis / w) @ eig.basis.T - target) / (np.abs(target) + 1e-300)
         assert np.max(rel[target != 0]) < 1e-10
 
 
-def test_spd_factorize_gives_up_on_hopeless_input():
-    with pytest.raises(SingularCovarianceError, match="singular covariance"):
-        spd_factorize(-np.eye(3), ridge_scale=0.0)
+def test_spd_factorize_zero_matrix_gets_machine_epsilon_floor():
+    eig = spd_factorize(np.zeros((3, 3)))
+    assert eig.ridge == np.finfo(np.float64).eps
+    assert np.array_equal(inverse_weights(eig.values, eig.ridge), np.full(3, 1 / eig.ridge))
+
+
+def test_inverse_weights_reject_non_positive_spectrum():
+    with pytest.raises(np.linalg.LinAlgError):
+        inverse_weights(spd_factorize(-np.eye(3), ridge_scale=0.0).values, 0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        inverse_weights(np.array([1.0, 1e-320]), 0.0)  # 1 / 1e-320 overflows
 
 
 def test_mahalanobis_zero_at_mean():
-    f = spd_factorize(random_spd(4, 1))
     mean = np.array([1.0, -2.0, 0.5, 3.0])
-    assert mahalanobis_batch(f, mean, mean[None])[0] == 0.0
+    assert linear_xi(random_spd(4, 1), mean, mean[None])[0] == 0.0
 
 
 def test_mahalanobis_identity_factor():
-    f = spd_factorize(np.eye(2), ridge_scale=0.0)
-    assert mahalanobis_batch(f, np.zeros(2), np.array([[3.0, 4.0]]))[0] == pytest.approx(25.0)
+    xi = linear_xi(np.eye(2), np.zeros(2), np.array([[3.0, 4.0]]), ridge_scale=0.0)
+    assert xi[0] == pytest.approx(25.0)
 
 
 def test_mahalanobis_matches_explicit_inverse():
     rng = np.random.default_rng(8)
     for seed in range(5):
         c = random_spd(5, seed + 100)
-        f = spd_factorize(c, ridge_scale=0.0)
         mean = rng.normal(size=5)
         v = rng.normal(size=5)
-        xi = mahalanobis_batch(f, mean, v[None])[0]
+        xi = linear_xi(c, mean, v[None], ridge_scale=0.0)[0]
         expected = (v - mean) @ np.linalg.inv(c) @ (v - mean)
         assert xi == pytest.approx(expected, rel=1e-9)
 
 
 def test_mahalanobis_dimension_mismatch():
-    f = spd_factorize(np.eye(3))
+    eig = spd_factorize(np.eye(3))
     with pytest.raises(ValueError):
-        mahalanobis_batch(f, np.zeros(3), np.zeros((1, 4)))
+        mahalanobis_batch(np.zeros((1, 4)), [inverse_weights(eig.values, eig.ridge)])
 
 
 def test_mahalanobis_batch_matches_single():
     rng = np.random.default_rng(12)
     c = random_spd(4, 55)
-    f = spd_factorize(c)
     mean = rng.normal(size=4)
     rows = rng.normal(size=(30, 4))
-    batch = mahalanobis_batch(f, mean, rows)
-    singles = [mahalanobis_batch(f, mean, r[None])[0] for r in rows]
+    batch = linear_xi(c, mean, rows)
+    singles = [linear_xi(c, mean, r[None])[0] for r in rows]
     assert np.allclose(batch, singles, rtol=1e-12)
     assert np.all(batch >= 0)
+
+
+def test_mahalanobis_batch_one_square_for_many_weights():
+    rng = np.random.default_rng(13)
+    p = rng.normal(size=(20, 5))
+    weights = [rng.uniform(0.1, 2.0, size=5) for _ in range(3)]
+    xis = mahalanobis_batch(p.copy(), weights)
+    for w, xi in zip(weights, xis):
+        assert np.array_equal(xi, mahalanobis_batch(p.copy(), [w])[0])
 
 
 def test_mahalanobis_scale_invariance():
@@ -116,18 +141,10 @@ def test_mahalanobis_scale_invariance():
     v = rng.normal(size=3)
     for c_scale in (0.01, 3.0, 1e4):
         base_mean = rows.mean(axis=0)
-        base_f = spd_factorize(covariance(rows, base_mean), 0.0)
-        base = mahalanobis_batch(base_f, base_mean, v[None])[0]
+        base = linear_xi(covariance(rows, base_mean), base_mean, v[None], 0.0)[0]
         scaled_rows = c_scale * rows
         scaled_mean = scaled_rows.mean(axis=0)
-        scaled = mahalanobis_batch(
-            spd_factorize(covariance(scaled_rows, scaled_mean), 0.0),
-            scaled_mean,
-            c_scale * v[None],
+        scaled = linear_xi(
+            covariance(scaled_rows, scaled_mean), scaled_mean, c_scale * v[None], 0.0
         )[0]
         assert scaled == pytest.approx(base, rel=1e-9)
-
-
-def test_spd_factor_rejects_bad_diagonal():
-    with pytest.raises(ValueError):
-        SpdFactor(dim=2, L=np.array([[1.0, 0.0], [0.0, -1.0]]), ridge=0.0)

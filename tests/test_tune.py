@@ -214,3 +214,29 @@ def test_grid_search_matches_brute_force_refits():
 def test_anchor_sigma_positive():
     x, y = correlated_pair(100, 3, seed=18)
     assert anchor_sigma(x, y) > 0
+
+
+@pytest.mark.parametrize("mode", ["kernel", "linear"])
+def test_grid_search_best_auc_equals_refit_auc(mode):
+    # EC-HACD: each trace point and its refit share fit, xi and score code, so
+    # their AUCs agree exactly, small lambdas included.
+    x, y, labels = labeled_pair(n=600, d=3, seed=21, anomaly_frac=0.08)
+    kernel = KernelSpec("rbf", 1.0) if mode == "kernel" else None
+    cfg = DetectorConfig(distribution="ec", nu=1.0, mode=mode, kernel=kernel,
+                         beta_x=1, beta_y=1)
+    grid = TuneGrid(nu_grid=np.logspace(-2, 3, 6))
+    if mode == "kernel":
+        grid = TuneGrid(nu_grid=grid.nu_grid, sigma_grid=np.array([0.5, 2.0]),
+                        lambda_grid=np.array([1e-10, 1e-9, 1e-8, 1e-3]))
+    n_train, n_val, seed = 150, 300, 22
+    result = grid_search(x, y, labels, cfg, grid, n_train, n_val, seed)
+
+    train_idx, val_idx = split_train_val(labels, n_train, n_val, seed)
+
+    def refit_auc(point):
+        point_cfg = with_params(cfg, nu=point.nu, sigma=point.sigma, lam=point.lam)
+        det = fit(x[train_idx], y[train_idx], point_cfg)
+        return roc_curve(score_pixels(det, x[val_idx], y[val_idx]), labels[val_idx]).auc
+
+    assert result.best_val_auc == refit_auc(result.best_params)
+    assert [auc for _, auc in result.trace] == [refit_auc(p) for p, _ in result.trace]
