@@ -13,8 +13,7 @@ from .detectors import (
     score_pixels,
     xi_pixels,
 )
-from .kernels import KernelSpec, gram, sigma_heuristic
-from .linalg import covariance
+from .kernels import KernelSpec
 from .metrics import (
     DegenerateLabelsError,
     RocCurve,
@@ -28,9 +27,6 @@ from .raster import (
     ImageCube,
     flatten,
     sample_pixels,
-    stack_pair,
-    standardize_apply,
-    standardize_fit,
     unflatten,
 )
 from .simulate import SimulationResult, pervasive_noise, scramble_anomalies

@@ -158,8 +158,8 @@ class LinearTerm:
 class KernelTerm:
     """One term in feature space: xi(v) = (k_v basis)^2 . weights.
 
-    With the training Gram matrix K = U diag(s) U^T, basis = U and
-    weights = 1 / (s^2 + lam).
+    train holds finite 2-d float64 rows. With the training Gram matrix
+    K = U diag(s) U^T, basis = U and weights = 1 / (s^2 + lam).
     """
 
     train: np.ndarray = field(repr=False)
@@ -169,8 +169,8 @@ class KernelTerm:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        train = as_pixel_matrix(self.train)
-        _freeze(self, train.shape[0], train=train, basis=self.basis, weights=self.weights)
+        _freeze(self, np.shape(self.train)[0], train=self.train, basis=self.basis,
+                weights=self.weights)
 
     @property
     def dim(self) -> int:
@@ -203,8 +203,7 @@ def _fit_linear_term(rows: np.ndarray) -> LinearTerm:
 
 
 def fit_kernel_term(train: np.ndarray, spec: KernelSpec, lam: float) -> KernelTerm:
-    """Fit one kernelized term: Gram K = U diag(s) U^T, weights 1 / (s^2 + lambda)."""
-    train = as_pixel_matrix(train)
+    """Fit a kernel term on finite 2-d float64 rows: K = U diag(s) U^T, w = 1 / (s^2 + lam)."""
     eig = spd_factorize(gram(train, spec), ridge_scale=0.0)
     return KernelTerm(train=train, spec=spec, lam=lam, basis=eig.basis,
                       weights=inverse_weights(eig.values * eig.values, lam))
@@ -218,7 +217,7 @@ def kernel_lambda(config: DetectorConfig, n_train: int) -> float:
 def standardized_training(x_train: np.ndarray, y_train: np.ndarray):
     """Band stats fit on a training pair, and its standardized x, y and stacked z rows.
 
-    Returns (stats_x, stats_y, xs, ys, zs), the rows `fit` builds its terms on.
+    Expects finite 2-d float64 rows; returns (stats_x, stats_y, xs, ys, zs).
     """
     stats_x = standardize_fit(x_train)
     stats_y = standardize_fit(y_train)
@@ -233,7 +232,7 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> Fit
     Band standardization is fit on the training pixels and baked into the
     detector. Linear mode stores, for x, y and the stacked z, the mean and
     the whitened covariance; kernel mode stores the standardized training
-    samples and the whitened Gram matrix per term.
+    samples and the whitened Gram matrix per term. x_train and y_train are validated here.
     """
     x_train = as_pixel_matrix(x_train)
     y_train = as_pixel_matrix(y_train)
@@ -270,13 +269,13 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> Fit
 
 
 def xi_term(term: LinearTerm | KernelTerm, rows: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distance xi of each row under one fitted term.
+    """Squared Mahalanobis distance xi of each finite 2-d float64 row under one fitted term.
 
     Linear terms give (v - mean)^T (C + ridge I)^-1 (v - mean) in input
     space; kernel terms give the dual form k_v (K K + lambda I)^-1 k_v^T.
     """
     if isinstance(term, LinearTerm):
-        p = (as_pixel_matrix(rows) - term.mean) @ term.basis
+        p = (rows - term.mean) @ term.basis
     else:
         p = cross_gram(term.train, rows, term.spec) @ term.basis
     return mahalanobis_batch(p, [term.weights])[0]
@@ -287,13 +286,12 @@ def xi_kernel_path(
 ) -> np.ndarray:
     """Kernel xi of each probe row for every regularizer in lams at once.
 
-    Returns a (len(lams), m) array whose row i equals, bit for bit, the xi
-    that fit_kernel_term(train, spec, lams[i]) gives probes scored in
+    train and probes are finite 2-d float64 rows. Returns a (len(lams), m)
+    array whose row i equals, bit for bit, the xi that
+    fit_kernel_term(train, spec, lams[i]) gives probes scored in
     _SCORE_CHUNK blocks, as xi_pixels scores them. K is eigendecomposed
     once, and each probe block is projected and squared once for all lambdas.
     """
-    train = as_pixel_matrix(train)
-    probes = as_pixel_matrix(probes)
     lams = np.asarray(lams, dtype=np.float64)
     if lams.ndim != 1 or not np.all(lams > 0):
         raise ValueError("lams must be a 1-d array of positive values")
@@ -336,7 +334,16 @@ def combine_xi(
     return score
 
 
-def _standardized_terms(det: FittedDetector, x: np.ndarray, y: np.ndarray):
+def xi_pixels(det: FittedDetector, x: np.ndarray, y: np.ndarray, threads: int = 1) -> np.ndarray:
+    """Per-pixel xi as a (3, n) array whose rows are xi_z, xi_x and xi_y.
+
+    x and y are validated here. Each fixed-size chunk is standardized,
+    stacked and scored on its own, so no full-scene copy is made and
+    results are bit-identical whether run sequentially or in parallel.
+    Only kernel models spread the chunks over `threads` workers: their
+    probe kernels dominate and gain from the pool, while a linear chunk is
+    a few BLAS calls that the pool only slows down.
+    """
     x = as_pixel_matrix(x)
     y = as_pixel_matrix(y)
     if x.shape[0] != y.shape[0]:
@@ -346,43 +353,24 @@ def _standardized_terms(det: FittedDetector, x: np.ndarray, y: np.ndarray):
             f"band-count mismatch: expected ({det.d_x}, {det.d_y}), "
             f"got ({x.shape[1]}, {y.shape[1]})"
         )
-    xs = standardize_apply(x, det.band_stats_x)
-    ys = standardize_apply(y, det.band_stats_y)
-    return xs, ys, stack_pair(xs, ys)
-
-
-def xi_pixels(
-    det: FittedDetector, x: np.ndarray, y: np.ndarray, threads: int = 1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pixel (xi_z, xi_x, xi_y) for a pair of pixel matrices.
-
-    Evaluation is chunked at a fixed size independent of the thread count,
-    so results are bit-identical whether run sequentially or in parallel.
-    Only kernel models spread the chunks over `threads` workers: their
-    probe kernels dominate and gain from the pool, while a linear chunk is
-    a few BLAS calls that the pool only slows down.
-    """
-    xs, ys, zs = _standardized_terms(det, x, y)
-    n = xs.shape[0]
+    n = x.shape[0]
+    xi = np.empty((3, n))
     chunks = [slice(i, min(i + _SCORE_CHUNK, n)) for i in range(0, n, _SCORE_CHUNK)]
 
     def one(sl):
-        return (
-            xi_term(det.term_z, zs[sl]),
-            xi_term(det.term_x, xs[sl]),
-            xi_term(det.term_y, ys[sl]),
-        )
+        xs = standardize_apply(x[sl], det.band_stats_x)
+        ys = standardize_apply(y[sl], det.band_stats_y)
+        xi[0, sl] = xi_term(det.term_z, stack_pair(xs, ys))
+        xi[1, sl] = xi_term(det.term_x, xs)
+        xi[2, sl] = xi_term(det.term_y, ys)
 
     if threads > 1 and len(chunks) > 1 and isinstance(det.term_z, KernelTerm):
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, chunks))
+            list(pool.map(one, chunks))
     else:
-        parts = [one(sl) for sl in chunks]
-
-    xi_z = np.concatenate([p[0] for p in parts])
-    xi_x = np.concatenate([p[1] for p in parts])
-    xi_y = np.concatenate([p[2] for p in parts])
-    return xi_z, xi_x, xi_y
+        for sl in chunks:
+            one(sl)
+    return xi
 
 
 def score_pixels(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import as_pixel_matrix, sample_pixels
+from .raster import sample_pixels
 
 __all__ = [
     "KernelSpec",
@@ -82,13 +82,10 @@ def _eval_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 
 def gram(rows: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """n x n kernel matrix over the rows, exactly symmetric.
+    """n x n kernel matrix over finite 2-d float64 rows, exactly symmetric.
 
     For rbf and sam the diagonal is pinned to exactly 1.
     """
-    rows = as_pixel_matrix(rows)
-    if rows.shape[0] < 1:
-        raise ValueError("gram needs at least one row")
     k = _eval_matrix(rows, rows, spec)
     k = (k + k.T) / 2.0
     if spec.kind != "linear":
@@ -97,21 +94,18 @@ def gram(rows: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 
 def cross_gram(train: np.ndarray, probes: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """(m, n) matrix of kernel values between probe rows and training rows."""
-    train = as_pixel_matrix(train)
-    probes = as_pixel_matrix(probes)
+    """(m, n) kernel values between probe and training rows, both finite 2-d float64."""
     if probes.shape[1] != train.shape[1]:
         raise ValueError("dimension mismatch between probes and training rows")
     return _eval_matrix(probes, train, spec)
 
 
 def sigma_heuristic(rows: np.ndarray, *, seed: int = 0) -> float:
-    """Mean pairwise Euclidean distance over all row pairs i < j.
+    """Mean pairwise Euclidean distance over all pairs i < j of finite 2-d float64 rows.
 
     Exact up to 2000 rows; above that the estimate uses 2000 seeded random
     rows so the O(n^2) cost stays bounded.
     """
-    rows = as_pixel_matrix(rows)
     if rows.shape[0] < 2:
         raise ValueError("need at least 2 rows")
     if rows.shape[0] > _HEURISTIC_MAX_EXACT:

@@ -11,8 +11,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .raster import as_pixel_matrix
-
 __all__ = [
     "RIDGE_SCALE",
     "SpdEigen",
@@ -35,8 +33,7 @@ class SpdEigen(NamedTuple):
 
 
 def covariance(m: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Covariance C = (1/n) sum (row - mean)(row - mean)^T, exactly symmetric."""
-    m = as_pixel_matrix(m)
+    """Covariance (1/n) sum (row - mean)(row - mean)^T of finite 2-d float64 rows, symmetric."""
     mean = np.asarray(mean, dtype=np.float64)
     n, d = m.shape
     if n < 2:

@@ -43,8 +43,15 @@ class RocCurve:
             object.__setattr__(self, name, a)
 
 
-def _check_scored_labels(scores: np.ndarray, labels: np.ndarray):
+def _finite_scores(scores: np.ndarray) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores contain non-finite values")
+    return scores
+
+
+def _check_scored_labels(scores: np.ndarray, labels: np.ndarray):
+    scores = _finite_scores(scores)
     labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have equal length")
@@ -81,14 +88,14 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
 
 
 def threshold_at_tpr(scores: np.ndarray, labels: np.ndarray, rate: float) -> float:
-    """Largest threshold whose detection rate reaches `rate`."""
+    """Largest threshold whose detection rate reaches `rate`: the first such ROC vertex's."""
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0, 1]")
-    curve = roc_curve(scores, labels)
-    hit = np.nonzero(curve.tpr >= rate)[0]
-    # tpr is nondecreasing as the threshold drops, so the first qualifying
-    # vertex carries the largest threshold.
-    return float(curve.thresholds[hit[0]])
+    scores, labels, n_pos, _ = _check_scored_labels(scores, labels)
+    # That vertex is the k-th largest positive score, for the least k with
+    # k / n_pos >= rate, computed with the same division as roc_curve's tpr.
+    k = int(np.argmax(np.arange(1, n_pos + 1) / n_pos >= rate))
+    return float(np.sort(scores[labels == 1])[n_pos - 1 - k])
 
 
 def threshold_at_quantile(scores: np.ndarray, q: float) -> float:
@@ -98,7 +105,7 @@ def threshold_at_quantile(scores: np.ndarray, q: float) -> float:
     flagged fraction is within 1/n of q, q -> 0 flags nothing and q -> 1
     flags everything but the minimum.
     """
-    scores = np.asarray(scores, dtype=np.float64).ravel()
+    scores = _finite_scores(scores)
     if scores.size == 0:
         raise ValueError("scores must be nonempty")
     if not 0.0 < q < 1.0:

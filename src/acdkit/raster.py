@@ -5,6 +5,8 @@ band-interleaved-by-pixel (row-major pixel order, bands fastest). Pixel
 matrices are plain float64 numpy arrays of shape (n, d), one spectrum per
 row. All containers are immutable after construction; every operation here
 is pure.
+`as_pixel_matrix` validates a matrix once, where it enters the library;
+the row helpers expect finite 2-d float64 rows and check only shapes.
 """
 
 from __future__ import annotations
@@ -112,17 +114,14 @@ def flatten(cube: ImageCube) -> np.ndarray:
 
 
 def unflatten(m: np.ndarray, height: int, width: int) -> ImageCube:
-    """Inverse of :func:`flatten`; bit-exact round trip."""
-    m = as_pixel_matrix(m)
+    """Inverse of :func:`flatten` for finite 2-d float64 rows; bit-exact round trip."""
     if m.shape[0] != height * width:
         raise ValueError("row count does not match height*width")
     return ImageCube.from_array(m.reshape(height, width, m.shape[1]))
 
 
 def stack_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Concatenate paired spectra row-wise: row i becomes [x_i, y_i]."""
-    x = as_pixel_matrix(x)
-    y = as_pixel_matrix(y)
+    """Concatenate finite 2-d float64 rows pairwise: row i becomes [x_i, y_i]."""
     if x.shape[0] != y.shape[0]:
         raise ValueError("unaligned pair: row counts differ "
                          f"({x.shape[0]} vs {y.shape[0]})")
@@ -130,8 +129,7 @@ def stack_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def standardize_fit(m: np.ndarray) -> BandStats:
-    """Fit per-column mean and population std; constant columns get std 1."""
-    m = as_pixel_matrix(m)
+    """Per-column mean and population std of finite 2-d float64 rows; constant ones get std 1."""
     if m.shape[0] < 2:
         raise ValueError("need at least 2 rows to fit band statistics")
     mean = m.mean(axis=0)
@@ -142,8 +140,7 @@ def standardize_fit(m: np.ndarray) -> BandStats:
 
 
 def standardize_apply(m: np.ndarray, s: BandStats) -> np.ndarray:
-    """Apply (v - mean) / std per column."""
-    m = as_pixel_matrix(m)
+    """Apply (v - mean) / std per column. Expects finite 2-d float64 rows."""
     if m.shape[1] != s.d:
         raise ValueError(f"dimension mismatch: matrix has {m.shape[1]} columns, "
                          f"stats have {s.d}")

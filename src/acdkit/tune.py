@@ -18,6 +18,9 @@ eigendecomposes the Gram matrix once and gets the validation xi of every
 lambda from one projection (detectors.xi_kernel_path), instead of
 refitting per (sigma, lambda). Linear mode fits once. Either way each
 trace AUC equals, bit for bit, the validation AUC of a refit at its point.
+
+`default_grid` fills exactly the axes a config exposes, and `grid_search`
+rejects a grid that fills any other.
 """
 
 from __future__ import annotations
@@ -106,28 +109,32 @@ class TuneResult:
 
 
 def anchor_sigma(x_train: np.ndarray, y_train: np.ndarray) -> float:
-    """Bandwidth anchor: pairwise-distance heuristic on standardized stacked rows."""
+    """Bandwidth anchor: pairwise-distance heuristic on standardized stacked rows.
+
+    x_train and y_train are validated here.
+    """
+    x_train = as_pixel_matrix(x_train)
+    y_train = as_pixel_matrix(y_train)
     return sigma_heuristic(standardized_training(x_train, y_train)[4])
 
 
-def default_grid(config: DetectorConfig, heuristic_sigma: float | None = None) -> TuneGrid:
-    """Default grids for the axes the config actually exposes.
+def _exposed_axes(config: DetectorConfig) -> tuple[bool, bool, bool]:
+    """Whether the config has a (nu, sigma, lambda) to tune; the linear kernel has no sigma."""
+    kernel = config.mode == "kernel"
+    return config.distribution == "ec", kernel and config.kernel.kind != "linear", kernel
 
-    The sigma axis is empty for the linear kernel (it has no lengthscale).
-    """
+
+def default_grid(config: DetectorConfig, heuristic_sigma: float | None = None) -> TuneGrid:
+    """Default grids for the axes the config exposes; the others stay empty."""
+    if config.mode == "kernel" and (heuristic_sigma is None or not heuristic_sigma > 0):
+        raise ValueError("kernel mode requires a positive heuristic sigma")
+    has_nu, has_sigma, has_lambda = _exposed_axes(config)
     empty = np.array([])
-    nu = _log_grid(*NU_RANGE) if config.distribution == "ec" else empty
-    if config.mode == "kernel":
-        if heuristic_sigma is None or not heuristic_sigma > 0:
-            raise ValueError("kernel mode requires a positive heuristic sigma")
-        if config.kernel is not None and config.kernel.kind == "linear":
-            sigma = empty
-        else:
-            sigma = heuristic_sigma * _log_grid(*SIGMA_MULTIPLIER_RANGE)
-        lam = _log_grid(*LAMBDA_RANGE)
-    else:
-        sigma, lam = empty, empty
-    return TuneGrid(nu_grid=nu, sigma_grid=sigma, lambda_grid=lam)
+    return TuneGrid(
+        nu_grid=_log_grid(*NU_RANGE) if has_nu else empty,
+        sigma_grid=heuristic_sigma * _log_grid(*SIGMA_MULTIPLIER_RANGE) if has_sigma else empty,
+        lambda_grid=_log_grid(*LAMBDA_RANGE) if has_lambda else empty,
+    )
 
 
 def training_draw(
@@ -188,10 +195,16 @@ def grid_search(
     lambda. The trace lists every grid point in canonical (nu, sigma,
     lambda) nested order. Passing grid=None builds the default grid, with
     the sigma axis anchored at the mean pairwise-distance heuristic of the
-    training draw.
+    training draw. x and y are validated here, and a grid that fills an
+    axis the config does not expose is rejected before any draw.
     """
     x = as_pixel_matrix(x)
     y = as_pixel_matrix(y)
+    if grid is not None:
+        axes = (("nu", grid.nu_grid), ("sigma", grid.sigma_grid), ("lambda", grid.lambda_grid))
+        for (name, values), exposed in zip(axes, _exposed_axes(config)):
+            if values.size and not exposed:
+                raise ValueError(f"{name} grid given, but the config has no {name} to tune")
     train_idx, val_idx = split_train_val(labels, n_train, n_val, seed)
     x_tr, y_tr = x[train_idx], y[train_idx]
     x_val, y_val = x[val_idx], y[val_idx]
@@ -213,10 +226,9 @@ def grid_search(
 
     def xi_per_lambda(sigma):
         """Validation (xi_z, xi_x, xi_y) for each lambda value, at one sigma."""
+        if config.mode == "linear":  # no sigma or lambda axis
+            return [xi_pixels(fit(x_tr, y_tr, config), x_val, y_val)]
         sigma_config = with_params(config, sigma=sigma)
-        if config.mode == "linear":
-            xi = xi_pixels(fit(x_tr, y_tr, sigma_config), x_val, y_val)
-            return [xi] * len(lambda_values)
         lams = [kernel_lambda(with_params(sigma_config, lam=lam), n_train)
                 for lam in lambda_values]
         xi_z, xi_x, xi_y = (xi_kernel_path(train, val, sigma_config.kernel, lams)

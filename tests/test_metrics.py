@@ -130,6 +130,35 @@ def test_threshold_at_tpr_minimal_achieving():
                 assert cand_tpr < rate
 
 
+def roc_threshold_at_tpr(scores, labels, rate):
+    """The ROC-vertex rule: threshold of the first vertex whose tpr reaches rate."""
+    curve = roc_curve(scores, labels)
+    return float(curve.thresholds[np.nonzero(curve.tpr >= rate)[0][0]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-5, 5), st.booleans()), min_size=2, max_size=60)
+       .filter(lambda pairs: len({label for _, label in pairs}) == 2),
+       st.one_of(st.sampled_from([1e-9, 0.25, 1 / 3, 0.5, 0.8, 1.0]),
+                 st.floats(1e-6, 1.0)))
+def test_threshold_at_tpr_equals_roc_vertex_rule(pairs, rate):
+    scores = np.array([score for score, _ in pairs], dtype=np.float64) / 4
+    labels = np.array([label for _, label in pairs], dtype=int)
+    assert threshold_at_tpr(scores, labels, rate) == roc_threshold_at_tpr(scores, labels, rate)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_metrics_reject_non_finite_scores(bad):
+    scores = np.array([0.9, bad, 0.1, 0.5])
+    labels = np.array([1, 1, 0, 0])
+    with pytest.raises(ValueError, match="non-finite"):
+        roc_curve(scores, labels)
+    with pytest.raises(ValueError, match="non-finite"):
+        threshold_at_tpr(scores, labels, 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        threshold_at_quantile(scores, 0.5)
+
+
 def test_threshold_at_quantile_median():
     t = threshold_at_quantile(np.array([1.0, 2.0, 3.0, 4.0]), 0.5)
     assert apply_threshold(np.array([1.0, 2.0, 3.0, 4.0]), t).sum() == 2

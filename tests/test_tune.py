@@ -154,11 +154,31 @@ def test_grid_search_deterministic():
 
 def test_grid_search_tie_break_smallest():
     x, y, labels = labeled_pair(seed=14)
-    # gaussian scores ignore nu entirely, so every nu ties; smallest wins
-    cfg = DetectorConfig(distribution="gaussian", mode="linear", beta_x=0, beta_y=0)
+    # EC-RX scores are increasing in xi_z at every nu, so every nu ties; smallest wins
+    cfg = DetectorConfig(distribution="ec", nu=1.0, mode="linear", beta_x=0, beta_y=0)
     grid = TuneGrid(nu_grid=np.array([1.0, 10.0, 100.0]))
     result = grid_search(x, y, labels, cfg, grid, 150, 300, seed=15)
+    assert len({auc for _, auc in result.trace}) == 1
     assert result.best_params.nu == 1.0
+
+
+@pytest.mark.parametrize("cfg, grid", [
+    (DetectorConfig(distribution="gaussian"), TuneGrid(nu_grid=np.array([1.0, 10.0]))),
+    (DetectorConfig(), TuneGrid(lambda_grid=np.array([1e-6, 1e-3]))),
+    (DetectorConfig(), TuneGrid(sigma_grid=np.array([0.5, 2.0]))),
+    (DetectorConfig(mode="kernel", kernel=KernelSpec("linear")),
+     TuneGrid(sigma_grid=np.array([0.5, 2.0]))),
+], ids=["gaussian-nu", "linear-lambda", "linear-sigma", "linear-kernel-sigma"])
+def test_grid_search_rejects_axes_the_config_lacks(monkeypatch, cfg, grid):
+    from acdkit import tune
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("the grid is checked before the train/validation split")
+
+    monkeypatch.setattr(tune, "split_train_val", no_split)
+    x, y, labels = labeled_pair(n=300, seed=23)
+    with pytest.raises(ValueError, match="grid given, but the config has no"):
+        grid_search(x, y, labels, cfg, grid, 100, 100, seed=24)
 
 
 def test_grid_search_selects_near_optimal_sigma():
