@@ -234,8 +234,11 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> Fit
     the whitened covariance; kernel mode stores the standardized training
     samples and the whitened Gram matrix per term. x_train and y_train are validated here.
     """
-    x_train = as_pixel_matrix(x_train)
-    y_train = as_pixel_matrix(y_train)
+    return _fit_rows(as_pixel_matrix(x_train), as_pixel_matrix(y_train), config)
+
+
+def _fit_rows(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> FittedDetector:
+    """fit on finite 2-d float64 rows."""
     if x_train.shape[0] != y_train.shape[0]:
         raise ValueError("unaligned pair: training row counts differ")
     n = x_train.shape[0]
@@ -344,8 +347,11 @@ def xi_pixels(det: FittedDetector, x: np.ndarray, y: np.ndarray, threads: int = 
     probe kernels dominate and gain from the pool, while a linear chunk is
     a few BLAS calls that the pool only slows down.
     """
-    x = as_pixel_matrix(x)
-    y = as_pixel_matrix(y)
+    return _xi_rows(det, as_pixel_matrix(x), as_pixel_matrix(y), threads)
+
+
+def _xi_rows(det: FittedDetector, x: np.ndarray, y: np.ndarray, threads: int = 1) -> np.ndarray:
+    """xi_pixels on finite 2-d float64 rows."""
     if x.shape[0] != y.shape[0]:
         raise ValueError("unaligned pair: row counts differ")
     if x.shape[1] != det.d_x or y.shape[1] != det.d_y:

@@ -16,8 +16,10 @@ values. In kernel mode neither the Gram matrix nor the validation
 cross-kernel depends on lambda either: per sigma and term the search
 eigendecomposes the Gram matrix once and gets the validation xi of every
 lambda from one projection (detectors.xi_kernel_path), instead of
-refitting per (sigma, lambda). Linear mode fits once. Either way each
-trace AUC equals, bit for bit, the validation AUC of a refit at its point.
+refitting per (sigma, lambda). Linear mode fits once. Each AUC is
+counted by metrics.auc_score without building a ROC curve, so either way
+each trace AUC equals, bit for bit, roc_curve's validation AUC of a refit
+at its point.
 
 `default_grid` fills exactly the axes a config exposes, and `grid_search`
 rejects a grid that fills any other.
@@ -31,16 +33,16 @@ import numpy as np
 
 from .detectors import (
     DetectorConfig,
+    _fit_rows,
+    _xi_rows,
     combine_xi,
-    fit,
     kernel_lambda,
     standardized_training,
     with_params,
     xi_kernel_path,
-    xi_pixels,
 )
 from .kernels import sigma_heuristic
-from .metrics import DegenerateLabelsError, roc_curve
+from .metrics import DegenerateLabelsError, auc_score
 from .raster import as_pixel_matrix, sample_pixels, stack_pair, standardize_apply
 
 __all__ = [
@@ -126,9 +128,9 @@ def _exposed_axes(config: DetectorConfig) -> tuple[bool, bool, bool]:
 
 def default_grid(config: DetectorConfig, heuristic_sigma: float | None = None) -> TuneGrid:
     """Default grids for the axes the config exposes; the others stay empty."""
-    if config.mode == "kernel" and (heuristic_sigma is None or not heuristic_sigma > 0):
-        raise ValueError("kernel mode requires a positive heuristic sigma")
     has_nu, has_sigma, has_lambda = _exposed_axes(config)
+    if has_sigma and (heuristic_sigma is None or not heuristic_sigma > 0):
+        raise ValueError("a sigma axis requires a positive heuristic sigma")
     empty = np.array([])
     return TuneGrid(
         nu_grid=_log_grid(*NU_RANGE) if has_nu else empty,
@@ -193,10 +195,11 @@ def grid_search(
 
     Ties break toward the smallest parameters, nu first, then sigma, then
     lambda. The trace lists every grid point in canonical (nu, sigma,
-    lambda) nested order. Passing grid=None builds the default grid, with
-    the sigma axis anchored at the mean pairwise-distance heuristic of the
-    training draw. x and y are validated here, and a grid that fills an
-    axis the config does not expose is rejected before any draw.
+    lambda) nested order. Passing grid=None builds the default grid; a
+    sigma axis, if the config has one, is anchored at the mean
+    pairwise-distance heuristic of the training draw. x and y are
+    validated here, once, and a grid that fills an axis the config does
+    not expose is rejected before any draw.
     """
     x = as_pixel_matrix(x)
     y = as_pixel_matrix(y)
@@ -215,10 +218,9 @@ def grid_search(
         xvs = standardize_apply(x_val, stats_x)
         yvs = standardize_apply(y_val, stats_y)
         term_rows = ((zs, stack_pair(xvs, yvs)), (xs, xvs), (ys, yvs))
-        if grid is None:
-            grid = default_grid(config, sigma_heuristic(zs))
-    elif grid is None:
-        grid = default_grid(config)
+    if grid is None:
+        has_sigma = _exposed_axes(config)[1]  # only in kernel mode, where zs exists
+        grid = default_grid(config, sigma_heuristic(zs) if has_sigma else None)
 
     nu_values = list(grid.nu_grid) if grid.nu_grid.size else [None]
     sigma_values = list(grid.sigma_grid) if grid.sigma_grid.size else [None]
@@ -227,7 +229,7 @@ def grid_search(
     def xi_per_lambda(sigma):
         """Validation (xi_z, xi_x, xi_y) for each lambda value, at one sigma."""
         if config.mode == "linear":  # no sigma or lambda axis
-            return [xi_pixels(fit(x_tr, y_tr, config), x_val, y_val)]
+            return [_xi_rows(_fit_rows(x_tr, y_tr, config), x_val, y_val)]
         sigma_config = with_params(config, sigma=sigma)
         lams = [kernel_lambda(with_params(sigma_config, lam=lam), n_train)
                 for lam in lambda_values]
@@ -245,7 +247,7 @@ def grid_search(
         for i_l, (lam, xi) in enumerate(zip(lambda_values, xi_per_lambda(sigma))):
             for i_n, (nu, nu_config) in enumerate(zip(nu_values, nu_configs)):
                 scores = combine_xi(*xi, nu_config, d_x, d_y)
-                auc = roc_curve(scores, val_labels).auc
+                auc = auc_score(scores, val_labels)
                 entries[(i_n, i_s, i_l)] = (GridPoint(nu=nu, sigma=sigma, lam=lam), auc)
 
     trace = tuple(entries[key] for key in sorted(entries))

@@ -224,6 +224,47 @@ def test_map_tpr_rate_protocol(scene):
     assert tpr >= 0.82
 
 
+def test_roc_csv_and_tpr_map_follow_the_full_vertex_list(scene, capsys):
+    # roc.csv keeps, in order, a subset of the rows the full vertex list (one
+    # per distinct score) gives, and map --tpr-rate still picks the first
+    # vertex of the full list whose tpr reaches the rate.
+    d = scene["dir"]
+    main([
+        "fit", "--x", str(scene["x"]), "--y", str(scene["y"]),
+        "--train-samples", "300", "--train-labels", str(scene["labels"]),
+        "--model-out", str(d / "m5"), "--seed", "5",
+    ])
+    main([
+        "score", "--model", str(d / "m5"), "--x", str(scene["x"]),
+        "--y", str(scene["y"]), "--out", str(d / "s5.bin"),
+    ])
+    capsys.readouterr()
+    assert main(["roc", "--scores", str(d / "s5.bin"), "--labels", str(scene["labels"]),
+                 "--out", str(d / "roc5.csv")]) == 0
+    assert main(["map", "--scores", str(d / "s5.bin"), "--tpr-rate", "0.82",
+                 "--labels", str(scene["labels"]), "--out", str(d / "map5.pgm")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+
+    scores = read_raster(d / "s5.bin").data.ravel().astype(np.float64)
+    positive = read_raster(scene["labels"]).data.ravel() > 0.5
+    thresholds = np.concatenate([[np.inf], np.unique(scores)[::-1]])
+    tp = np.array([np.sum(positive & (scores >= t)) for t in thresholds])
+    fp = np.array([np.sum(~positive & (scores >= t)) for t in thresholds])
+    full_rows = [f"{f:.17g},{t:.17g},{thr:.17g}"
+                 for f, t, thr in zip(fp / fp[-1], tp / tp[-1], thresholds)]
+    rows = (d / "roc5.csv").read_text().splitlines()
+    assert rows[0] == "fpr,tpr,threshold"
+    it = iter(full_rows)
+    assert all(row in it for row in rows[1:])  # an ordered subsequence
+    assert rows[1] == full_rows[0] and rows[-1] == full_rows[-1]
+    assert len(rows) - 1 < len(full_rows)
+
+    t = float(thresholds[np.nonzero(tp / tp[-1] >= 0.82)[0][0]])
+    assert printed[-1] == f"threshold {t:.17g}"
+    pixels = np.where(scores >= t, 255, 0).astype(np.uint8)
+    assert (d / "map5.pgm").read_bytes() == b"P5\n48 48\n255\n" + pixels.tobytes()
+
+
 def test_tune_linear_ec(scene):
     d = scene["dir"]
     rc = main([

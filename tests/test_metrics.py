@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from acdkit.metrics import (
     DegenerateLabelsError,
     apply_threshold,
+    auc_score,
     roc_curve,
     threshold_at_quantile,
     threshold_at_tpr,
@@ -13,14 +16,31 @@ from acdkit.metrics import (
 
 
 def mann_whitney_auc(scores, labels):
-    """Brute-force pair-counting AUC: P(pos > neg) + half credit for ties."""
+    """Brute-force pair-counting AUC, P(pos > neg) + half credit for ties, rounded once."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     pos = scores[labels == 1]
     neg = scores[labels == 0]
-    greater = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return (greater + 0.5 * ties) / (pos.size * neg.size)
+    greater = int((pos[:, None] > neg[None, :]).sum())
+    ties = int((pos[:, None] == neg[None, :]).sum())
+    return float(Fraction(2 * greater + ties, 2 * pos.size * neg.size))
+
+
+def full_vertices(scores, labels):
+    """Every ROC vertex: the origin, then one per distinct score, descending.
+
+    Returns the thresholds and the integer (tp, fp) counts of score >= threshold.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    positive = np.asarray(labels) == 1
+    thresholds = np.concatenate([[np.inf], np.unique(scores)[::-1]])
+    tp = np.array([int(np.sum(positive & (scores >= t))) for t in thresholds])
+    fp = np.array([int(np.sum(~positive & (scores >= t))) for t in thresholds])
+    return thresholds, tp, fp
+
+
+def twice_area(tp, fp):
+    return int(np.sum(np.diff(fp) * (tp[1:] + tp[:-1])))
 
 
 def random_scored_set(seed, n=300, tie_frac=0.0):
@@ -53,7 +73,7 @@ def test_trapezoid_equals_mann_whitney(tie_frac):
     for seed in range(10):
         scores, labels = random_scored_set(seed, tie_frac=tie_frac)
         got = roc_curve(scores, labels).auc
-        assert got == pytest.approx(mann_whitney_auc(scores, labels), abs=1e-9)
+        assert got == mann_whitney_auc(scores, labels)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -63,8 +83,69 @@ def test_auc_equals_mann_whitney_property(pairs):
     # Integer scores on a small range, so most draws are heavily tied.
     scores = np.array([score for score, _ in pairs], dtype=np.float64)
     labels = np.array([label for _, label in pairs], dtype=int)
-    assert roc_curve(scores, labels).auc == pytest.approx(
-        mann_whitney_auc(scores, labels), abs=1e-12)
+    assert roc_curve(scores, labels).auc == mann_whitney_auc(scores, labels)
+
+
+# A small pool of values, signed zeros included, so most draws are heavily tied.
+TIED_VALUES = [-0.0, 0.0, -1e300, 1e300, 5e-324, -2.5, 1.0 / 3.0, 7.0, 1e-3]
+TIED_SETS = (st.lists(st.tuples(st.sampled_from(TIED_VALUES), st.booleans()),
+                      min_size=2, max_size=120)
+             .filter(lambda pairs: len({label for _, label in pairs}) == 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(TIED_SETS)
+def test_roc_auc_and_auc_score_are_the_exact_fraction(pairs):
+    scores = np.array([score for score, _ in pairs], dtype=np.float64)
+    labels = np.array([label for _, label in pairs], dtype=int)
+    exact = mann_whitney_auc(scores, labels)
+    assert roc_curve(scores, labels).auc == auc_score(scores, labels) == exact
+
+
+def check_corners(scores, labels):
+    """roc_curve keeps, in order, exactly the full vertices that are corners."""
+    thresholds, tp, fp = full_vertices(scores, labels)
+    c = roc_curve(scores, labels)
+    idx = np.searchsorted(-thresholds, -c.thresholds)
+    assert np.all(np.diff(idx) > 0)
+    assert np.array_equal(thresholds[idx], c.thresholds)
+    assert idx[0] == 0 and idx[-1] == thresholds.size - 1
+    assert np.array_equal(c.fpr, fp[idx] / fp[-1])
+    assert np.array_equal(c.tpr, tp[idx] / tp[-1])
+    ktp, kfp = tp[idx], fp[idx]
+    dtp, dfp = np.diff(ktp), np.diff(kfp)
+    assert np.all(dfp[:-1] * dtp[1:] != dtp[:-1] * dfp[1:])  # no kept interior is collinear
+    for a, b in zip(idx[:-1], idx[1:]):  # every dropped vertex lies on a kept segment
+        for j in range(a + 1, b):
+            assert (fp[j] - fp[a]) * (tp[b] - tp[a]) == (tp[j] - tp[a]) * (fp[b] - fp[a])
+    assert twice_area(ktp, kfp) == twice_area(tp, fp)
+    return idx.size, thresholds.size
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(TIED_SETS)
+def test_roc_keeps_only_corners_property(pairs):
+    check_corners(np.array([score for score, _ in pairs], dtype=np.float64),
+                  np.array([label for _, label in pairs], dtype=int))
+
+
+@pytest.mark.parametrize("tie_frac", [0.0, 0.5])
+def test_roc_keeps_only_corners(tie_frac):
+    scores, labels = random_scored_set(8, n=400, tie_frac=tie_frac)
+    kept, full = check_corners(scores, labels)
+    assert kept < full
+
+
+def test_roc_straight_runs_collapse():
+    # In descending score order: two steps up, two right, one up, one right.
+    # Only the vertices where the direction changes remain.
+    scores = np.array([8.0, 7.0, 6.0, 5.0, 4.0, 3.0])
+    labels = np.array([1, 1, 0, 0, 1, 0])
+    c = roc_curve(scores, labels)
+    assert list(c.thresholds) == [np.inf, 7.0, 5.0, 4.0, 3.0]
+    assert list(c.tpr * 3) == [0.0, 2.0, 2.0, 3.0, 3.0]
+    assert list(c.fpr * 3) == [0.0, 0.0, 2.0, 2.0, 3.0]
+    assert c.auc == float(Fraction(7, 9))
 
 
 def test_curve_endpoints_and_monotonicity():
@@ -131,9 +212,13 @@ def test_threshold_at_tpr_minimal_achieving():
 
 
 def roc_threshold_at_tpr(scores, labels, rate):
-    """The ROC-vertex rule: threshold of the first vertex whose tpr reaches rate."""
-    curve = roc_curve(scores, labels)
-    return float(curve.thresholds[np.nonzero(curve.tpr >= rate)[0][0]])
+    """The ROC-vertex rule: threshold of the first vertex whose tpr reaches rate.
+
+    Taken over every vertex, not the corners roc_curve keeps: the answer may
+    lie inside a vertical run. tpr uses roc_curve's division, tp / n_pos.
+    """
+    thresholds, tp, _ = full_vertices(scores, labels)
+    return float(thresholds[np.nonzero(tp / tp[-1] >= rate)[0][0]])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

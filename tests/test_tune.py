@@ -62,6 +62,25 @@ def test_default_grid_linear_kernel_skips_sigma():
     g = default_grid(cfg, heuristic_sigma=1.5)
     assert g.sigma_grid.size == 0
     assert g.lambda_grid.size == 30
+    assert np.array_equal(default_grid(cfg).lambda_grid, g.lambda_grid)  # no sigma, no heuristic
+
+
+@pytest.mark.parametrize("kind, calls", [("linear", 0), ("rbf", 1)])
+def test_grid_search_computes_the_sigma_heuristic_only_for_a_sigma_axis(monkeypatch, kind, calls):
+    from acdkit import tune
+
+    real, seen = tune.sigma_heuristic, []
+
+    def counted(rows, **kwargs):
+        seen.append(rows.shape)
+        return real(rows, **kwargs)
+
+    monkeypatch.setattr(tune, "sigma_heuristic", counted)
+    x, y, labels = labeled_pair(n=300, seed=25)
+    cfg = DetectorConfig(mode="kernel", kernel=KernelSpec(kind, 1.0))
+    result = grid_search(x, y, labels, cfg, None, 40, 100, seed=26)
+    assert len(seen) == calls
+    assert len(result.trace) == 30 * (60 if kind == "rbf" else 1)
 
 
 def test_tune_grid_validation():

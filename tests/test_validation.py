@@ -69,6 +69,18 @@ def test_each_pixel_matrix_is_validated_once(monkeypatch, config):
     assert calls == [x.shape, y.shape]
 
 
+@pytest.mark.parametrize("config, grid", [
+    (DetectorConfig(distribution="ec", nu=1.0), TuneGrid(nu_grid=np.array([0.5, 5.0]))),
+    (DetectorConfig(mode="kernel", kernel=KernelSpec("rbf", 2.0)),
+     TuneGrid(sigma_grid=np.array([2.0]), lambda_grid=np.array([1e-6, 1e-3]))),
+], ids=["linear", "kernel"])
+def test_grid_search_validates_x_and_y_once(monkeypatch, config, grid):
+    x, y = correlated_pair(1000, 3, seed=5)
+    calls = _count_validations(monkeypatch)
+    grid_search(x, y, _labels(1000), config, grid, 200, 400, seed=6)
+    assert calls == [x.shape, y.shape]
+
+
 def test_linear_scoring_makes_no_full_scene_copy():
     x, y = correlated_pair(200_000, 8, seed=4)
     det = fit(x[:1000], y[:1000], DetectorConfig())
