@@ -1,8 +1,9 @@
 """Command-line front end wiring the library into reproducible pipelines.
 
 Subcommands: simulate, fit, score, roc, map, tune. Every subcommand takes
---seed (default 42) and is deterministic given it, independent of
---threads (the worker pool that scores kernel models). Randomness per
+--seed (default 42) and is deterministic given it. Every subcommand also
+accepts --threads, a positive integer that is checked and ignored: scoring
+runs in one loop, and only BLAS uses more threads. Randomness per
 subcommand is drawn in a fixed documented order:
 
     simulate   pervasive noise with seed, scrambling with seed + 1
@@ -16,7 +17,6 @@ Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -50,12 +50,26 @@ EXIT_NUMERICAL = 3
 EXIT_DEGENERATE = 4
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError("must be a finite number")
+    return value
+
+
+def _not_nan(text: str) -> float:
+    value = float(text)
+    if np.isnan(value):
+        raise argparse.ArgumentTypeError("must be a number, not nan")
+    return value
+
+
 def _positive_or_auto(text: str):
     if text == "auto":
         return None
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be positive or 'auto'")
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError("must be finite and positive, or 'auto'")
     return value
 
 
@@ -140,7 +154,7 @@ def cmd_fit(args) -> int:
 def cmd_score(args) -> int:
     det = io_formats.load_model(args.model)
     cube_x, cube_y = _read_pair(args.x, args.y)
-    scores = score_pixels(det, flatten(cube_x), flatten(cube_y), threads=args.threads)
+    scores = score_pixels(det, flatten(cube_x), flatten(cube_y))
     cube = unflatten(scores[:, None], cube_x.height, cube_x.width)
     io_formats.write_raster(cube, args.out)
     return EXIT_OK
@@ -212,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
     common.add_argument(
-        "--threads", type=_positive_int, default=os.cpu_count() or 1,
-        help="worker threads for scoring kernel models (default: all cores)",
+        "--threads", type=_positive_int, default=1,
+        help="accepted and ignored: scoring runs in one thread plus BLAS's own",
     )
 
     family = argparse.ArgumentParser(add_help=False)
@@ -224,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # fit only: tune searches these
     hyperparameters = argparse.ArgumentParser(add_help=False)
-    hyperparameters.add_argument("--nu", type=float, default=None, help="EC shape parameter")
+    hyperparameters.add_argument("--nu", type=_finite, default=None, help="EC shape parameter")
     hyperparameters.add_argument(
         "--sigma", type=_positive_or_auto, default="auto", dest="sigma",
         help="kernel lengthscale, or 'auto' for the mean-distance heuristic",
@@ -275,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", parents=[common], help="binary detection map from scores")
     p.add_argument("--scores", required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--threshold", type=float, default=None)
+    group.add_argument("--threshold", type=_not_nan, default=None)
     group.add_argument("--tpr-rate", type=float, default=None,
                        help="pick the threshold detecting this fraction of labeled changes")
     group.add_argument("--quantile", type=float, default=None,

@@ -41,7 +41,6 @@ training pixels; Gram matrices are not centered in feature space.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -80,8 +79,9 @@ DETECTOR_BETAS = {"rx": (0, 0), "yx": (0, 1), "xy": (1, 0), "hacd": (1, 1)}
 # Default kernel regularizer is AUTO_LAMBDA_NUM / n_train.
 AUTO_LAMBDA_NUM = 1e-5
 
-# Pixels are scored in fixed-size chunks so results are bit-identical
-# regardless of thread count.
+# Pixels are scored in fixed-size chunks, so a kernel probe block holds at
+# most _SCORE_CHUNK x n_train values, and tune's xi_kernel_path reproduces
+# the refit's xi bit for bit by using the same blocks.
 _SCORE_CHUNK = 8192
 
 
@@ -107,8 +107,8 @@ class DetectorConfig:
         if self.distribution not in ("gaussian", "ec"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.distribution == "ec":
-            if self.nu is None or not self.nu > 0:
-                raise ValueError("ec distribution requires nu > 0")
+            if self.nu is None or not 0 < self.nu < np.inf:
+                raise ValueError("ec distribution requires a finite nu > 0")
         elif self.nu is not None:
             raise ValueError("nu applies to the ec distribution only")
         if self.mode not in ("linear", "kernel"):
@@ -116,8 +116,8 @@ class DetectorConfig:
         if self.mode == "kernel":
             if self.kernel is None:
                 raise ValueError("kernel mode requires a kernel spec")
-            if self.lam is not None and not self.lam > 0:
-                raise ValueError("lam must be positive (or None for auto)")
+            if self.lam is not None and not 0 < self.lam < np.inf:
+                raise ValueError("lam must be finite and positive (or None for auto)")
 
 
 def _freeze(term, k: int, **arrays) -> None:
@@ -193,6 +193,18 @@ class FittedDetector:
                 self.term_z.dim)
         if dims != (self.d_x, self.d_x, self.d_y, self.d_y, self.d_x + self.d_y):
             raise ValueError("band stats and terms must have d_x, d_y and d_x + d_y dims")
+        terms = (self.term_x, self.term_y, self.term_z)
+        kind = LinearTerm if self.config.mode == "linear" else KernelTerm
+        if not all(isinstance(term, kind) for term in terms):
+            raise ValueError(f"config mode {self.config.mode!r} needs {self.config.mode} terms")
+        if kind is KernelTerm:
+            n_train = self.term_z.train.shape[0]
+            if any(term.train.shape[0] != n_train for term in terms):
+                raise ValueError("kernel terms must share one training row count")
+            if any(term.spec != self.config.kernel for term in terms):
+                raise ValueError("kernel terms must use the config's kernel")
+            if any(term.lam != kernel_lambda(self.config, n_train) for term in terms):
+                raise ValueError("kernel terms must use the config's lambda")
 
 
 def _fit_linear_term(rows: np.ndarray) -> LinearTerm:
@@ -337,20 +349,17 @@ def combine_xi(
     return score
 
 
-def xi_pixels(det: FittedDetector, x: np.ndarray, y: np.ndarray, threads: int = 1) -> np.ndarray:
+def xi_pixels(det: FittedDetector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-pixel xi as a (3, n) array whose rows are xi_z, xi_x and xi_y.
 
     x and y are validated here. Each fixed-size chunk is standardized,
-    stacked and scored on its own, so no full-scene copy is made and
-    results are bit-identical whether run sequentially or in parallel.
-    Only kernel models spread the chunks over `threads` workers: their
-    probe kernels dominate and gain from the pool, while a linear chunk is
-    a few BLAS calls that the pool only slows down.
+    stacked and scored in turn, so no full-scene copy is made and a kernel
+    model's probe kernel stays one _SCORE_CHUNK x n_train block.
     """
-    return _xi_rows(det, as_pixel_matrix(x), as_pixel_matrix(y), threads)
+    return _xi_rows(det, as_pixel_matrix(x), as_pixel_matrix(y))
 
 
-def _xi_rows(det: FittedDetector, x: np.ndarray, y: np.ndarray, threads: int = 1) -> np.ndarray:
+def _xi_rows(det: FittedDetector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """xi_pixels on finite 2-d float64 rows."""
     if x.shape[0] != y.shape[0]:
         raise ValueError("unaligned pair: row counts differ")
@@ -361,29 +370,25 @@ def _xi_rows(det: FittedDetector, x: np.ndarray, y: np.ndarray, threads: int = 1
         )
     n = x.shape[0]
     xi = np.empty((3, n))
-    chunks = [slice(i, min(i + _SCORE_CHUNK, n)) for i in range(0, n, _SCORE_CHUNK)]
-
-    def one(sl):
+    for start in range(0, n, _SCORE_CHUNK):
+        sl = slice(start, min(start + _SCORE_CHUNK, n))
         xs = standardize_apply(x[sl], det.band_stats_x)
         ys = standardize_apply(y[sl], det.band_stats_y)
         xi[0, sl] = xi_term(det.term_z, stack_pair(xs, ys))
         xi[1, sl] = xi_term(det.term_x, xs)
         xi[2, sl] = xi_term(det.term_y, ys)
-
-    if threads > 1 and len(chunks) > 1 and isinstance(det.term_z, KernelTerm):
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, chunks))
-    else:
-        for sl in chunks:
-            one(sl)
     return xi
 
 
 def score_pixels(
     det: FittedDetector, x: np.ndarray, y: np.ndarray, threads: int = 1
 ) -> np.ndarray:
-    """Per-pixel anomalousness scores, in input pixel order."""
-    xi_z, xi_x, xi_y = xi_pixels(det, x, y, threads=threads)
+    """Per-pixel anomalousness scores, in input pixel order.
+
+    threads is accepted and ignored: scoring runs in one loop (plus BLAS's
+    own threads). It remains only for bench/child.py's threads1 probe.
+    """
+    xi_z, xi_x, xi_y = xi_pixels(det, x, y)
     return combine_xi(xi_z, xi_x, xi_y, det.config, det.d_x, det.d_y)
 
 

@@ -44,8 +44,8 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind != "linear":
-            if self.sigma is None or not self.sigma > 0:
-                raise ValueError(f"{self.kind} kernel requires sigma > 0")
+            if self.sigma is None or not 0 < self.sigma < np.inf:
+                raise ValueError(f"{self.kind} kernel requires a finite sigma > 0")
 
 
 def _sam_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -44,8 +44,8 @@ def pervasive_noise(cube: ImageCube, std: float, seed: int) -> ImageCube:
     the draw is added, then mapped back, so `std` means the same thing for
     bands of any dynamic range. std = 0 returns the input bit-exactly.
     """
-    if std < 0:
-        raise ValueError("noise std must be nonnegative")
+    if not 0 <= std < np.inf:
+        raise ValueError("noise std must be finite and nonnegative")
     if std == 0.0:
         return cube
     band_std = standardize_fit(flatten(cube)).std

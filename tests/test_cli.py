@@ -343,6 +343,80 @@ def test_tune_rejects_hyperparameter_flags(scene, capsys, flag, value):
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--dist", "ec", "--nu", "inf"],
+    ["--dist", "ec", "--nu", "nan"],
+    ["--mode", "kernel", "--sigma", "inf"],
+    ["--mode", "kernel", "--sigma", "nan"],
+    ["--mode", "kernel", "--lambda", "inf"],
+    ["--mode", "kernel", "--lambda", "nan"],
+], ids=" ".join)
+def test_fit_rejects_non_finite_hyperparameters(scene, capsys, flags):
+    out = scene["dir"] / "m_bad"
+    rc = main(["fit", "--x", str(scene["x"]), "--y", str(scene["y"]),
+               "--train-samples", "100", "--model-out", str(out), *flags])
+    assert rc == 2
+    assert f"argument {flags[2]}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _copy_kernel_term_x(manifest, model):
+    """Swap in term x (entry and blobs) of a model fit on fewer training rows."""
+    other = model.parent / "m_fewer"
+    for blob in ("train", "basis", "weights"):
+        name = f"term_x_{blob}.bin"
+        (model / name).write_bytes((other / name).read_bytes())
+    manifest["terms"]["x"] = json.loads((other / "manifest.json").read_text())["terms"]["x"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m, d: m["config"]["kernel"].update(sigma=99), "the config's kernel"),
+    (lambda m, d: m["terms"]["z"]["kernel"].update(sigma=0.5), "the config's kernel"),
+    (lambda m, d: m["terms"]["x"].update(lam=123), "the config's lambda"),
+    (lambda m, d: m["config"].update(lam=None), "the config's lambda"),
+    (lambda m, d: m["config"].update(mode="linear"), "config mode 'linear' needs linear terms"),
+    (_copy_kernel_term_x, "one training row count"),
+], ids=["config sigma", "term sigma", "term lambda", "config lambda", "config mode",
+        "training rows"])
+def test_score_rejects_model_whose_config_and_terms_disagree(scene, capsys, edit, message):
+    d = scene["dir"]
+    for name, n in (("m_edit", "120"), ("m_fewer", "80")):
+        assert main(["fit", "--x", str(scene["x"]), "--y", str(scene["y"]), "--mode", "kernel",
+                     "--sigma", "0.7", "--lambda", "0.001", "--train-samples", n,
+                     "--model-out", str(d / name)]) == 0
+    model = d / "m_edit"
+    manifest = json.loads((model / "manifest.json").read_text())
+    edit(manifest, model)
+    (model / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = main(["score", "--model", str(model), "--x", str(scene["x"]), "--y", str(scene["y"]),
+               "--out", str(d / "s.bin")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: corrupt model: ") and message in err and err.count("\n") == 1
+    assert not (d / "s.bin").exists()
+
+
+@pytest.mark.parametrize("value, code", [("nan", 2), ("inf", 0), ("-inf", 0)])
+def test_map_threshold_must_be_a_number(scene, tmp_path, value, code):
+    scores = tmp_path / "scores.bin"
+    write_raster(ImageCube.from_array(np.arange(12.0).reshape(3, 4, 1)), scores)
+    rc = main(["map", "--scores", str(scores), f"--threshold={value}",
+               "--out", str(tmp_path / "map.pgm")])
+    assert rc == code
+    assert (tmp_path / "map.pgm").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("std", ["nan", "inf"])
+def test_simulate_rejects_non_finite_noise_std(scene, capsys, std):
+    out = scene["dir"] / "y_bad.bin"
+    rc = main(["simulate", "--input", str(scene["x"]), "--out", str(out),
+               "--labels", str(scene["dir"] / "labels_bad.bin"), "--noise-std", std])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: noise std must be finite and nonnegative\n"
+    assert not out.exists()
+
+
 def test_threads_must_be_positive(scene, capsys):
     rc = main([
         "score", "--model", str(scene["dir"] / "m"), "--x", str(scene["x"]),

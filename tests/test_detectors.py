@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -55,6 +57,31 @@ def test_config_validation():
         DetectorConfig(mode="kernel")  # kernel spec missing
     with pytest.raises(ValueError):
         kernel_config(lam=-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_hyperparameters_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite sigma"):
+        KernelSpec("rbf", bad)
+    with pytest.raises(ValueError, match="finite nu"):
+        DetectorConfig(distribution="ec", nu=bad)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        kernel_config(lam=bad)
+
+
+def test_detector_terms_must_match_config():
+    x, y = correlated_pair(60, 2, seed=1)
+    det = fit(x[:40], y[:40], kernel_config(lam=1e-3))
+    with pytest.raises(ValueError, match="config mode 'linear' needs linear terms"):
+        replace(det, config=DetectorConfig())
+    with pytest.raises(ValueError, match="config's kernel"):
+        replace(det, config=kernel_config(kernel=KernelSpec("rbf", 3.0), lam=1e-3))
+    with pytest.raises(ValueError, match="config's lambda"):
+        replace(det, config=kernel_config())  # auto lambda 1e-5 / 40
+    with pytest.raises(ValueError, match="one training row count"):
+        replace(det, term_x=fit(x[:30], y[:30], kernel_config(lam=1e-3)).term_x)
+    with pytest.raises(ValueError, match="config mode 'kernel' needs kernel terms"):
+        replace(fit(x, y, DetectorConfig()), config=kernel_config())
 
 
 @pytest.mark.parametrize("nu", [-3.0, 0.0, 4.0])
@@ -237,47 +264,6 @@ def test_score_pixels_chi_square_expectation():
     det = fit(x[:2000], y[:2000], DetectorConfig(beta_x=0, beta_y=0))
     mean_score = score_pixels(det, x[2000:], y[2000:]).mean()
     assert abs(mean_score - 6.0) / 6.0 < 0.15
-
-
-def test_score_pixels_thread_determinism():
-    x, y = correlated_pair(3000, 2, seed=9)
-    det = fit(x[:500], y[:500], kernel_config())
-    a = score_pixels(det, x, y, threads=1)
-    b = score_pixels(det, x, y, threads=4)
-    assert np.array_equal(a, b)
-
-
-def _pool_calls(monkeypatch, fail=False):
-    """Replace detectors.ThreadPoolExecutor with one that counts (or refuses) pools."""
-    from acdkit import detectors
-
-    real, calls = detectors.ThreadPoolExecutor, []
-
-    def pool(*args, **kwargs):
-        if fail:
-            raise AssertionError("linear models are scored without a pool")
-        calls.append(kwargs)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(detectors, "ThreadPoolExecutor", pool)
-    return calls
-
-
-def test_score_pixels_linear_model_skips_pool(monkeypatch):
-    x, y = correlated_pair(20000, 2, seed=9)
-    det = fit(x[:500], y[:500], DetectorConfig())
-    expected = score_pixels(det, x, y, threads=1)
-    _pool_calls(monkeypatch, fail=True)
-    assert np.array_equal(score_pixels(det, x, y, threads=4), expected)
-
-
-def test_score_pixels_kernel_model_uses_pool(monkeypatch):
-    x, y = correlated_pair(20000, 2, seed=9)
-    det = fit(x[:50], y[:50], kernel_config())
-    expected = score_pixels(det, x, y, threads=1)
-    calls = _pool_calls(monkeypatch)
-    assert np.array_equal(score_pixels(det, x, y, threads=4), expected)
-    assert calls == [{"max_workers": 4}]
 
 
 def test_score_pixels_permutation_equivariance():

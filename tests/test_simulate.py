@@ -44,6 +44,12 @@ def test_noise_rejects_negative_std():
         pervasive_noise(make_cube(3, 3, 1), -0.1, seed=0)
 
 
+@pytest.mark.parametrize("std", [np.nan, np.inf])
+def test_noise_rejects_non_finite_std(std):
+    with pytest.raises(ValueError, match="noise std must be finite and nonnegative"):
+        pervasive_noise(make_cube(3, 3, 1), std, seed=0)
+
+
 def test_scramble_two_pixels_swap():
     cube = make_cube(10, 10, 2, seed=6)
     result = scramble_anomalies(cube, 2 / 100, seed=7)

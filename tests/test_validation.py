@@ -65,7 +65,7 @@ def test_each_pixel_matrix_is_validated_once(monkeypatch, config):
     det = fit(x[:40], y[:40], config)
     assert calls == [(40, 2), (40, 2)]
     calls.clear()
-    score_pixels(det, x, y, threads=2)
+    score_pixels(det, x, y)
     assert calls == [x.shape, y.shape]
 
 
@@ -81,13 +81,25 @@ def test_grid_search_validates_x_and_y_once(monkeypatch, config, grid):
     assert calls == [x.shape, y.shape]
 
 
-def test_linear_scoring_makes_no_full_scene_copy():
-    x, y = correlated_pair(200_000, 8, seed=4)
-    det = fit(x[:1000], y[:1000], DetectorConfig())
+# (pixels, training rows, config, peak bound in bytes for 8 + 8 bands)
+SCORING_MEMORY_CASES = {
+    # no copy of the (200000, 8) float64 x
+    "linear": (200_000, 1000, DetectorConfig(), 200_000 * 8 * 8),
+    # four chunks; at most four (_SCORE_CHUNK, n_train) float64 probe-kernel blocks
+    "kernel": (4 * _SCORE_CHUNK, 300, DetectorConfig(mode="kernel", kernel=KernelSpec("rbf", 2.0)),
+               4 * _SCORE_CHUNK * 300 * 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCORING_MEMORY_CASES))
+def test_scoring_makes_no_full_scene_copy(case):
+    n, n_train, config, bound = SCORING_MEMORY_CASES[case]
+    x, y = correlated_pair(n, 8, seed=4)
+    det = fit(x[:n_train], y[:n_train], config)
     tracemalloc.start()
     try:
-        score_pixels(det, x, y)
+        score_pixels(det, x, y, threads=4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < x.nbytes
+    assert peak < bound
