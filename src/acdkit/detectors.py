@@ -35,6 +35,17 @@ K = U diag(s) U^T and w = 1 / (s^2 + lambda), without forming K K.
 With a linear kernel, negligible lambda, and more samples than features
 this reduces to the uncentered input-space quadratic form v (X^T X)^-1 v.
 
+The kernel on z = [x, y] has one rule, for the training Gram matrix K_z
+and the probe kernel alike: where the kernel splits over x and y
+(kernels.joint_kernel), k_z is built from k_x and k_y, not evaluated
+again: k_x * k_y for rbf (one sigma) and k_x + k_y for the linear kernel.
+The sam kernel is evaluated on the stacked rows themselves. So term_z's
+training rows are always [term_x.train | term_y.train], bit for bit.
+
+A score reads only the terms its family member uses: rx needs z alone, xy
+z and x, yx z and y. The others are neither projected nor squared, and
+their xi rows are 0.
+
 Inputs are z-score standardized per band with statistics fit on the
 training pixels; Gram matrices are not centered in feature space.
 """
@@ -45,8 +56,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import KernelSpec, cross_gram, gram
-from .linalg import covariance, inverse_weights, mahalanobis_batch, spd_factorize
+from .kernels import KernelSpec, cross_gram, gram, joint_kernel
+from .linalg import SpdEigen, covariance, inverse_weights, mahalanobis_batch, spd_factorize
 from .raster import (
     BandStats,
     as_pixel_matrix,
@@ -79,10 +90,12 @@ DETECTOR_BETAS = {"rx": (0, 0), "yx": (0, 1), "xy": (1, 0), "hacd": (1, 1)}
 # Default kernel regularizer is AUTO_LAMBDA_NUM / n_train.
 AUTO_LAMBDA_NUM = 1e-5
 
-# Pixels are scored in fixed-size chunks, so a kernel probe block holds at
-# most _SCORE_CHUNK x n_train values, and tune's xi_kernel_path reproduces
-# the refit's xi bit for bit by using the same blocks.
-_SCORE_CHUNK = 8192
+# Pixels are scored in chunks of this many rows. A kernel model's chunk
+# reuses three (_SCORE_CHUNK, n_train) float64 blocks, for k_x, k_y -> k_z
+# and the GEMM output: 8 MiB each at 1000 training rows, so the elementwise
+# passes over them stay close to the cache. tune's xi_kernel_path runs the
+# same loop, so it reproduces a refit's xi bit for bit.
+_SCORE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -205,6 +218,14 @@ class FittedDetector:
                 raise ValueError("kernel terms must use the config's kernel")
             if any(term.lam != kernel_lambda(self.config, n_train) for term in terms):
                 raise ValueError("kernel terms must use the config's lambda")
+            z_train = np.hstack([self.term_x.train, self.term_y.train])
+            if not np.array_equal(self.term_z.train.view(np.int64), z_train.view(np.int64)):
+                raise ValueError("kernel term z must hold the x and y training rows side by side")
+
+
+def _used_terms(config: DetectorConfig) -> tuple[bool, bool, bool]:
+    """Whether a score reads the (z, x, y) terms: z always, x and y per their beta flag."""
+    return True, config.beta_x == 1, config.beta_y == 1
 
 
 def _fit_linear_term(rows: np.ndarray) -> LinearTerm:
@@ -214,9 +235,29 @@ def _fit_linear_term(rows: np.ndarray) -> LinearTerm:
                       weights=inverse_weights(eig.values, eig.ridge), ridge=eig.ridge)
 
 
-def fit_kernel_term(train: np.ndarray, spec: KernelSpec, lam: float) -> KernelTerm:
-    """Fit a kernel term on finite 2-d float64 rows: K = U diag(s) U^T, w = 1 / (s^2 + lam)."""
-    eig = spd_factorize(gram(train, spec), ridge_scale=0.0)
+def _kernel_eigens(xs: np.ndarray, ys: np.ndarray, spec: KernelSpec,
+                   used=(True, True, True)) -> tuple:
+    """eigh of the Gram matrices (K_z, K_x, K_y) of standardized rows; None for an unused term.
+
+    K_z follows the joint rule. It is built in place of K_x once K_x and
+    K_y are factorized, so no more than two n x n Gram matrices are held.
+    """
+    k_x, k_y = gram(xs, spec), gram(ys, spec)
+    eig_x = spd_factorize(k_x, ridge_scale=0.0) if used[1] else None
+    eig_y = spd_factorize(k_y, ridge_scale=0.0) if used[2] else None
+    k_z = joint_kernel(k_x, k_y, spec, out=k_x) if spec.joint_splits else None
+    del k_x, k_y
+    if k_z is None:
+        k_z = gram(stack_pair(xs, ys), spec)
+    return spd_factorize(k_z, ridge_scale=0.0), eig_x, eig_y
+
+
+def fit_kernel_term(train: np.ndarray, eig: SpdEigen, spec: KernelSpec,
+                    lam: float) -> KernelTerm:
+    """Kernel term on finite 2-d float64 rows and the eigh K = U diag(s) U^T of their Gram matrix.
+
+    Its weights are w = 1 / (s^2 + lam).
+    """
     return KernelTerm(train=train, spec=spec, lam=lam, basis=eig.basis,
                       weights=inverse_weights(eig.values * eig.values, lam))
 
@@ -267,8 +308,8 @@ def _fit_rows(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) 
     else:
         lam = kernel_lambda(config, n)
         terms = {
-            name: fit_kernel_term(rows, config.kernel, lam)
-            for name, rows in (("x", xs), ("y", ys), ("z", zs))
+            name: fit_kernel_term(rows, eig, config.kernel, lam)
+            for name, rows, eig in zip("zxy", (zs, xs, ys), _kernel_eigens(xs, ys, config.kernel))
         }
 
     return FittedDetector(
@@ -283,43 +324,79 @@ def _fit_rows(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) 
     )
 
 
-def xi_term(term: LinearTerm | KernelTerm, rows: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distance xi of each finite 2-d float64 row under one fitted term.
-
-    Linear terms give (v - mean)^T (C + ridge I)^-1 (v - mean) in input
-    space; kernel terms give the dual form k_v (K K + lambda I)^-1 k_v^T.
-    """
-    if isinstance(term, LinearTerm):
-        p = (rows - term.mean) @ term.basis
-    else:
-        p = cross_gram(term.train, rows, term.spec) @ term.basis
+def xi_term(term: LinearTerm, rows: np.ndarray) -> np.ndarray:
+    """(v - mean)^T (C + ridge I)^-1 (v - mean) of each finite 2-d float64 row under a linear term."""
+    p = (rows - term.mean) @ term.basis
     return mahalanobis_batch(p, [term.weights])[0]
 
 
-def xi_kernel_path(
-    train: np.ndarray, probes: np.ndarray, spec: KernelSpec, lams
-) -> np.ndarray:
-    """Kernel xi of each probe row for every regularizer in lams at once.
+def _kernel_xi(terms, stats_x: BandStats, stats_y: BandStats, spec: KernelSpec,
+               x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kernel xi of the probe pairs (x, y) in _SCORE_CHUNK chunks, as a (w, 3, m) array.
 
-    train and probes are finite 2-d float64 rows. Returns a (len(lams), m)
-    array whose row i equals, bit for bit, the xi that
-    fit_kernel_term(train, spec, lams[i]) gives probes scored in
-    _SCORE_CHUNK blocks, as xi_pixels scores them. K is eigendecomposed
-    once, and each probe block is projected and squared once for all lambdas.
+    terms gives (train, basis, weights) for the z, x and y terms, weights
+    being a list of w weight vectors; a term whose basis is None is
+    skipped and its rows stay 0. Per chunk, k_x and k_y are evaluated into
+    two reused blocks, each used term is projected into the third, and k_z
+    is built in place of k_x (or evaluated on z, for sam).
     """
+    (z_train, z_basis, z_w), (x_train, x_basis, x_w), (y_train, y_basis, y_w) = terms
+    m = x.shape[0]
+    xi = np.zeros((len(z_w), 3, m))
+    blocks = np.empty((3, min(m, _SCORE_CHUNK), z_train.shape[0]))
+    split = spec.joint_splits
+    for start in range(0, m, _SCORE_CHUNK):
+        sl = slice(start, min(start + _SCORE_CHUNK, m))
+        k_x, k_y, proj = blocks[:, : sl.stop - start]
+        xs = standardize_apply(x[sl], stats_x)
+        ys = standardize_apply(y[sl], stats_y)
+        if split or x_basis is not None:
+            k_x = cross_gram(x_train, xs, spec, out=k_x, work=proj)
+        if split or y_basis is not None:
+            k_y = cross_gram(y_train, ys, spec, out=k_y, work=proj)
+        for i, k, basis, weights in ((1, k_x, x_basis, x_w), (2, k_y, y_basis, y_w)):
+            if basis is not None:
+                xi[:, i, sl] = mahalanobis_batch(np.matmul(k, basis, out=proj), weights)
+        if split:
+            k_z = joint_kernel(k_x, k_y, spec, out=k_x)
+        else:
+            k_z = cross_gram(z_train, stack_pair(xs, ys), spec, out=k_x, work=proj)
+        xi[:, 0, sl] = mahalanobis_batch(np.matmul(k_z, z_basis, out=proj), z_w)
+    return xi
+
+
+def xi_kernel_path(
+    x_train: np.ndarray,
+    y_train: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    config: DetectorConfig,
+    lams,
+) -> np.ndarray:
+    """Kernel xi of each probe pair for every regularizer in lams at once.
+
+    Takes finite 2-d float64 rows and a kernel-mode config. Returns a
+    (len(lams), 3, m) array whose entry i equals, bit for bit,
+    xi_pixels(fit(x_train, y_train, with_params(config, lam=lams[i])), x, y):
+    the same Gram matrices and chunk loop, with each used term's K
+    eigendecomposed once and each probe block projected and squared once
+    for all lambdas.
+    """
+    if config.mode != "kernel":
+        raise ValueError("xi_kernel_path needs a kernel-mode config")
     lams = np.asarray(lams, dtype=np.float64)
     if lams.ndim != 1 or not np.all(lams > 0):
         raise ValueError("lams must be a 1-d array of positive values")
-    eig = spd_factorize(gram(train, spec), ridge_scale=0.0)
-    spectrum = eig.values * eig.values
-    weights = [inverse_weights(spectrum, lam) for lam in lams]
-    m = probes.shape[0]
-    xi = np.empty((lams.size, m))
-    for start in range(0, m, _SCORE_CHUNK):
-        sl = slice(start, min(start + _SCORE_CHUNK, m))
-        p = cross_gram(train, probes[sl], spec) @ eig.basis
-        xi[:, sl] = mahalanobis_batch(p, weights)
-    return xi
+    stats_x, stats_y, xs, ys, zs = standardized_training(x_train, y_train)
+    terms = []
+    eigs = _kernel_eigens(xs, ys, config.kernel, _used_terms(config))
+    for train, eig in zip((zs, xs, ys), eigs):
+        if eig is None:
+            terms.append((train, None, []))
+            continue
+        spectrum = eig.values * eig.values
+        terms.append((train, eig.basis, [inverse_weights(spectrum, lam) for lam in lams]))
+    return _kernel_xi(terms, stats_x, stats_y, config.kernel, x, y)
 
 
 def combine_xi(
@@ -352,9 +429,10 @@ def combine_xi(
 def xi_pixels(det: FittedDetector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-pixel xi as a (3, n) array whose rows are xi_z, xi_x and xi_y.
 
-    x and y are validated here. Each fixed-size chunk is standardized,
-    stacked and scored in turn, so no full-scene copy is made and a kernel
-    model's probe kernel stays one _SCORE_CHUNK x n_train block.
+    x and y are validated here. Each fixed-size chunk is standardized and
+    scored in turn, so no full-scene copy is made and a kernel model keeps
+    three _SCORE_CHUNK x n_train blocks. The row of a term the config's
+    beta flags leave out is 0.
     """
     return _xi_rows(det, as_pixel_matrix(x), as_pixel_matrix(y))
 
@@ -368,15 +446,22 @@ def _xi_rows(det: FittedDetector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             f"band-count mismatch: expected ({det.d_x}, {det.d_y}), "
             f"got ({x.shape[1]}, {y.shape[1]})"
         )
+    used = _used_terms(det.config)
+    term_zxy = (det.term_z, det.term_x, det.term_y)
+    if det.config.mode == "kernel":
+        terms = [(term.train, term.basis if use else None, [term.weights])
+                 for term, use in zip(term_zxy, used)]
+        return _kernel_xi(terms, det.band_stats_x, det.band_stats_y, det.config.kernel,
+                          x, y)[0]
     n = x.shape[0]
-    xi = np.empty((3, n))
+    xi = np.zeros((3, n))
     for start in range(0, n, _SCORE_CHUNK):
         sl = slice(start, min(start + _SCORE_CHUNK, n))
         xs = standardize_apply(x[sl], det.band_stats_x)
         ys = standardize_apply(y[sl], det.band_stats_y)
-        xi[0, sl] = xi_term(det.term_z, stack_pair(xs, ys))
-        xi[1, sl] = xi_term(det.term_x, xs)
-        xi[2, sl] = xi_term(det.term_y, ys)
+        for i, rows in enumerate((stack_pair(xs, ys), xs, ys)):
+            if used[i]:
+                xi[i, sl] = xi_term(term_zxy[i], rows)
     return xi
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "KernelSpec",
     "gram",
     "cross_gram",
+    "joint_kernel",
     "sigma_heuristic",
 ]
 
@@ -47,6 +48,11 @@ class KernelSpec:
             if self.sigma is None or not 0 < self.sigma < np.inf:
                 raise ValueError(f"{self.kind} kernel requires a finite sigma > 0")
 
+    @property
+    def joint_splits(self) -> bool:
+        """Whether the kernel on z = [x, y] follows from its x and y values (joint_kernel)."""
+        return self.kind != "sam"
+
 
 def _sam_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Clamped cosine matrix between the rows of a and b, zero-norm convention."""
@@ -66,19 +72,35 @@ def _sam_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(cos, -1.0, 1.0)
 
 
-def _eval_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
+def _eval_into(a: np.ndarray, b: np.ndarray, spec: KernelSpec, out: np.ndarray,
+               work: np.ndarray | None) -> np.ndarray:
+    """Kernel values between the rows of a and b, written into out; rbf uses work for its GEMM.
+
+    rbf keeps one operation order, so every caller gets the same bits: the
+    outer sum of squared norms (addition commutes exactly), minus 2 a.b,
+    clamped at 0, divided by -2 sigma^2, then exp. Scaling by 2 is exact,
+    so it goes on the smaller operand b. A Gram matrix's a @ a.T runs as a
+    symmetric rank-k update, whose bits differ from a GEMM's, so there the
+    product itself is doubled.
+    """
     if spec.kind == "linear":
-        return a @ b.T
+        return np.matmul(a, b.T, out=out)
     if spec.kind == "rbf":
-        sq = (
-            np.einsum("ij,ij->i", a, a)[:, None]
-            + np.einsum("ij,ij->i", b, b)[None, :]
-            - 2.0 * (a @ b.T)
-        )
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-sq / (2.0 * spec.sigma**2))
+        # a broadcast copy and then an add run faster than one two-way broadcast add
+        out[...] = np.einsum("ij,ij->i", b, b)
+        out += np.einsum("ij,ij->i", a, a)[:, None]
+        if work is None:
+            work = np.empty_like(out)
+        if a is b:
+            twice_ab = np.multiply(np.matmul(a, a.T, out=work), 2.0, out=work)
+        else:
+            twice_ab = np.matmul(a, (2.0 * b).T, out=work)
+        np.subtract(out, twice_ab, out=out)
+        np.maximum(out, 0.0, out=out)
+        np.divide(out, -2.0 * spec.sigma**2, out=out)
+        return np.exp(out, out=out)
     angles = np.arccos(_sam_cosines(a, b))
-    return np.exp(-(angles**2) / (2.0 * spec.sigma**2))
+    return np.exp(-(angles**2) / (2.0 * spec.sigma**2), out=out)
 
 
 def gram(rows: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -86,18 +108,47 @@ def gram(rows: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
     For rbf and sam the diagonal is pinned to exactly 1.
     """
-    k = _eval_matrix(rows, rows, spec)
-    k = (k + k.T) / 2.0
+    n = rows.shape[0]
+    k, work = np.empty((n, n)), np.empty((n, n))
+    _eval_into(rows, rows, spec, k, work)
+    k = np.divide(np.add(k, k.T, out=work), 2.0, out=work)  # (k + k.T) / 2 in the spare block
     if spec.kind != "linear":
         np.fill_diagonal(k, 1.0)
     return k
 
 
-def cross_gram(train: np.ndarray, probes: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """(m, n) kernel values between probe and training rows, both finite 2-d float64."""
+def cross_gram(
+    train: np.ndarray,
+    probes: np.ndarray,
+    spec: KernelSpec,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """(m, n) kernel values between probe and training rows, both finite 2-d float64.
+
+    The values are written into out when given, a C-contiguous (m, n)
+    float64 array, and out is returned. An rbf evaluation also needs a
+    second such array for its GEMM: work when given, else a fresh one.
+    """
     if probes.shape[1] != train.shape[1]:
         raise ValueError("dimension mismatch between probes and training rows")
-    return _eval_matrix(probes, train, spec)
+    if out is None:
+        out = np.empty((probes.shape[0], train.shape[0]))
+    return _eval_into(probes, train, spec, out, work)
+
+
+def joint_kernel(k_x: np.ndarray, k_y: np.ndarray, spec: KernelSpec,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Kernel values on stacked rows z = [x, y] from the values on x and on y.
+
+    rbf: exp(-(|dx|^2 + |dy|^2) / (2 sigma^2)) = k_x * k_y, for one sigma;
+    linear: z.z' = x.x' + y.y', so k_x + k_y. The sam angle does not split
+    over x and y, so a sam kernel on z is evaluated on z itself.
+    """
+    if not spec.joint_splits:
+        raise ValueError("the sam kernel on z is not a function of its x and y values")
+    combine = np.multiply if spec.kind == "rbf" else np.add
+    return combine(k_x, k_y, out=out)
 
 
 def sigma_heuristic(rows: np.ndarray, *, seed: int = 0) -> float:

@@ -144,7 +144,9 @@ def standardize_apply(m: np.ndarray, s: BandStats) -> np.ndarray:
     if m.shape[1] != s.d:
         raise ValueError(f"dimension mismatch: matrix has {m.shape[1]} columns, "
                          f"stats have {s.d}")
-    return (m - s.mean) / s.std
+    out = m - s.mean
+    out /= s.std
+    return out
 
 
 def sample_pixels(n_total: int, k: int, seed: int) -> np.ndarray:

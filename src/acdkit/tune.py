@@ -12,14 +12,14 @@ regularizer lambda. Default grids:
 Training pixels are drawn from non-anomalous positions only; validation
 pixels are drawn from the remainder and keep both classes. Neither the
 fit nor the validation xi depends on nu, so nu is swept over cached xi
-values. In kernel mode neither the Gram matrix nor the validation
-cross-kernel depends on lambda either: per sigma and term the search
-eigendecomposes the Gram matrix once and gets the validation xi of every
-lambda from one projection (detectors.xi_kernel_path), instead of
-refitting per (sigma, lambda). Linear mode fits once. Each AUC is
-counted by metrics.auc_score without building a ROC curve, so either way
-each trace AUC equals, bit for bit, roc_curve's validation AUC of a refit
-at its point.
+values. In kernel mode neither the Gram matrices nor the validation
+probe kernels depend on lambda either: per sigma the search
+eigendecomposes each used term's Gram matrix once and gets the validation
+xi of every lambda from one pass of the scoring chunk loop
+(detectors.xi_kernel_path), instead of refitting per (sigma, lambda).
+Linear mode fits once. Each AUC is counted by metrics.auc_score without
+building a ROC curve, so either way each trace AUC equals, bit for bit,
+roc_curve's validation AUC of a refit at its point.
 
 `default_grid` fills exactly the axes a config exposes, and `grid_search`
 rejects a grid that fills any other.
@@ -43,7 +43,7 @@ from .detectors import (
 )
 from .kernels import sigma_heuristic
 from .metrics import DegenerateLabelsError, auc_score
-from .raster import as_pixel_matrix, sample_pixels, stack_pair, standardize_apply
+from .raster import as_pixel_matrix, sample_pixels
 
 __all__ = [
     "TuneGrid",
@@ -213,14 +213,10 @@ def grid_search(
     x_val, y_val = x[val_idx], y[val_idx]
     val_labels = (np.asarray(labels).ravel() > 0).astype(np.int64)[val_idx]
 
-    if config.mode == "kernel":
-        stats_x, stats_y, xs, ys, zs = standardized_training(x_tr, y_tr)
-        xvs = standardize_apply(x_val, stats_x)
-        yvs = standardize_apply(y_val, stats_y)
-        term_rows = ((zs, stack_pair(xvs, yvs)), (xs, xvs), (ys, yvs))
     if grid is None:
-        has_sigma = _exposed_axes(config)[1]  # only in kernel mode, where zs exists
-        grid = default_grid(config, sigma_heuristic(zs) if has_sigma else None)
+        has_sigma = _exposed_axes(config)[1]
+        anchor = sigma_heuristic(standardized_training(x_tr, y_tr)[4]) if has_sigma else None
+        grid = default_grid(config, anchor)
 
     nu_values = list(grid.nu_grid) if grid.nu_grid.size else [None]
     sigma_values = list(grid.sigma_grid) if grid.sigma_grid.size else [None]
@@ -233,9 +229,7 @@ def grid_search(
         sigma_config = with_params(config, sigma=sigma)
         lams = [kernel_lambda(with_params(sigma_config, lam=lam), n_train)
                 for lam in lambda_values]
-        xi_z, xi_x, xi_y = (xi_kernel_path(train, val, sigma_config.kernel, lams)
-                            for train, val in term_rows)
-        return list(zip(xi_z, xi_x, xi_y))
+        return xi_kernel_path(x_tr, y_tr, x_val, y_val, sigma_config, lams)
 
     # nu only affects the score combination, so it is swept over the cached
     # xi triplets of each (sigma, lambda). Gaussian scores take no nu at all.

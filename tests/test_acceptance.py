@@ -22,15 +22,13 @@ from acdkit.detectors import (
     DetectorConfig,
     combine_xi,
     fit,
-    fit_kernel_term,
     score_pixels,
     xi_pixels,
-    xi_term,
 )
 from acdkit.io_formats import load_model, save_model, write_raster
 from acdkit.kernels import KernelSpec
 from acdkit.metrics import roc_curve
-from acdkit.raster import ImageCube, flatten, sample_pixels
+from acdkit.raster import ImageCube, flatten, sample_pixels, standardize_apply
 from acdkit.simulate import pervasive_noise, scramble_anomalies
 from acdkit.tune import NU_RANGE, _log_grid, anchor_sigma, default_grid
 
@@ -83,14 +81,16 @@ def test_1_rx_rank_equivalence():
 def test_2_linear_kernel_reduction():
     t0 = time.time()
     rng = np.random.default_rng(300)
-    train = rng.normal(size=(200, 5)) + 0.5  # uncentered, full rank
-    term = fit_kernel_term(train, KernelSpec("linear"), lam=1e-10)
-    gram_inv = np.linalg.inv(train.T @ train)
+    train = rng.normal(size=(200, 5)) + 0.5  # full rank
+    cfg = DetectorConfig(mode="kernel", kernel=KernelSpec("linear"), lam=1e-10)
+    det = fit(train, rng.normal(size=(200, 2)), cfg)
+    xs = det.term_x.train  # the x term's standardized training rows X
+    gram_inv = np.linalg.inv(xs.T @ xs)
     probes = rng.normal(size=(100, 5))
-    for v in probes:
+    got = xi_pixels(det, probes, rng.normal(size=(100, 2)))[1]
+    for v, xi in zip(standardize_apply(probes, det.band_stats_x), got):
         expected = v @ gram_inv @ v
-        got = xi_term(term, v[None])[0]
-        assert abs(got - expected) / abs(expected) < 1e-4
+        assert abs(xi - expected) / abs(expected) < 1e-4
     elapsed = time.time() - t0
     assert elapsed < 5.0
     report(2, f"dual form matches v(X^T X)^-1 v on 100 probes ({elapsed:.1f}s)")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +395,29 @@ def test_score_rejects_model_whose_config_and_terms_disagree(scene, capsys, edit
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: corrupt model: ") and message in err and err.count("\n") == 1
+    assert not (d / "s.bin").exists()
+
+
+def test_score_rejects_model_whose_z_rows_are_not_x_and_y(scene, capsys):
+    # a kernel model builds k_z from k_x and k_y, which holds only while term z's
+    # training rows are exactly [term x rows | term y rows]
+    d = scene["dir"]
+    model = d / "m"
+    assert main(["fit", "--x", str(scene["x"]), "--y", str(scene["y"]), "--mode", "kernel",
+                 "--sigma", "0.7", "--train-samples", "80", "--model-out", str(model)]) == 0
+    z = np.frombuffer((model / "term_z_train.bin").read_bytes(), dtype="<f8").copy()
+    z[5] = np.nextafter(z[5], np.inf)
+    (model / "term_z_train.bin").write_bytes(z.tobytes())
+    manifest = json.loads((model / "manifest.json").read_text())
+    manifest["terms"]["z"]["train"]["crc32"] = zlib.crc32(z.tobytes())  # a consistent edit
+    (model / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = main(["score", "--model", str(model), "--x", str(scene["x"]), "--y", str(scene["y"]),
+               "--out", str(d / "s.bin")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: corrupt model: ") and "side by side" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not (d / "s.bin").exists()
 
 

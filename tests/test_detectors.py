@@ -16,16 +16,16 @@ from acdkit.detectors import (
     LinearTerm,
     combine_xi,
     fit,
-    fit_kernel_term,
     score_pixels,
     with_params,
+    standardized_training,
     xi_kernel_path,
     xi_pixels,
     xi_term,
 )
 from acdkit.kernels import KernelSpec, cross_gram, gram
 from acdkit.linalg import covariance, inverse_weights, spd_factorize
-from acdkit.raster import stack_pair, standardize_apply
+from acdkit.raster import standardize_apply
 from acdkit.tune import default_grid
 
 from conftest import correlated_pair
@@ -82,6 +82,11 @@ def test_detector_terms_must_match_config():
         replace(det, term_x=fit(x[:30], y[:30], kernel_config(lam=1e-3)).term_x)
     with pytest.raises(ValueError, match="config mode 'kernel' needs kernel terms"):
         replace(fit(x, y, DetectorConfig()), config=kernel_config())
+    # k_z is built from k_x and k_y, so term z must hold exactly their rows
+    z_train = np.array(det.term_z.train)
+    z_train[3, 0] = np.nextafter(z_train[3, 0], np.inf)
+    with pytest.raises(ValueError, match="x and y training rows side by side"):
+        replace(det, term_z=replace(det.term_z, train=z_train))
 
 
 @pytest.mark.parametrize("nu", [-3.0, 0.0, 4.0])
@@ -166,29 +171,52 @@ def test_xi_linear_matches_explicit_inverse(rng):
 
 
 def test_xi_kernel_linear_reduction(rng):
-    # uncentered full-rank data, linear kernel, negligible regularizer
-    train = rng.normal(size=(200, 5)) + 1.0
-    term = fit_kernel_term(train, KernelSpec("linear"), lam=1e-10)
-    direct = np.linalg.inv(train.T @ train)
-    for _ in range(10):
-        v = rng.normal(size=5)
-        expected = v @ direct @ v
-        assert xi_term(term, v[None])[0] == pytest.approx(expected, rel=1e-4)
+    # full-rank data, linear kernel, negligible regularizer: each term's dual
+    # form is v (V^T V)^-1 v over the standardized rows V it was fit on, and
+    # z's, whose kernel is k_x + k_y, over the stacked rows [X | Y]
+    x, y = rng.normal(size=(200, 5)) + 1.0, rng.normal(size=(200, 2))
+    det = fit(x, y, kernel_config(kernel=KernelSpec("linear"), lam=1e-10))
+    px, py = rng.normal(size=(10, 5)), rng.normal(size=(10, 2))
+    xi = xi_pixels(det, px, py)
+    pxs = standardize_apply(px, det.band_stats_x)
+    pys = standardize_apply(py, det.band_stats_y)
+    for row, term, v in ((0, det.term_z, np.hstack([pxs, pys])), (1, det.term_x, pxs),
+                         (2, det.term_y, pys)):
+        expected = np.einsum("ij,jk,ik->i", v, np.linalg.inv(term.train.T @ term.train), v)
+        np.testing.assert_allclose(xi[row], expected, rtol=1e-4)
 
 
 def test_xi_kernel_training_row_bounded(rng):
-    train = rng.normal(size=(40, 3))
-    term = fit_kernel_term(train, KernelSpec("rbf", 1.5), lam=1e-6)
-    for i in (0, 7, 39):
-        assert xi_term(term, train[i][None])[0] <= 1.0 + 1e-9
+    x, y = rng.normal(size=(40, 3)), rng.normal(size=(40, 2))
+    det = fit(x, y, kernel_config(kernel=KernelSpec("rbf", 1.5), lam=1e-6))
+    rows = [0, 7, 39]
+    assert np.all(xi_pixels(det, x[rows], y[rows]) <= 1.0 + 1e-9)
 
 
 def test_xi_kernel_nonnegative(rng):
-    train = rng.normal(size=(60, 4))
-    term = fit_kernel_term(train, KernelSpec("rbf", 0.8), lam=1e-8)
-    probes = rng.normal(size=(100, 4)) * 3
-    for v in probes:
-        assert xi_term(term, v[None])[0] >= 0.0
+    x, y = rng.normal(size=(60, 4)), rng.normal(size=(60, 2))
+    det = fit(x, y, kernel_config(kernel=KernelSpec("rbf", 0.8), lam=1e-8))
+    xi = xi_pixels(det, rng.normal(size=(100, 4)) * 3, rng.normal(size=(100, 2)) * 3)
+    assert np.all(xi >= 0.0)
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "ec"])
+@pytest.mark.parametrize("mode", ["linear", "kernel"])
+def test_scores_read_only_the_terms_they_use(mode, distribution):
+    # rx, xy and yx skip the unused terms, and score the bytes that combining
+    # all three terms (as hacd computes them) gives
+    x, y = correlated_pair(300, 3, seed=17)
+    kw = {"distribution": distribution, "nu": 2.0 if distribution == "ec" else None,
+          "mode": mode, "kernel": KernelSpec("rbf", 2.0) if mode == "kernel" else None}
+    all_terms = xi_pixels(fit(x[:100], y[:100], DetectorConfig(**kw)), x, y)
+    for name in ("rx", "xy", "yx"):
+        beta_x, beta_y = DETECTOR_BETAS[name]
+        cfg = DetectorConfig(beta_x=beta_x, beta_y=beta_y, **kw)
+        det = fit(x[:100], y[:100], cfg)
+        xi = xi_pixels(det, x, y)
+        assert [np.any(row != 0) for row in xi] == [True, bool(beta_x), bool(beta_y)]
+        expected = combine_xi(*all_terms, cfg, 3, 3)
+        assert score_pixels(det, x, y).tobytes() == expected.tobytes()
 
 
 def gaussian_scores(xi_z, xi_x, xi_y, beta_x, beta_y):
@@ -332,17 +360,12 @@ def test_xi_kernel_path_matches_cholesky_fit(spec):
     x, y = correlated_pair(280, 3, seed=21)
     x_tr, y_tr, x_pr, y_pr = x[:80], y[:80], x[80:], y[80:]
     lams = default_grid(kernel_config(), heuristic_sigma=1.0).lambda_grid
-    det = fit(x_tr, y_tr, kernel_config(kernel=spec))
-    xs = standardize_apply(x_pr, det.band_stats_x)
-    ys = standardize_apply(y_pr, det.band_stats_y)
-    probes = {"x": xs, "y": ys, "z": stack_pair(xs, ys)}
-    paths = {name: xi_kernel_path(getattr(det, f"term_{name}").train, rows, spec, lams)
-             for name, rows in probes.items()}
+    path = xi_kernel_path(x_tr, y_tr, x_pr, y_pr, kernel_config(kernel=spec), lams)
     for i, lam in enumerate(lams):
         det = fit(x_tr, y_tr, kernel_config(kernel=spec, lam=lam))
-        for name, rows in probes.items():
-            expected = xi_term(getattr(det, f"term_{name}"), rows)
-            np.testing.assert_array_equal(paths[name][i], expected)
+        expected = xi_pixels(det, x_pr, y_pr)
+        for name, row in (("z", 0), ("x", 1), ("y", 2)):
+            np.testing.assert_array_equal(path[i, row], expected[row], err_msg=name)
 
 
 def cholesky_xi(train, probes, spec, lam):
@@ -356,21 +379,15 @@ def cholesky_xi(train, probes, spec, lam):
     return np.einsum("ij,ij->j", w, w)
 
 
-def test_xi_kernel_path_matches_high_precision_reference():
-    # 50-digit k_v (K K + lambda I)^-1 k_v^T from the same float64 rows.
-    rng = np.random.default_rng(5)
-    rows = rng.normal(size=(44, 3))
-    train, probes = rows[:40], rows[40:]
-    sigma = 1.5
-    spec = KernelSpec("rbf", sigma)
-
+def rbf_xi_reference(train, probes, sigma, lams, dps=50):
+    """(len(lams), m) k_v (K K + lambda I)^-1 k_v^T at dps digits from the same float64 rows,
+    with the rbf kernel evaluated on the rows as given."""
     def k(a, b):
         sq = mpmath.fsum((mpmath.mpf(float(p)) - mpmath.mpf(float(q))) ** 2
                          for p, q in zip(a, b))
         return mpmath.exp(-sq / (2 * mpmath.mpf(sigma) ** 2))
 
-    lams = [1e-10, 1e-6]
-    with mpmath.workdps(50):
+    with mpmath.workdps(dps):
         gram_mp = mpmath.matrix([[k(a, b) for b in train] for a in train])
         gram_sq = gram_mp * gram_mp
         k_rows = [mpmath.matrix([k(v, b) for b in train]) for v in probes]
@@ -378,13 +395,44 @@ def test_xi_kernel_path_matches_high_precision_reference():
         for lam in lams:
             system = gram_sq + mpmath.mpf(lam) * mpmath.eye(len(train))
             refs.append([float((kv.T * mpmath.lu_solve(system, kv))[0]) for kv in k_rows])
-    path = xi_kernel_path(train, probes, spec, lams)
-    for i, (lam, ref) in enumerate(zip(lams, np.array(refs))):
-        path_err = np.max(np.abs(path[i] / ref - 1))
+    return np.array(refs)
+
+
+def rbf_path_and_standardized_rows(sigma, lams):
+    """xi_kernel_path of an rbf HACD fit on 40 of 44 random rows, and the standardized
+    (z, x) training and probe rows its terms see."""
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(44, 3)), rng.normal(size=(44, 2))
+    config = kernel_config(kernel=KernelSpec("rbf", sigma))
+    path = xi_kernel_path(x[:40], y[:40], x[40:], y[40:], config, lams)
+    stats_x, stats_y, xs, _, zs = standardized_training(x[:40], y[:40])
+    pxs = standardize_apply(x[40:], stats_x)
+    zps = np.hstack([pxs, standardize_apply(y[40:], stats_y)])
+    return path, {"z": (zs, zps), "x": (xs, pxs)}
+
+
+def test_xi_kernel_path_matches_high_precision_reference():
+    # 50-digit k_v (K K + lambda I)^-1 k_v^T of the x term from the same float64 rows.
+    sigma, lams = 1.5, [1e-10, 1e-6]
+    path, rows = rbf_path_and_standardized_rows(sigma, lams)
+    train, probes = rows["x"]
+    refs = rbf_xi_reference(train, probes, sigma, lams)
+    for i, (lam, ref) in enumerate(zip(lams, refs)):
+        path_err = np.max(np.abs(path[i, 1] / ref - 1))
         assert path_err <= 1e-8
         if lam == 1e-10:
-            chol = cholesky_xi(train, probes, spec, lam)
+            chol = cholesky_xi(train, probes, KernelSpec("rbf", sigma), lam)
             assert path_err < np.max(np.abs(chol / ref - 1))
+
+
+def test_product_form_z_term_matches_high_precision_reference():
+    # The z term builds k_z = k_x * k_y, in K_z and in the probe kernel; the
+    # 50-digit reference evaluates exp(-|z - z'|^2 / (2 sigma^2)) on the stacked rows.
+    sigma, lams = 1.5, [1e-10, 1e-6]
+    path, rows = rbf_path_and_standardized_rows(sigma, lams)
+    refs = rbf_xi_reference(*rows["z"], sigma, lams)
+    for i, ref in enumerate(refs):
+        assert np.max(np.abs(path[i, 0] / ref - 1)) <= 1e-8
 
 
 @pytest.mark.parametrize("ridge", [1e-10, 1e-6, 1.0])
@@ -400,11 +448,12 @@ def test_xi_terms_match_high_precision_reference(ridge):
     mean = train.mean(axis=0)
     c = covariance(train, mean)
     sigma = 1.5
-
-    def k(a, b):
-        sq = mpmath.fsum((mpmath.mpf(float(p)) - mpmath.mpf(float(q))) ** 2
-                         for p, q in zip(a, b))
-        return mpmath.exp(-sq / (2 * mpmath.mpf(sigma) ** 2))
+    # the kernel term is the x term of a fit on (rows, y), over standardized rows
+    y = rng.normal(size=(44, 2))
+    kernel = xi_kernel_path(train, y[:40], probes, y[40:],
+                            kernel_config(kernel=KernelSpec("rbf", sigma)), [ridge])[0, 1]
+    stats_x, _, k_train, _, _ = standardized_training(train, y[:40])
+    k_probes = standardize_apply(probes, stats_x)
 
     with mpmath.workdps(60):
         eye = mpmath.eye(3)
@@ -415,25 +464,21 @@ def test_xi_terms_match_high_precision_reference(ridge):
             dv = mpmath.matrix([mpmath.mpf(float(a)) - mpmath.mpf(float(b))
                                 for a, b in zip(v, mean)])
             linear_ref.append(float((dv.T * mpmath.lu_solve(c_mp, dv))[0]))
-        gram_mp = mpmath.matrix([[k(a, b) for b in train] for a in train])
-        system = gram_mp * gram_mp + mpmath.mpf(ridge) * mpmath.eye(len(train))
-        kernel_ref = []
-        for v in probes:
-            kv = mpmath.matrix([k(v, b) for b in train])
-            kernel_ref.append(float((kv.T * mpmath.lu_solve(system, kv))[0]))
+    kernel_ref = rbf_xi_reference(k_train, k_probes, sigma, [ridge], dps=60)[0]
 
     linear = xi_term(linear_term(c, mean, ridge), probes)
-    kernel = xi_term(fit_kernel_term(train, KernelSpec("rbf", sigma), ridge), probes)
     cond = np.linalg.cond(c + ridge * np.eye(3))
     assert np.max(np.abs(linear / np.array(linear_ref) - 1)) <= 16 * cond * np.finfo(float).eps
     assert np.max(np.abs(kernel / np.array(kernel_ref) - 1)) <= 1e-8
 
 
 def test_xi_kernel_path_rejects_bad_lambdas(rng):
-    train = rng.normal(size=(10, 2))
+    x, y = rng.normal(size=(10, 2)), rng.normal(size=(10, 2))
     for lams in ([1e-3, 0.0], [-1.0], [[1e-3]]):
-        with pytest.raises(ValueError):
-            xi_kernel_path(train, train, KernelSpec("rbf", 1.0), lams)
+        with pytest.raises(ValueError, match="lams"):
+            xi_kernel_path(x, y, x, y, kernel_config(kernel=KernelSpec("rbf", 1.0)), lams)
+    with pytest.raises(ValueError, match="kernel-mode config"):
+        xi_kernel_path(x, y, x, y, DetectorConfig(), [1e-3])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -445,15 +490,17 @@ def test_xi_kernel_path_rejects_bad_lambdas(rng):
 )
 def test_xi_kernel_path_nonnegative_and_nonincreasing(data, kind, sigma, lams):
     # Values on a 0.2 grid: exact ties and zero rows occur, underflow does not.
-    d = data.draw(st.integers(1, 4))
-    def rows(n):
+    d_x, d_y = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    def rows(n, d):
         return arrays(np.float64, (n, d), elements=st.integers(-50, 50).map(lambda v: v / 5))
-    train = data.draw(rows(data.draw(st.integers(1, 12))))
-    probes = data.draw(rows(data.draw(st.integers(1, 6))))
-    xi = xi_kernel_path(train, probes, KernelSpec(kind, sigma), lams)
-    assert xi.shape == (len(lams), probes.shape[0])
+    n_train, n_probe = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 6))
+    x_train, y_train = data.draw(rows(n_train, d_x)), data.draw(rows(n_train, d_y))
+    x, y = data.draw(rows(n_probe, d_x)), data.draw(rows(n_probe, d_y))
+    xi = xi_kernel_path(x_train, y_train, x, y, kernel_config(kernel=KernelSpec(kind, sigma)),
+                        lams)
+    assert xi.shape == (len(lams), 3, n_probe)
     assert np.all(xi >= 0)
     # Each xi is a sum of n nonnegative terms whose weights fall as lambda
     # grows; summation order may differ between lambdas, so allow n roundings.
-    slack = 1 + train.shape[0] * np.finfo(np.float64).eps
+    slack = 1 + n_train * np.finfo(np.float64).eps
     assert np.all(xi[1:] <= xi[:-1] * slack)

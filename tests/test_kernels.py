@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from acdkit.kernels import KernelSpec, cross_gram, gram, sigma_heuristic
+from acdkit.kernels import (
+    KernelSpec,
+    _sam_cosines,
+    cross_gram,
+    gram,
+    joint_kernel,
+    sigma_heuristic,
+)
 
 
 def kernel_value(spec, a, b):
@@ -107,6 +114,54 @@ def test_cross_row_linear_is_matvec(rng):
 def test_cross_gram_dimension_mismatch(rng):
     with pytest.raises(ValueError):
         cross_gram(rng.normal(size=(5, 3)), rng.normal(size=(2, 4)), KernelSpec("linear"))
+
+
+def allocating_kernel(a, b, spec):
+    """The kernel expression as evaluated before it wrote into a caller's buffer."""
+    if spec.kind == "linear":
+        return a @ b.T
+    if spec.kind == "rbf":
+        sq = (
+            np.einsum("ij,ij->i", a, a)[:, None]
+            + np.einsum("ij,ij->i", b, b)[None, :]
+            - 2.0 * (a @ b.T)
+        )
+        np.maximum(sq, 0.0, out=sq)
+        return np.exp(-sq / (2.0 * spec.sigma**2))
+    angles = np.arccos(_sam_cosines(a, b))
+    return np.exp(-(angles**2) / (2.0 * spec.sigma**2))
+
+
+@pytest.mark.parametrize("spec", [KernelSpec("rbf", 1.7), KernelSpec("linear"),
+                                  KernelSpec("sam", 0.9)], ids=lambda s: s.kind)
+@pytest.mark.parametrize("n, m, d", [(40, 7, 3), (300, 1024, 8), (500, 700, 16)])
+def test_in_place_kernels_keep_the_allocating_bits(spec, n, m, d):
+    # a Gram matrix's a @ a.T runs as a symmetric rank-k update, so gram keeps
+    # its own product; both must give exactly the bits of the allocating form
+    rng = np.random.default_rng(n + m + d)
+    train, probes = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    expected = allocating_kernel(probes, train, spec).tobytes()
+    out, work = np.full((2, m, n), np.nan)
+    assert cross_gram(train, probes, spec, out=out, work=work) is out
+    assert out.tobytes() == expected
+    assert cross_gram(train, probes, spec).tobytes() == expected
+    k = allocating_kernel(train, train, spec)
+    k = (k + k.T) / 2.0
+    if spec.kind != "linear":
+        np.fill_diagonal(k, 1.0)
+    assert gram(train, spec).tobytes() == k.tobytes()
+
+
+def test_joint_kernel_matches_kernel_on_stacked_rows(rng):
+    x, y = rng.normal(size=(30, 3)), rng.normal(size=(30, 2))
+    px, py = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+    for spec in (KernelSpec("rbf", 1.3), KernelSpec("linear")):
+        k_z = joint_kernel(cross_gram(x, px, spec), cross_gram(y, py, spec), spec)
+        direct = cross_gram(np.hstack([x, y]), np.hstack([px, py]), spec)
+        np.testing.assert_allclose(k_z, direct, rtol=1e-13, atol=1e-15)
+    assert not KernelSpec("sam", 1.0).joint_splits
+    with pytest.raises(ValueError, match="sam"):
+        joint_kernel(np.ones((2, 2)), np.ones((2, 2)), KernelSpec("sam", 1.0))
 
 
 @pytest.mark.parametrize("kind,sigma", [("linear", None), ("rbf", 1.0), ("sam", 0.8)])

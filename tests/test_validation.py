@@ -85,9 +85,11 @@ def test_grid_search_validates_x_and_y_once(monkeypatch, config, grid):
 SCORING_MEMORY_CASES = {
     # no copy of the (200000, 8) float64 x
     "linear": (200_000, 1000, DetectorConfig(), 200_000 * 8 * 8),
-    # four chunks; at most four (_SCORE_CHUNK, n_train) float64 probe-kernel blocks
+    # four chunks; three reused (_SCORE_CHUNK, n_train) float64 blocks, the (3, n) xi,
+    # and three chunk-sized copies of the 16 input bands: the standardized x and y rows
+    # and numpy's ufunc buffers
     "kernel": (4 * _SCORE_CHUNK, 300, DetectorConfig(mode="kernel", kernel=KernelSpec("rbf", 2.0)),
-               4 * _SCORE_CHUNK * 300 * 8),
+               3 * _SCORE_CHUNK * 300 * 8 + 3 * 4 * _SCORE_CHUNK * 8 + 3 * _SCORE_CHUNK * 16 * 8),
 }
 
 
