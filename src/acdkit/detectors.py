@@ -42,10 +42,6 @@ again: k_x * k_y for rbf (one sigma) and k_x + k_y for the linear kernel.
 The sam kernel is evaluated on the stacked rows themselves. So term_z's
 training rows are always [term_x.train | term_y.train], bit for bit.
 
-A score reads only the terms its family member uses: rx needs z alone, xy
-z and x, yx z and y. The others are neither projected nor squared, and
-their xi rows are 0.
-
 Inputs are z-score standardized per band with statistics fit on the
 training pixels; Gram matrices are not centered in feature space.
 """
@@ -223,11 +219,6 @@ class FittedDetector:
                 raise ValueError("kernel term z must hold the x and y training rows side by side")
 
 
-def _used_terms(config: DetectorConfig) -> tuple[bool, bool, bool]:
-    """Whether a score reads the (z, x, y) terms: z always, x and y per their beta flag."""
-    return True, config.beta_x == 1, config.beta_y == 1
-
-
 def _fit_linear_term(rows: np.ndarray) -> LinearTerm:
     mean = rows.mean(axis=0)
     eig = spd_factorize(covariance(rows, mean))
@@ -235,16 +226,15 @@ def _fit_linear_term(rows: np.ndarray) -> LinearTerm:
                       weights=inverse_weights(eig.values, eig.ridge), ridge=eig.ridge)
 
 
-def _kernel_eigens(xs: np.ndarray, ys: np.ndarray, spec: KernelSpec,
-                   used=(True, True, True)) -> tuple:
-    """eigh of the Gram matrices (K_z, K_x, K_y) of standardized rows; None for an unused term.
+def _kernel_eigens(xs: np.ndarray, ys: np.ndarray, spec: KernelSpec) -> tuple:
+    """eigh of the Gram matrices (K_z, K_x, K_y) of standardized rows.
 
     K_z follows the joint rule. It is built in place of K_x once K_x and
     K_y are factorized, so no more than two n x n Gram matrices are held.
     """
     k_x, k_y = gram(xs, spec), gram(ys, spec)
-    eig_x = spd_factorize(k_x, ridge_scale=0.0) if used[1] else None
-    eig_y = spd_factorize(k_y, ridge_scale=0.0) if used[2] else None
+    eig_x = spd_factorize(k_x, ridge_scale=0.0)
+    eig_y = spd_factorize(k_y, ridge_scale=0.0)
     k_z = joint_kernel(k_x, k_y, spec, out=k_x) if spec.joint_splits else None
     del k_x, k_y
     if k_z is None:
@@ -335,33 +325,29 @@ def _kernel_xi(terms, stats_x: BandStats, stats_y: BandStats, spec: KernelSpec,
     """Kernel xi of the probe pairs (x, y) in _SCORE_CHUNK chunks, as a (w, 3, m) array.
 
     terms gives (train, basis, weights) for the z, x and y terms, weights
-    being a list of w weight vectors; a term whose basis is None is
-    skipped and its rows stay 0. Per chunk, k_x and k_y are evaluated into
-    two reused blocks, each used term is projected into the third, and k_z
+    being a list of w weight vectors. Per chunk, k_x and k_y are evaluated
+    into two reused blocks, each term is projected into the third, and k_z
     is built in place of k_x (or evaluated on z, for sam).
     """
     (z_train, z_basis, z_w), (x_train, x_basis, x_w), (y_train, y_basis, y_w) = terms
     m = x.shape[0]
-    xi = np.zeros((len(z_w), 3, m))
+    xi = np.empty((len(z_w), 3, m))
     blocks = np.empty((3, min(m, _SCORE_CHUNK), z_train.shape[0]))
-    split = spec.joint_splits
     for start in range(0, m, _SCORE_CHUNK):
         sl = slice(start, min(start + _SCORE_CHUNK, m))
         k_x, k_y, proj = blocks[:, : sl.stop - start]
         xs = standardize_apply(x[sl], stats_x)
         ys = standardize_apply(y[sl], stats_y)
-        if split or x_basis is not None:
-            k_x = cross_gram(x_train, xs, spec, out=k_x, work=proj)
-        if split or y_basis is not None:
-            k_y = cross_gram(y_train, ys, spec, out=k_y, work=proj)
-        for i, k, basis, weights in ((1, k_x, x_basis, x_w), (2, k_y, y_basis, y_w)):
-            if basis is not None:
-                xi[:, i, sl] = mahalanobis_batch(np.matmul(k, basis, out=proj), weights)
-        if split:
+        k_x = cross_gram(x_train, xs, spec, out=k_x, work=proj)
+        k_y = cross_gram(y_train, ys, spec, out=k_y, work=proj)
+        xi[:, 1, sl] = mahalanobis_batch(np.matmul(k_x, x_basis, out=proj), x_w)
+        xi[:, 2, sl] = mahalanobis_batch(np.matmul(k_y, y_basis, out=proj), y_w)
+        if spec.joint_splits:
             k_z = joint_kernel(k_x, k_y, spec, out=k_x)
         else:
             k_z = cross_gram(z_train, stack_pair(xs, ys), spec, out=k_x, work=proj)
         xi[:, 0, sl] = mahalanobis_batch(np.matmul(k_z, z_basis, out=proj), z_w)
+        del xs, ys  # so the next chunk's rows do not coexist with these
     return xi
 
 
@@ -378,7 +364,7 @@ def xi_kernel_path(
     Takes finite 2-d float64 rows and a kernel-mode config. Returns a
     (len(lams), 3, m) array whose entry i equals, bit for bit,
     xi_pixels(fit(x_train, y_train, with_params(config, lam=lams[i])), x, y):
-    the same Gram matrices and chunk loop, with each used term's K
+    the same Gram matrices and chunk loop, with each term's K
     eigendecomposed once and each probe block projected and squared once
     for all lambdas.
     """
@@ -387,16 +373,18 @@ def xi_kernel_path(
     lams = np.asarray(lams, dtype=np.float64)
     if lams.ndim != 1 or not np.all(lams > 0):
         raise ValueError("lams must be a 1-d array of positive values")
-    stats_x, stats_y, xs, ys, zs = standardized_training(x_train, y_train)
+    stats_x, stats_y, xs, ys, _ = standardized_training(x_train, y_train)
+    return _kernel_xi_path(xs, ys, stats_x, stats_y, config.kernel, x, y, lams)
+
+
+def _kernel_xi_path(xs: np.ndarray, ys: np.ndarray, stats_x: BandStats, stats_y: BandStats,
+                    spec: KernelSpec, x: np.ndarray, y: np.ndarray, lams) -> np.ndarray:
+    """xi_kernel_path from the training rows as standardized by stats_x and stats_y."""
     terms = []
-    eigs = _kernel_eigens(xs, ys, config.kernel, _used_terms(config))
-    for train, eig in zip((zs, xs, ys), eigs):
-        if eig is None:
-            terms.append((train, None, []))
-            continue
+    for train, eig in zip((stack_pair(xs, ys), xs, ys), _kernel_eigens(xs, ys, spec)):
         spectrum = eig.values * eig.values
         terms.append((train, eig.basis, [inverse_weights(spectrum, lam) for lam in lams]))
-    return _kernel_xi(terms, stats_x, stats_y, config.kernel, x, y)
+    return _kernel_xi(terms, stats_x, stats_y, spec, x, y)
 
 
 def combine_xi(
@@ -431,8 +419,7 @@ def xi_pixels(det: FittedDetector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     x and y are validated here. Each fixed-size chunk is standardized and
     scored in turn, so no full-scene copy is made and a kernel model keeps
-    three _SCORE_CHUNK x n_train blocks. The row of a term the config's
-    beta flags leave out is 0.
+    three _SCORE_CHUNK x n_train blocks.
     """
     return _xi_rows(det, as_pixel_matrix(x), as_pixel_matrix(y))
 
@@ -446,22 +433,20 @@ def _xi_rows(det: FittedDetector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             f"band-count mismatch: expected ({det.d_x}, {det.d_y}), "
             f"got ({x.shape[1]}, {y.shape[1]})"
         )
-    used = _used_terms(det.config)
-    term_zxy = (det.term_z, det.term_x, det.term_y)
     if det.config.mode == "kernel":
-        terms = [(term.train, term.basis if use else None, [term.weights])
-                 for term, use in zip(term_zxy, used)]
+        terms = [(term.train, term.basis, [term.weights])
+                 for term in (det.term_z, det.term_x, det.term_y)]
         return _kernel_xi(terms, det.band_stats_x, det.band_stats_y, det.config.kernel,
                           x, y)[0]
     n = x.shape[0]
-    xi = np.zeros((3, n))
+    xi = np.empty((3, n))
     for start in range(0, n, _SCORE_CHUNK):
         sl = slice(start, min(start + _SCORE_CHUNK, n))
         xs = standardize_apply(x[sl], det.band_stats_x)
         ys = standardize_apply(y[sl], det.band_stats_y)
-        for i, rows in enumerate((stack_pair(xs, ys), xs, ys)):
-            if used[i]:
-                xi[i, sl] = xi_term(term_zxy[i], rows)
+        xi[0, sl] = xi_term(det.term_z, stack_pair(xs, ys))
+        xi[1, sl] = xi_term(det.term_x, xs)
+        xi[2, sl] = xi_term(det.term_y, ys)
     return xi
 
 

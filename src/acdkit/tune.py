@@ -14,7 +14,7 @@ pixels are drawn from the remainder and keep both classes. Neither the
 fit nor the validation xi depends on nu, so nu is swept over cached xi
 values. In kernel mode neither the Gram matrices nor the validation
 probe kernels depend on lambda either: per sigma the search
-eigendecomposes each used term's Gram matrix once and gets the validation
+eigendecomposes each term's Gram matrix once and gets the validation
 xi of every lambda from one pass of the scoring chunk loop
 (detectors.xi_kernel_path), instead of refitting per (sigma, lambda).
 Linear mode fits once. Each AUC is counted by metrics.auc_score without

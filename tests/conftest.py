@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from acdkit.raster import ImageCube
+from acdkit.detectors import _kernel_xi_path
+from acdkit.raster import BandStats, ImageCube
 
 
 def correlated_pair(n, d_x, d_y=None, seed=0, noise=0.1):
@@ -14,6 +15,19 @@ def correlated_pair(n, d_x, d_y=None, seed=0, noise=0.1):
     mix_xy = rng.normal(size=(d_y, d_x)) / np.sqrt(d_x)
     y = x @ mix_xy.T + noise * rng.normal(size=(n, d_y))
     return x, y
+
+
+def raw_kernel_xi_path(x_train, y_train, x, y, spec, lams):
+    """(len(lams), 3, m) kernel xi of the probe pairs under terms fit on the rows as given.
+
+    This is xi_kernel_path's chunk loop with identity band stats, so the
+    training rows may be uncentered, or a single row.
+    """
+    def identity(d):
+        return BandStats(mean=np.zeros(d), std=np.ones(d))
+
+    return _kernel_xi_path(x_train, y_train, identity(x.shape[1]), identity(y.shape[1]), spec,
+                           x, y, lams)
 
 
 def mixture_cube(height, width, bands, seed, n_components=3, separation=4.0):

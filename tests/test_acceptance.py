@@ -28,11 +28,11 @@ from acdkit.detectors import (
 from acdkit.io_formats import load_model, save_model, write_raster
 from acdkit.kernels import KernelSpec
 from acdkit.metrics import roc_curve
-from acdkit.raster import ImageCube, flatten, sample_pixels, standardize_apply
+from acdkit.raster import ImageCube, flatten, sample_pixels
 from acdkit.simulate import pervasive_noise, scramble_anomalies
 from acdkit.tune import NU_RANGE, _log_grid, anchor_sigma, default_grid
 
-from conftest import correlated_pair
+from conftest import correlated_pair, raw_kernel_xi_path
 
 
 def report(num, text):
@@ -81,14 +81,13 @@ def test_1_rx_rank_equivalence():
 def test_2_linear_kernel_reduction():
     t0 = time.time()
     rng = np.random.default_rng(300)
-    train = rng.normal(size=(200, 5)) + 0.5  # full rank
-    cfg = DetectorConfig(mode="kernel", kernel=KernelSpec("linear"), lam=1e-10)
-    det = fit(train, rng.normal(size=(200, 2)), cfg)
-    xs = det.term_x.train  # the x term's standardized training rows X
-    gram_inv = np.linalg.inv(xs.T @ xs)
+    train = rng.normal(size=(200, 5)) + 0.5  # uncentered, full rank
+    gram_inv = np.linalg.inv(train.T @ train)
     probes = rng.normal(size=(100, 5))
-    got = xi_pixels(det, probes, rng.normal(size=(100, 2)))[1]
-    for v, xi in zip(standardize_apply(probes, det.band_stats_x), got):
+    # the x term of a linear-kernel model fit on the rows as given
+    got = raw_kernel_xi_path(train, rng.normal(size=(200, 2)), probes,
+                             rng.normal(size=(100, 2)), KernelSpec("linear"), [1e-10])[0, 1]
+    for v, xi in zip(probes, got):
         expected = v @ gram_inv @ v
         assert abs(xi - expected) / abs(expected) < 1e-4
     elapsed = time.time() - t0

@@ -28,7 +28,7 @@ from acdkit.linalg import covariance, inverse_weights, spd_factorize
 from acdkit.raster import standardize_apply
 from acdkit.tune import default_grid
 
-from conftest import correlated_pair
+from conftest import correlated_pair, raw_kernel_xi_path
 
 
 def kernel_config(**kw):
@@ -171,18 +171,14 @@ def test_xi_linear_matches_explicit_inverse(rng):
 
 
 def test_xi_kernel_linear_reduction(rng):
-    # full-rank data, linear kernel, negligible regularizer: each term's dual
-    # form is v (V^T V)^-1 v over the standardized rows V it was fit on, and
-    # z's, whose kernel is k_x + k_y, over the stacked rows [X | Y]
-    x, y = rng.normal(size=(200, 5)) + 1.0, rng.normal(size=(200, 2))
-    det = fit(x, y, kernel_config(kernel=KernelSpec("linear"), lam=1e-10))
+    # uncentered full-rank data, linear kernel, negligible regularizer: each
+    # term's dual form is v (V^T V)^-1 v over its training rows V, and z's,
+    # whose kernel is k_x + k_y, over the stacked rows [X | Y]
+    x, y = rng.normal(size=(200, 5)) + 1.0, rng.normal(size=(200, 2)) - 0.5
     px, py = rng.normal(size=(10, 5)), rng.normal(size=(10, 2))
-    xi = xi_pixels(det, px, py)
-    pxs = standardize_apply(px, det.band_stats_x)
-    pys = standardize_apply(py, det.band_stats_y)
-    for row, term, v in ((0, det.term_z, np.hstack([pxs, pys])), (1, det.term_x, pxs),
-                         (2, det.term_y, pys)):
-        expected = np.einsum("ij,jk,ik->i", v, np.linalg.inv(term.train.T @ term.train), v)
+    xi = raw_kernel_xi_path(x, y, px, py, KernelSpec("linear"), [1e-10])[0]
+    for row, train, v in ((0, np.hstack([x, y]), np.hstack([px, py])), (1, x, px), (2, y, py)):
+        expected = np.einsum("ij,jk,ik->i", v, np.linalg.inv(train.T @ train), v)
         np.testing.assert_allclose(xi[row], expected, rtol=1e-4)
 
 
@@ -202,9 +198,9 @@ def test_xi_kernel_nonnegative(rng):
 
 @pytest.mark.parametrize("distribution", ["gaussian", "ec"])
 @pytest.mark.parametrize("mode", ["linear", "kernel"])
-def test_scores_read_only_the_terms_they_use(mode, distribution):
-    # rx, xy and yx skip the unused terms, and score the bytes that combining
-    # all three terms (as hacd computes them) gives
+def test_family_scores_combine_the_three_terms(mode, distribution):
+    # every family member computes the three xi that hacd computes, and
+    # scores exactly the bytes that combine_xi makes of them
     x, y = correlated_pair(300, 3, seed=17)
     kw = {"distribution": distribution, "nu": 2.0 if distribution == "ec" else None,
           "mode": mode, "kernel": KernelSpec("rbf", 2.0) if mode == "kernel" else None}
@@ -213,8 +209,7 @@ def test_scores_read_only_the_terms_they_use(mode, distribution):
         beta_x, beta_y = DETECTOR_BETAS[name]
         cfg = DetectorConfig(beta_x=beta_x, beta_y=beta_y, **kw)
         det = fit(x[:100], y[:100], cfg)
-        xi = xi_pixels(det, x, y)
-        assert [np.any(row != 0) for row in xi] == [True, bool(beta_x), bool(beta_y)]
+        assert xi_pixels(det, x, y).tobytes() == all_terms.tobytes()
         expected = combine_xi(*all_terms, cfg, 3, 3)
         assert score_pixels(det, x, y).tobytes() == expected.tobytes()
 
@@ -493,14 +488,18 @@ def test_xi_kernel_path_nonnegative_and_nonincreasing(data, kind, sigma, lams):
     d_x, d_y = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
     def rows(n, d):
         return arrays(np.float64, (n, d), elements=st.integers(-50, 50).map(lambda v: v / 5))
-    n_train, n_probe = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 6))
+    n_train, n_probe = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 6))
     x_train, y_train = data.draw(rows(n_train, d_x)), data.draw(rows(n_train, d_y))
     x, y = data.draw(rows(n_probe, d_x)), data.draw(rows(n_probe, d_y))
-    xi = xi_kernel_path(x_train, y_train, x, y, kernel_config(kernel=KernelSpec(kind, sigma)),
-                        lams)
-    assert xi.shape == (len(lams), 3, n_probe)
-    assert np.all(xi >= 0)
+    spec = KernelSpec(kind, sigma)
+    # the rows as given (one training row is allowed there), and standardized
+    paths = [raw_kernel_xi_path(x_train, y_train, x, y, spec, lams)]
+    if n_train >= 2:
+        paths.append(xi_kernel_path(x_train, y_train, x, y, kernel_config(kernel=spec), lams))
     # Each xi is a sum of n nonnegative terms whose weights fall as lambda
     # grows; summation order may differ between lambdas, so allow n roundings.
     slack = 1 + n_train * np.finfo(np.float64).eps
-    assert np.all(xi[1:] <= xi[:-1] * slack)
+    for xi in paths:
+        assert xi.shape == (len(lams), 3, n_probe)
+        assert np.all(xi >= 0)
+        assert np.all(xi[1:] <= xi[:-1] * slack)
