@@ -10,8 +10,16 @@ subcommand is drawn in a fixed documented order:
     fit        training-pixel draw with seed
     tune       training draw with seed, validation draw with seed + 1
 
-Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 numerical failure
-(np.linalg.LinAlgError), 4 degenerate labels.
+Rasters stay float32 as read (io_formats.read_raster); the library
+converts the rows it computes on to float64. simulate drops its input
+once the noise is added, so the input and the scrambled copy are never
+held together, and fit drops both scenes once it has drawn its training
+rows. tune --model-out saves the detector the search built at its best
+point.
+
+Exit codes: 0 success, 1 I/O failure (including a raster write holding a
+value beyond float32's range, which writes nothing), 2 usage error,
+3 numerical failure (np.linalg.LinAlgError), 4 degenerate labels.
 """
 
 from __future__ import annotations
@@ -22,13 +30,7 @@ import sys
 import numpy as np
 
 from . import io_formats
-from .detectors import (
-    DETECTOR_BETAS,
-    DetectorConfig,
-    fit,
-    score_pixels,
-    with_params,
-)
+from .detectors import DETECTOR_BETAS, DetectorConfig, fit, score_pixels
 from .kernels import KernelSpec
 from .metrics import (
     DegenerateLabelsError,
@@ -39,7 +41,7 @@ from .metrics import (
 )
 from .raster import flatten, unflatten
 from .simulate import pervasive_noise, scramble_anomalies
-from .tune import anchor_sigma, grid_search, split_train_val, training_draw
+from .tune import anchor_sigma, grid_search, training_draw
 
 __all__ = ["main", "build_parser"]
 
@@ -123,23 +125,24 @@ def cmd_simulate(args) -> int:
     if not 0.0 < args.scramble_frac <= 1.0:
         raise ValueError("--scramble-frac must be in (0, 1]")
     cube = io_formats.read_raster(args.input)
+    height, width = cube.height, cube.width
     noisy = pervasive_noise(cube, args.noise_std, args.seed)
+    del cube  # the input need not coexist with the scrambled copy
     result = scramble_anomalies(noisy, args.scramble_frac, args.seed + 1)
+    del noisy
     io_formats.write_raster(result.second_image, args.out)
-    io_formats.write_raster(
-        io_formats.labels_to_cube(result.labels, cube.height, cube.width), args.labels
-    )
+    io_formats.write_raster(io_formats.labels_to_cube(result.labels, height, width), args.labels)
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
     cube_x, cube_y = _read_pair(args.x, args.y)
-    x, y = flatten(cube_x), flatten(cube_y)
     labels = None
     if args.train_labels:
         labels = _read_labels(args.train_labels, cube_x.height, cube_x.width)
-    idx = training_draw(x.shape[0], args.train_samples, args.seed, labels)
-    x_tr, y_tr = x[idx], y[idx]
+    idx = training_draw(cube_x.n_pixels, args.train_samples, args.seed, labels)
+    x_tr, y_tr = flatten(cube_x)[idx], flatten(cube_y)[idx]
+    del cube_x, cube_y  # fit reads only the drawn rows
 
     sigma = args.sigma
     if args.mode == "kernel" and args.kernel != "linear" and sigma is None:
@@ -211,10 +214,7 @@ def cmd_tune(args) -> int:
     if args.trace_out:
         io_formats.write_trace_csv(result.trace, args.trace_out)
     if args.model_out:
-        train_idx, _ = split_train_val(labels, args.n_train, args.n_val, args.seed)
-        best_config = with_params(config, nu=best.nu, sigma=best.sigma, lam=best.lam)
-        det = fit(x[train_idx], y[train_idx], best_config)
-        io_formats.save_model(det, args.model_out)
+        io_formats.save_model(result.best_detector, args.model_out)
     return EXIT_OK
 
 

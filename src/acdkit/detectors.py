@@ -275,42 +275,48 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> Fit
     Band standardization is fit on the training pixels and baked into the
     detector. Linear mode stores, for x, y and the stacked z, the mean and
     the whitened covariance; kernel mode stores the standardized training
-    samples and the whitened Gram matrix per term. x_train and y_train are validated here.
+    samples and the whitened Gram matrix per term. x_train and y_train are
+    validated here, and float32 rows are converted to float64 here.
     """
-    return _fit_rows(as_pixel_matrix(x_train), as_pixel_matrix(y_train), config)
+    x_train, y_train = (np.asarray(as_pixel_matrix(m), dtype=np.float64)
+                        for m in (x_train, y_train))
+    return _fit_rows(x_train, y_train, config)
 
 
 def _fit_rows(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> FittedDetector:
     """fit on finite 2-d float64 rows."""
     if x_train.shape[0] != y_train.shape[0]:
         raise ValueError("unaligned pair: training row counts differ")
-    n = x_train.shape[0]
-    if n < 2:
+    if x_train.shape[0] < 2:
         raise ValueError("need at least 2 training samples")
+    training = standardized_training(x_train, y_train)
+    _, _, xs, ys, _ = training
+    eigens = _kernel_eigens(xs, ys, config.kernel) if config.mode == "kernel" else None
+    return _detector(config, training, eigens)
 
-    stats_x, stats_y, xs, ys, zs = standardized_training(x_train, y_train)
 
+def _detector(config: DetectorConfig, training: tuple, eigens: tuple | None) -> FittedDetector:
+    """The detector of config on standardized_training's output.
+
+    Kernel mode takes eigens, the eigendecompositions (z, x, y) of the
+    training rows' Gram matrices at config's kernel (_kernel_eigens).
+    """
+    stats_x, stats_y, xs, ys, zs = training
     if config.mode == "linear":
-        terms = {
-            name: _fit_linear_term(rows)
-            for name, rows in (("x", xs), ("y", ys), ("z", zs))
-        }
+        term_z, term_x, term_y = (_fit_linear_term(rows) for rows in (zs, xs, ys))
     else:
-        lam = kernel_lambda(config, n)
-        terms = {
-            name: fit_kernel_term(rows, eig, config.kernel, lam)
-            for name, rows, eig in zip("zxy", (zs, xs, ys), _kernel_eigens(xs, ys, config.kernel))
-        }
-
+        lam = kernel_lambda(config, xs.shape[0])
+        term_z, term_x, term_y = (fit_kernel_term(rows, eig, config.kernel, lam)
+                                  for rows, eig in zip((zs, xs, ys), eigens))
     return FittedDetector(
         config=config,
         band_stats_x=stats_x,
         band_stats_y=stats_y,
-        d_x=x_train.shape[1],
-        d_y=y_train.shape[1],
-        term_x=terms["x"],
-        term_y=terms["y"],
-        term_z=terms["z"],
+        d_x=xs.shape[1],
+        d_y=ys.shape[1],
+        term_x=term_x,
+        term_y=term_y,
+        term_z=term_z,
     )
 
 
@@ -361,8 +367,9 @@ def xi_kernel_path(
 ) -> np.ndarray:
     """Kernel xi of each probe pair for every regularizer in lams at once.
 
-    Takes finite 2-d float64 rows and a kernel-mode config. Returns a
-    (len(lams), 3, m) array whose entry i equals, bit for bit,
+    Takes finite 2-d float64 training rows, finite 2-d probe rows and a
+    kernel-mode config. Returns a (len(lams), 3, m) array whose entry i
+    equals, bit for bit,
     xi_pixels(fit(x_train, y_train, with_params(config, lam=lams[i])), x, y):
     the same Gram matrices and chunk loop, with each term's K
     eigendecomposed once and each probe block projected and squared once
@@ -374,14 +381,19 @@ def xi_kernel_path(
     if lams.ndim != 1 or not np.all(lams > 0):
         raise ValueError("lams must be a 1-d array of positive values")
     stats_x, stats_y, xs, ys, _ = standardized_training(x_train, y_train)
-    return _kernel_xi_path(xs, ys, stats_x, stats_y, config.kernel, x, y, lams)
+    eigens = _kernel_eigens(xs, ys, config.kernel)
+    return _kernel_xi_path(xs, ys, eigens, stats_x, stats_y, config.kernel, x, y, lams)
 
 
-def _kernel_xi_path(xs: np.ndarray, ys: np.ndarray, stats_x: BandStats, stats_y: BandStats,
-                    spec: KernelSpec, x: np.ndarray, y: np.ndarray, lams) -> np.ndarray:
-    """xi_kernel_path from the training rows as standardized by stats_x and stats_y."""
+def _kernel_xi_path(xs: np.ndarray, ys: np.ndarray, eigens: tuple, stats_x: BandStats,
+                    stats_y: BandStats, spec: KernelSpec, x: np.ndarray, y: np.ndarray,
+                    lams) -> np.ndarray:
+    """xi_kernel_path from the training rows as standardized by stats_x and stats_y.
+
+    eigens holds the eigendecompositions (z, x, y) of their Gram matrices (_kernel_eigens).
+    """
     terms = []
-    for train, eig in zip((stack_pair(xs, ys), xs, ys), _kernel_eigens(xs, ys, spec)):
+    for train, eig in zip((stack_pair(xs, ys), xs, ys), eigens):
         spectrum = eig.values * eig.values
         terms.append((train, eig.basis, [inverse_weights(spectrum, lam) for lam in lams]))
     return _kernel_xi(terms, stats_x, stats_y, spec, x, y)
@@ -417,15 +429,16 @@ def combine_xi(
 def xi_pixels(det: FittedDetector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-pixel xi as a (3, n) array whose rows are xi_z, xi_x and xi_y.
 
-    x and y are validated here. Each fixed-size chunk is standardized and
-    scored in turn, so no full-scene copy is made and a kernel model keeps
-    three _SCORE_CHUNK x n_train blocks.
+    x and y are validated here. Each fixed-size chunk is converted to
+    float64, standardized and scored in turn, so no full-scene copy is
+    made (float32 pixels stay float32) and a kernel model keeps three
+    _SCORE_CHUNK x n_train blocks.
     """
     return _xi_rows(det, as_pixel_matrix(x), as_pixel_matrix(y))
 
 
 def _xi_rows(det: FittedDetector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """xi_pixels on finite 2-d float64 rows."""
+    """xi_pixels on finite 2-d float32 or float64 rows."""
     if x.shape[0] != y.shape[0]:
         raise ValueError("unaligned pair: row counts differ")
     if x.shape[1] != det.d_x or y.shape[1] != det.d_y:

@@ -1,7 +1,11 @@
 """Serialization: raster binary + JSON sidecar, PGM maps, CSV tables, models.
 
 Rasters are raw little-endian float32 payloads in band-interleaved-by-pixel
-order with a JSON sidecar at `<path>.json` describing the shape. Models are
+order with a JSON sidecar at `<path>.json` describing the shape.
+`read_raster` returns a float32 cube over the payload it read, with no
+copy, and checks its values once, there. `write_raster` writes a float32
+cube's buffer as it is; a float64 cube is converted once, and a value
+beyond float32's range fails the write before any file is made. Models are
 a directory holding `manifest.json` plus little-endian float64 blobs that
 are CRC32-checked on load. All writers are deterministic byte-for-byte for
 identical inputs.
@@ -19,7 +23,7 @@ import numpy as np
 from .detectors import DetectorConfig, FittedDetector, KernelTerm, LinearTerm
 from .kernels import KernelSpec
 from .metrics import RocCurve
-from .raster import BandStats, ImageCube
+from .raster import BandStats, ImageCube, _all_finite
 
 __all__ = [
     "RasterFormatError",
@@ -56,8 +60,16 @@ class UnsupportedVersionError(Exception):
 # ---------------------------------------------------------------------------
 
 def write_raster(cube: ImageCube, path) -> None:
+    """Write the payload, then the sidecar.
+
+    Raises RasterFormatError, and writes neither file, if a float64 value
+    rounds beyond float32's range.
+    """
     path = Path(path)
-    payload = cube.data.astype("<f4").tobytes(order="C")
+    with np.errstate(over="ignore"):  # the check below reports an overflow
+        payload = np.ascontiguousarray(cube.data, dtype="<f4")
+    if not _all_finite(payload):
+        raise RasterFormatError(f"cannot write raster {path}: a value is beyond float32's range")
     sidecar = {
         "height": cube.height,
         "width": cube.width,
@@ -70,6 +82,10 @@ def write_raster(cube: ImageCube, path) -> None:
 
 
 def read_raster(path) -> ImageCube:
+    """A read-only float32 cube over the payload's bytes, with no copy.
+
+    ImageCube checks its values once, here: NaN or infinity raises RasterFormatError.
+    """
     path = Path(path)
     sidecar_path = Path(str(path) + ".json")
     if not path.exists() or not sidecar_path.exists():
@@ -95,7 +111,7 @@ def read_raster(path) -> ImageCube:
         )
     data = np.frombuffer(payload, dtype="<f4").reshape(h, w, d)
     try:
-        return ImageCube.from_array(data.astype(np.float64))
+        return ImageCube.from_array(data)
     except ValueError as e:  # NaN or inf in the payload; ImageCube's own scan finds it
         raise RasterFormatError(f"bad raster {path}: {e}") from e
 
@@ -106,7 +122,7 @@ def labels_to_cube(labels: np.ndarray, height: int, width: int) -> ImageCube:
     if labels.size != height * width:
         raise ValueError("label count does not match height*width")
     return ImageCube.from_array(
-        (labels > 0).astype(np.float64).reshape(height, width, 1)
+        (labels > 0).astype(np.float32).reshape(height, width, 1)
     )
 
 

@@ -65,7 +65,7 @@ def _check_scored_labels(scores: np.ndarray, labels: np.ndarray):
     labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have equal length")
-    labels = (labels > 0).astype(np.int64)
+    labels = (labels > 0).view(np.uint8)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -92,7 +92,7 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     order = np.argsort(-scores)
     s_sorted = scores[order]
     cut = np.append(np.nonzero(np.diff(s_sorted))[0], s_sorted.size - 1)
-    tp = np.concatenate([[0], np.cumsum(labels[order])[cut]])
+    tp = np.concatenate([[0], np.cumsum(labels[order], dtype=np.int64)[cut]])
     fp = np.concatenate([[0], cut + 1]) - tp
     dtp, dfp = np.diff(tp), np.diff(fp)
     auc = _exact_auc(np.sum(dfp * (tp[1:] + tp[:-1])), n_pos, n_neg)

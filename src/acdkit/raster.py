@@ -2,11 +2,15 @@
 
 An image cube is an H x W x d stack of real-valued bands stored
 band-interleaved-by-pixel (row-major pixel order, bands fastest). Pixel
-matrices are plain float64 numpy arrays of shape (n, d), one spectrum per
-row. All containers are immutable after construction; every operation here
-is pure.
+matrices are numpy arrays of shape (n, d), one spectrum per row. Both keep
+float32 values as float32, so a raster read from disk stays its float32
+payload, and store any other values as float64. Arithmetic runs in
+float64, on rows converted where it needs them (one chunk, or the
+gathered training rows); float32 -> float64 is exact. All containers are
+immutable after construction; every operation here is pure.
 `as_pixel_matrix` validates a matrix once, where it enters the library;
-the row helpers expect finite 2-d float64 rows and check only shapes.
+the row helpers expect finite 2-d float64 rows (`standardize_apply` and
+`unflatten` also float32 ones) and check only shapes.
 """
 
 from __future__ import annotations
@@ -37,9 +41,27 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _real(a) -> np.ndarray:
+    """a as an array: float32 as it is, anything else as float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every value of a float array is finite, with no elementwise temporary.
+
+    min and max propagate NaN, and an infinity is the min or the max.
+    """
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 @dataclass(frozen=True)
 class ImageCube:
-    """H x W x d raster of finite real values, bands interleaved by pixel."""
+    """H x W x d raster of finite real values, bands interleaved by pixel.
+
+    float32 data is kept as float32, without a copy; other data is stored
+    as float64.
+    """
 
     height: int
     width: int
@@ -49,20 +71,20 @@ class ImageCube:
     def __post_init__(self):
         if self.height < 1 or self.width < 1 or self.bands < 1:
             raise ValueError("cube dimensions must be positive")
-        data = np.asarray(self.data, dtype=np.float64)
+        data = _real(self.data)
         if data.shape != (self.height, self.width, self.bands):
             raise ValueError(
                 f"data shape {data.shape} does not match "
                 f"({self.height}, {self.width}, {self.bands})"
             )
-        if not np.all(np.isfinite(data)):
+        if not _all_finite(data):
             raise ValueError("cube contains non-finite values")
         object.__setattr__(self, "data", _readonly(data))
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "ImageCube":
         """Build a cube from an (H, W, d) array."""
-        arr = np.asarray(arr, dtype=np.float64)
+        arr = _real(arr)
         if arr.ndim != 3:
             raise ValueError("expected a 3-d (H, W, d) array")
         h, w, d = arr.shape
@@ -99,11 +121,11 @@ class BandStats:
 
 
 def as_pixel_matrix(m: np.ndarray) -> np.ndarray:
-    """Validate and return an (n, d) float64 pixel matrix."""
-    m = np.asarray(m, dtype=np.float64)
+    """Validate and return an (n, d) pixel matrix: float32 as given, anything else as float64."""
+    m = _real(m)
     if m.ndim != 2:
         raise ValueError("pixel matrix must be 2-d (n, d)")
-    if not np.all(np.isfinite(m)):
+    if not _all_finite(m):
         raise ValueError("pixel matrix contains non-finite values")
     return m
 
@@ -114,7 +136,7 @@ def flatten(cube: ImageCube) -> np.ndarray:
 
 
 def unflatten(m: np.ndarray, height: int, width: int) -> ImageCube:
-    """Inverse of :func:`flatten` for finite 2-d float64 rows; bit-exact round trip."""
+    """Inverse of :func:`flatten` for finite 2-d rows; bit-exact round trip."""
     if m.shape[0] != height * width:
         raise ValueError("row count does not match height*width")
     return ImageCube.from_array(m.reshape(height, width, m.shape[1]))
@@ -140,7 +162,11 @@ def standardize_fit(m: np.ndarray) -> BandStats:
 
 
 def standardize_apply(m: np.ndarray, s: BandStats) -> np.ndarray:
-    """Apply (v - mean) / std per column. Expects finite 2-d float64 rows."""
+    """Apply (v - mean) / std per column of finite 2-d rows; the result is float64.
+
+    float32 rows are converted by the subtraction itself, which gives the
+    same bits as subtracting from their float64 copy.
+    """
     if m.shape[1] != s.d:
         raise ValueError(f"dimension mismatch: matrix has {m.shape[1]} columns, "
                          f"stats have {s.d}")

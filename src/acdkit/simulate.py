@@ -21,6 +21,10 @@ __all__ = ["SimulationResult", "pervasive_noise", "scramble_anomalies"]
 # Rejection sampling for a derangement accepts with probability ~ 1/e.
 _MAX_DERANGE_TRIES = 10_000
 
+# pervasive_noise maps pixels back from standardized units this many at a
+# time, so its float64 temporaries stay small (512 KiB at 8 bands).
+_NOISE_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -43,16 +47,25 @@ def pervasive_noise(cube: ImageCube, std: float, seed: int) -> ImageCube:
     Each band is divided by its own population standard deviation before
     the draw is added, then mapped back, so `std` means the same thing for
     bands of any dynamic range. std = 0 returns the input bit-exactly.
+
+    The band std is one pass over a float64 copy of the pixels. The
+    result, (x / band_std + noise) * band_std, is then computed chunk by
+    chunk inside the float64 noise array, which becomes the new cube's data.
     """
     if not 0 <= std < np.inf:
         raise ValueError("noise std must be finite and nonnegative")
     if std == 0.0:
         return cube
-    band_std = standardize_fit(flatten(cube)).std
+    pixels = flatten(cube)
+    band_std = standardize_fit(np.asarray(pixels, dtype=np.float64)).std
     rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, std, size=cube.data.shape)
-    noisy = (cube.data / band_std + noise) * band_std
-    return ImageCube.from_array(noisy)
+    noisy = rng.normal(0.0, std, size=pixels.shape)
+    with np.errstate(over="ignore"):  # ImageCube rejects a pixel that overflows
+        for start in range(0, noisy.shape[0], _NOISE_CHUNK):
+            rows = noisy[start : start + _NOISE_CHUNK]
+            np.add(pixels[start : start + _NOISE_CHUNK] / band_std, rows, out=rows)
+            rows *= band_std
+    return unflatten(noisy, cube.height, cube.width)
 
 
 def _derangement(rng: np.random.Generator, k: int) -> np.ndarray:

@@ -15,11 +15,14 @@ fit nor the validation xi depends on nu, so nu is swept over cached xi
 values. In kernel mode neither the Gram matrices nor the validation
 probe kernels depend on lambda either: per sigma the search
 eigendecomposes each term's Gram matrix once and gets the validation
-xi of every lambda from one pass of the scoring chunk loop
-(detectors.xi_kernel_path), instead of refitting per (sigma, lambda).
+xi of every lambda from one pass of the scoring chunk loop (the loop
+of detectors.xi_kernel_path), instead of refitting per (sigma, lambda).
 Linear mode fits once. Each AUC is counted by metrics.auc_score without
 building a ROC curve, so either way each trace AUC equals, bit for bit,
-roc_curve's validation AUC of a refit at its point.
+roc_curve's validation AUC of a refit at its point. The search returns
+the best point's detector too, built from the fit (linear) or the
+eigendecompositions (kernel) it already made at that point, so no refit
+is needed to save it.
 
 `default_grid` fills exactly the axes a config exposes, and `grid_search`
 rejects a grid that fills any other.
@@ -27,19 +30,21 @@ rejects a grid that fills any other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .detectors import (
     DetectorConfig,
-    _fit_rows,
+    FittedDetector,
+    _detector,
+    _kernel_eigens,
+    _kernel_xi_path,
     _xi_rows,
     combine_xi,
     kernel_lambda,
     standardized_training,
     with_params,
-    xi_kernel_path,
 )
 from .kernels import sigma_heuristic
 from .metrics import DegenerateLabelsError, auc_score
@@ -105,18 +110,26 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class TuneResult:
+    """The best grid point, its validation AUC and detector, and the whole trace.
+
+    best_detector equals, blob for blob, a fit on the search's training
+    draw at the best point; the search builds it from its own fit. Results
+    compare equal by their point, AUC and trace.
+    """
+
     best_params: GridPoint
     best_val_auc: float
     trace: tuple  # of (GridPoint, auc), in canonical grid order
+    best_detector: FittedDetector = field(repr=False, compare=False)
 
 
 def anchor_sigma(x_train: np.ndarray, y_train: np.ndarray) -> float:
     """Bandwidth anchor: pairwise-distance heuristic on standardized stacked rows.
 
-    x_train and y_train are validated here.
+    x_train and y_train are validated here, and float32 rows are converted to float64 here.
     """
-    x_train = as_pixel_matrix(x_train)
-    y_train = as_pixel_matrix(y_train)
+    x_train, y_train = (np.asarray(as_pixel_matrix(m), dtype=np.float64)
+                        for m in (x_train, y_train))
     return sigma_heuristic(standardized_training(x_train, y_train)[4])
 
 
@@ -199,7 +212,9 @@ def grid_search(
     sigma axis, if the config has one, is anchored at the mean
     pairwise-distance heuristic of the training draw. x and y are
     validated here, once, and a grid that fills an axis the config does
-    not expose is rejected before any draw.
+    not expose is rejected before any draw. The drawn training and
+    validation rows are converted to float64 after they are gathered, so
+    float32 x and y are not copied whole.
     """
     x = as_pixel_matrix(x)
     y = as_pixel_matrix(y)
@@ -209,44 +224,53 @@ def grid_search(
             if values.size and not exposed:
                 raise ValueError(f"{name} grid given, but the config has no {name} to tune")
     train_idx, val_idx = split_train_val(labels, n_train, n_val, seed)
-    x_tr, y_tr = x[train_idx], y[train_idx]
-    x_val, y_val = x[val_idx], y[val_idx]
+    x_tr, y_tr, x_val, y_val = (np.asarray(m[idx], dtype=np.float64)
+                                for idx in (train_idx, val_idx) for m in (x, y))
     val_labels = (np.asarray(labels).ravel() > 0).astype(np.int64)[val_idx]
+    training = standardized_training(x_tr, y_tr)
+    stats_x, stats_y, xs, ys, zs = training
 
     if grid is None:
         has_sigma = _exposed_axes(config)[1]
-        anchor = sigma_heuristic(standardized_training(x_tr, y_tr)[4]) if has_sigma else None
-        grid = default_grid(config, anchor)
+        grid = default_grid(config, sigma_heuristic(zs) if has_sigma else None)
 
     nu_values = list(grid.nu_grid) if grid.nu_grid.size else [None]
     sigma_values = list(grid.sigma_grid) if grid.sigma_grid.size else [None]
     lambda_values = list(grid.lambda_grid) if grid.lambda_grid.size else [None]
-
-    def xi_per_lambda(sigma):
-        """Validation (xi_z, xi_x, xi_y) for each lambda value, at one sigma."""
-        if config.mode == "linear":  # no sigma or lambda axis
-            return [_xi_rows(_fit_rows(x_tr, y_tr, config), x_val, y_val)]
-        sigma_config = with_params(config, sigma=sigma)
-        lams = [kernel_lambda(with_params(sigma_config, lam=lam), n_train)
-                for lam in lambda_values]
-        return xi_kernel_path(x_tr, y_tr, x_val, y_val, sigma_config, lams)
+    lams = [kernel_lambda(with_params(config, lam=lam), n_train) for lam in lambda_values]
+    linear = _detector(config, training, None) if config.mode == "linear" else None
 
     # nu only affects the score combination, so it is swept over the cached
     # xi triplets of each (sigma, lambda). Gaussian scores take no nu at all.
+    # The best point is the first maximum in canonical order; the Gram
+    # eigendecompositions of its sigma are kept to build its detector.
     d_x, d_y = x.shape[1], y.shape[1]
     nu_configs = [with_params(config, nu=nu) if config.distribution == "ec" else config
                   for nu in nu_values]
-    entries = {}
+    entries, best_key, best_eigens = {}, None, None
     for i_s, sigma in enumerate(sigma_values):
-        for i_l, (lam, xi) in enumerate(zip(lambda_values, xi_per_lambda(sigma))):
+        if linear is not None:  # no sigma or lambda axis
+            eigens, xis = None, [_xi_rows(linear, x_val, y_val)]
+        else:
+            spec = with_params(config, sigma=sigma).kernel
+            eigens = _kernel_eigens(xs, ys, spec)
+            xis = _kernel_xi_path(xs, ys, eigens, stats_x, stats_y, spec, x_val, y_val, lams)
+        for i_l, (lam, xi) in enumerate(zip(lambda_values, xis)):
             for i_n, (nu, nu_config) in enumerate(zip(nu_values, nu_configs)):
-                scores = combine_xi(*xi, nu_config, d_x, d_y)
-                auc = auc_score(scores, val_labels)
-                entries[(i_n, i_s, i_l)] = (GridPoint(nu=nu, sigma=sigma, lam=lam), auc)
+                auc = auc_score(combine_xi(*xi, nu_config, d_x, d_y), val_labels)
+                key = (i_n, i_s, i_l)
+                entries[key] = (GridPoint(nu=nu, sigma=sigma, lam=lam), auc)
+                if best_key is None or (-auc, key) < (-entries[best_key][1], best_key):
+                    best_key, best_eigens = key, eigens
+        del eigens, xis  # so they do not coexist with the next sigma's
 
     trace = tuple(entries[key] for key in sorted(entries))
-    best_params, best_auc = trace[0]
-    for point, auc in trace[1:]:
-        if auc > best_auc:
-            best_params, best_auc = point, auc
-    return TuneResult(best_params=best_params, best_val_auc=best_auc, trace=trace)
+    best_params, best_auc = entries[best_key]
+    best_config = with_params(config, nu=best_params.nu, sigma=best_params.sigma,
+                              lam=best_params.lam)
+    if linear is not None:
+        best_detector = replace(linear, config=best_config)
+    else:
+        best_detector = _detector(best_config, training, best_eigens)
+    return TuneResult(best_params=best_params, best_val_auc=best_auc, trace=trace,
+                      best_detector=best_detector)

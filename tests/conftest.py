@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from acdkit.detectors import _kernel_xi_path
+from acdkit.detectors import _kernel_eigens, _kernel_xi_path
+from acdkit.io_formats import save_model
 from acdkit.raster import BandStats, ImageCube
 
 
@@ -26,8 +27,14 @@ def raw_kernel_xi_path(x_train, y_train, x, y, spec, lams):
     def identity(d):
         return BandStats(mean=np.zeros(d), std=np.ones(d))
 
-    return _kernel_xi_path(x_train, y_train, identity(x.shape[1]), identity(y.shape[1]), spec,
-                           x, y, lams)
+    return _kernel_xi_path(x_train, y_train, _kernel_eigens(x_train, y_train, spec),
+                           identity(x.shape[1]), identity(y.shape[1]), spec, x, y, lams)
+
+
+def model_bytes(det, directory):
+    """Save a detector under directory and return {file name: bytes} of what was written."""
+    save_model(det, directory)
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
 def mixture_cube(height, width, bands, seed, n_components=3, separation=4.0):

@@ -441,6 +441,37 @@ def test_simulate_rejects_non_finite_noise_std(scene, capsys, std):
     assert not out.exists()
 
 
+def _assert_one_line_exit(rc, capsys, code, *unwritten):
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for path in unwritten:
+        assert not path.exists() and not Path(str(path) + ".json").exists()
+
+
+def test_simulate_beyond_float32_writes_nothing(tmp_path, capsys):
+    x_path = tmp_path / "x.bin"
+    write_raster(mixture_cube(16, 16, 3, seed=0), x_path)
+    y_path, labels_path = tmp_path / "y.bin", tmp_path / "labels.bin"
+    rc = main(["simulate", "--input", str(x_path), "--out", str(y_path),
+               "--labels", str(labels_path), "--noise-std", "1e38"])
+    _assert_one_line_exit(rc, capsys, 1, y_path, labels_path)
+
+
+def test_score_beyond_float32_writes_nothing(scene, capsys):
+    d = scene["dir"]
+    assert main(["fit", "--x", str(scene["x"]), "--y", str(scene["y"]),
+                 "--train-samples", "400", "--model-out", str(d / "model")]) == 0
+    y = read_raster(scene["y"]).data.copy()
+    y[5, 7] = 1e30  # its xi is far beyond float32's range
+    write_raster(ImageCube.from_array(y), d / "y_far.bin")
+    capsys.readouterr()
+    out = d / "scores.bin"
+    rc = main(["score", "--model", str(d / "model"), "--x", str(scene["x"]),
+               "--y", str(d / "y_far.bin"), "--out", str(out)])
+    _assert_one_line_exit(rc, capsys, 1, out)
+
+
 def test_threads_must_be_positive(scene, capsys):
     rc = main([
         "score", "--model", str(scene["dir"] / "m"), "--x", str(scene["x"]),

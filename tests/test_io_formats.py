@@ -55,6 +55,35 @@ def test_raster_payload_byte_layout(tmp_path):
     assert np.array_equal(payload, np.arange(8.0, dtype=np.float32))
 
 
+def test_read_raster_keeps_the_float32_payload(tmp_path):
+    path = tmp_path / "img.bin"
+    write_raster(f32_cube(5, 7, 3), path)
+    data = read_raster(path).data
+    assert data.dtype == np.float32 and not data.flags.writeable
+    owner = data
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert isinstance(owner, bytes) and owner == path.read_bytes()
+    assert np.shares_memory(data, np.frombuffer(owner, dtype="<f4"))
+
+
+@pytest.mark.parametrize("value", [1e39, -np.finfo(np.float64).max])
+def test_write_raster_rejects_values_beyond_float32(tmp_path, value):
+    data = np.zeros((2, 3, 2))
+    data[1, 2, 0] = value
+    path = tmp_path / "img.bin"
+    with pytest.raises(RasterFormatError, match="beyond float32's range"):
+        write_raster(ImageCube.from_array(data), path)
+    assert not path.exists() and not Path(str(path) + ".json").exists()
+
+
+def test_write_raster_keeps_float32_max(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    path = tmp_path / "img.bin"
+    write_raster(ImageCube.from_array(np.array([[[top, -top]]])), path)
+    assert np.array_equal(read_raster(path).data.ravel(), [top, -top])
+
+
 def test_raster_size_mismatch_rejected(tmp_path):
     cube = f32_cube(3, 3, 2)
     path = tmp_path / "img.bin"

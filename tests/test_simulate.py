@@ -109,3 +109,15 @@ def test_scramble_rejects_tiny_selection():
         scramble_anomalies(cube, 0.005, seed=19)  # k = round(0.5) < 2
     with pytest.raises(ValueError):
         scramble_anomalies(cube, 0.0, seed=20)
+
+
+def test_noise_matches_the_whole_array_expression():
+    # chunked and in place, in float64, for float32 and float64 cubes alike
+    data32 = make_cube(130, 70, 3, seed=11).data.astype(np.float32)  # more than one chunk
+    for data in (data32, data32.astype(np.float64)):
+        out = pervasive_noise(ImageCube.from_array(data), 0.3, seed=12)
+        x = data.astype(np.float64)
+        band_std = x.reshape(-1, 3).std(axis=0)
+        noise = np.random.default_rng(12).normal(0.0, 0.3, size=x.shape)
+        assert out.data.dtype == np.float64
+        assert out.data.tobytes() == ((x / band_std + noise) * band_std).tobytes()

@@ -13,7 +13,7 @@ from acdkit.tune import (
     split_train_val,
 )
 
-from conftest import correlated_pair
+from conftest import correlated_pair, model_bytes
 
 
 def labeled_pair(n=800, d=3, seed=0, anomaly_frac=0.05):
@@ -279,3 +279,27 @@ def test_grid_search_best_auc_equals_refit_auc(mode):
 
     assert result.best_val_auc == refit_auc(result.best_params)
     assert [auc for _, auc in result.trace] == [refit_auc(p) for p, _ in result.trace]
+
+
+@pytest.mark.parametrize("mode", ["kernel", "linear"])
+def test_best_detector_is_the_refit_at_the_best_point(tmp_path, mode):
+    # The search builds the best point's detector from its own fit (linear)
+    # or eigendecompositions (kernel); it must save the bytes of a refit.
+    x, y, labels = labeled_pair(n=600, d=3, seed=21, anomaly_frac=0.08)
+    kernel = KernelSpec("rbf", 1.0) if mode == "kernel" else None
+    cfg = DetectorConfig(distribution="ec", nu=1.0, mode=mode, kernel=kernel)
+    grid = TuneGrid(nu_grid=np.logspace(-2, 3, 6))
+    if mode == "kernel":
+        grid = TuneGrid(nu_grid=grid.nu_grid, sigma_grid=np.array([1.0, 20.0, 1000.0]),
+                        lambda_grid=np.array([1e-8, 1e-3]))
+    n_train, n_val, seed = 150, 300, 22
+    result = grid_search(x, y, labels, cfg, grid, n_train, n_val, seed)
+    best = result.best_params
+    if mode == "kernel":  # kept from an earlier sigma, not just the last one searched
+        assert best.sigma != grid.sigma_grid[-1]
+
+    train_idx, _ = split_train_val(labels, n_train, n_val, seed)
+    refit = fit(x[train_idx], y[train_idx],
+                with_params(cfg, nu=best.nu, sigma=best.sigma, lam=best.lam))
+    assert (model_bytes(result.best_detector, tmp_path / "search")
+            == model_bytes(refit, tmp_path / "refit"))

@@ -1,4 +1,5 @@
-"""Pixel matrices are validated once, where they enter the library."""
+"""Pixel matrices are validated once, where they enter the library, and
+float32 pixels are converted to float64 only where arithmetic needs them."""
 
 import sys
 import tracemalloc
@@ -7,11 +8,13 @@ import numpy as np
 import pytest
 
 from acdkit import raster
-from acdkit.detectors import _SCORE_CHUNK, DetectorConfig, fit, score_pixels
+from acdkit.cli import main
+from acdkit.detectors import _SCORE_CHUNK, DetectorConfig, fit, score_pixels, xi_pixels
+from acdkit.io_formats import write_raster
 from acdkit.kernels import KernelSpec
 from acdkit.tune import TuneGrid, anchor_sigma, grid_search
 
-from conftest import correlated_pair
+from conftest import correlated_pair, mixture_cube, model_bytes
 
 
 def _labels(n):
@@ -106,3 +109,84 @@ def test_scoring_makes_no_full_scene_copy(case):
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# CLI steps on one 512 x 512 x 8 scene, each run in process after the steps
+# before it. _P is one raster's float32 payload; (argv, peak bound in bytes).
+_N = 512 * 512
+_P = _N * 8 * 4
+_SLACK = 2**19  # chunk-sized temporaries and numpy's own buffers
+CLI_MEMORY_CASES = {
+    # the input payload, a float64 copy of it for the band std and the
+    # deviations numpy's std makes of that copy; the float64 noise array
+    # comes after those two are freed, and the input goes before scrambling
+    "simulate": (["simulate", "--input", "x", "--out", "y", "--labels", "labels"],
+                 _P + 2 * (2 * _P) + _SLACK),
+    # both payloads and training_draw's index of the background pixels
+    "fit": (["fit", "--x", "x", "--y", "y", "--model-out", "model"],
+            2 * _P + 8 * _N + _SLACK),
+    # both payloads, the (3, n) float64 xi, and combine_xi's scores plus one temporary
+    "score": (["score", "--model", "model", "--x", "x", "--y", "y", "--out", "scores"],
+              2 * _P + 5 * 8 * _N + _SLACK),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_scene(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli_memory")
+    write_raster(mixture_cube(512, 512, 8, seed=0), d / "x")
+    for step in ("simulate", "fit"):
+        argv = CLI_MEMORY_CASES[step][0]
+        assert main([str(d / a) if a in ("x", "y", "labels", "model") else a for a in argv]) == 0
+    return d
+
+
+@pytest.mark.parametrize("step", sorted(CLI_MEMORY_CASES))
+def test_cli_step_memory_follows_its_buffers(cli_scene, monkeypatch, step):
+    argv, bound = CLI_MEMORY_CASES[step]
+    monkeypatch.chdir(cli_scene)
+    assert _traced_peak(main, argv) < bound
+
+
+DTYPE_CONFIGS = {
+    "linear-gaussian": (DetectorConfig(), TuneGrid()),
+    "linear-ec": (DetectorConfig(distribution="ec", nu=2.0),
+                  TuneGrid(nu_grid=np.array([0.5, 2.0, 50.0]))),
+    "rbf-gaussian": (DetectorConfig(mode="kernel", kernel=KernelSpec("rbf", 2.0)),
+                     TuneGrid(sigma_grid=np.array([1.0, 4.0]), lambda_grid=np.array([1e-6, 1e-2]))),
+    "rbf-ec": (DetectorConfig(distribution="ec", nu=2.0, mode="kernel",
+                              kernel=KernelSpec("rbf", 2.0)),
+               TuneGrid(nu_grid=np.array([0.5, 50.0]), sigma_grid=np.array([1.0, 4.0]),
+                        lambda_grid=np.array([1e-6, 1e-2]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_CONFIGS))
+def test_float32_pixels_give_the_bits_of_their_float64_copy(tmp_path, name):
+    config, grid = DTYPE_CONFIGS[name]
+    x32, y32 = (m.astype(np.float32) for m in correlated_pair(_SCORE_CHUNK + 300, 4, seed=8))
+    pairs = {"32": (x32, y32), "64": (x32.astype(np.float64), y32.astype(np.float64))}
+    n_train, labels = 150, _labels(x32.shape[0])
+    results = {}
+    for tag, (x, y) in pairs.items():
+        det = fit(x[:n_train], y[:n_train], config)
+        search = grid_search(x, y, labels, config, grid, n_train, 400, seed=9)
+        results[tag] = (
+            model_bytes(det, tmp_path / f"fit{tag}"),
+            xi_pixels(det, x, y).tobytes(),
+            score_pixels(det, x, y).tobytes(),
+            np.float64(anchor_sigma(x[:n_train], y[:n_train])).tobytes(),
+            [(point, np.float64(auc).tobytes()) for point, auc in search.trace],
+            search.best_params,
+            model_bytes(search.best_detector, tmp_path / f"best{tag}"),
+        )
+    assert results["32"] == results["64"]
