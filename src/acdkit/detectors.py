@@ -73,7 +73,6 @@ __all__ = [
     "fit_kernel_term",
     "kernel_lambda",
     "xi_term",
-    "xi_kernel_path",
     "xi_pixels",
     "combine_xi",
     "score_pixels",
@@ -89,8 +88,9 @@ AUTO_LAMBDA_NUM = 1e-5
 # Pixels are scored in chunks of this many rows. A kernel model's chunk
 # reuses three (_SCORE_CHUNK, n_train) float64 blocks, for k_x, k_y -> k_z
 # and the GEMM output: 8 MiB each at 1000 training rows, so the elementwise
-# passes over them stay close to the cache. tune's xi_kernel_path runs the
-# same loop, so it reproduces a refit's xi bit for bit.
+# passes over them stay close to the cache. tune scores the detectors of a
+# whole lambda axis in one pass of this loop, so each trace AUC is that of
+# a refit at its point, bit for bit.
 _SCORE_CHUNK = 1024
 
 
@@ -99,7 +99,8 @@ class DetectorConfig:
     """Which family member to build and how.
 
     nu: EC shape; only the ec distribution takes one.
-    lam: kernel regularizer; None means auto (1e-5 / n_train).
+    kernel, lam: kernel spec and regularizer; only kernel mode takes them,
+    and lam None means auto (1e-5 / n_train).
     """
 
     beta_x: int = 1
@@ -127,6 +128,10 @@ class DetectorConfig:
                 raise ValueError("kernel mode requires a kernel spec")
             if self.lam is not None and not 0 < self.lam < np.inf:
                 raise ValueError("lam must be finite and positive (or None for auto)")
+        elif self.kernel is not None:
+            raise ValueError("a kernel spec applies to kernel mode only")
+        elif self.lam is not None:
+            raise ValueError("lam applies to kernel mode only")
 
 
 def _freeze(term, k: int, **arrays) -> None:
@@ -226,22 +231,6 @@ def _fit_linear_term(rows: np.ndarray) -> LinearTerm:
                       weights=inverse_weights(eig.values, eig.ridge), ridge=eig.ridge)
 
 
-def _kernel_eigens(xs: np.ndarray, ys: np.ndarray, spec: KernelSpec) -> tuple:
-    """eigh of the Gram matrices (K_z, K_x, K_y) of standardized rows.
-
-    K_z follows the joint rule. It is built in place of K_x once K_x and
-    K_y are factorized, so no more than two n x n Gram matrices are held.
-    """
-    k_x, k_y = gram(xs, spec), gram(ys, spec)
-    eig_x = spd_factorize(k_x, ridge_scale=0.0)
-    eig_y = spd_factorize(k_y, ridge_scale=0.0)
-    k_z = joint_kernel(k_x, k_y, spec, out=k_x) if spec.joint_splits else None
-    del k_x, k_y
-    if k_z is None:
-        k_z = gram(stack_pair(xs, ys), spec)
-    return spd_factorize(k_z, ridge_scale=0.0), eig_x, eig_y
-
-
 def fit_kernel_term(train: np.ndarray, eig: SpdEigen, spec: KernelSpec,
                     lam: float) -> KernelTerm:
     """Kernel term on finite 2-d float64 rows and the eigh K = U diag(s) U^T of their Gram matrix.
@@ -280,44 +269,43 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> Fit
     """
     x_train, y_train = (np.asarray(as_pixel_matrix(m), dtype=np.float64)
                         for m in (x_train, y_train))
-    return _fit_rows(x_train, y_train, config)
-
-
-def _fit_rows(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> FittedDetector:
-    """fit on finite 2-d float64 rows."""
     if x_train.shape[0] != y_train.shape[0]:
         raise ValueError("unaligned pair: training row counts differ")
     if x_train.shape[0] < 2:
         raise ValueError("need at least 2 training samples")
-    training = standardized_training(x_train, y_train)
-    _, _, xs, ys, _ = training
-    eigens = _kernel_eigens(xs, ys, config.kernel) if config.mode == "kernel" else None
-    return _detector(config, training, eigens)
+    return _fit_lambdas(standardized_training(x_train, y_train), config, [None])[0]
 
 
-def _detector(config: DetectorConfig, training: tuple, eigens: tuple | None) -> FittedDetector:
-    """The detector of config on standardized_training's output.
+def _fit_lambdas(training: tuple, config: DetectorConfig, lams: list) -> list:
+    """The detectors of config at each lambda of lams, on standardized_training's output.
 
-    Kernel mode takes eigens, the eigendecompositions (z, x, y) of the
-    training rows' Gram matrices at config's kernel (_kernel_eigens).
+    A None in lams keeps config's own lam, so linear mode takes [None] and
+    fits once. Kernel mode eigendecomposes each term's Gram matrix once for
+    every lambda; K_z follows the joint rule and is built in place of K_x
+    once K_x and K_y are factorized, so no more than two n x n Gram
+    matrices are held. The detectors share their training rows and bases.
     """
     stats_x, stats_y, xs, ys, zs = training
+    configs = [with_params(config, lam=lam) for lam in lams]
     if config.mode == "linear":
-        term_z, term_x, term_y = (_fit_linear_term(rows) for rows in (zs, xs, ys))
+        terms = [tuple(_fit_linear_term(rows) for rows in (zs, xs, ys))] * len(configs)
     else:
-        lam = kernel_lambda(config, xs.shape[0])
-        term_z, term_x, term_y = (fit_kernel_term(rows, eig, config.kernel, lam)
-                                  for rows, eig in zip((zs, xs, ys), eigens))
-    return FittedDetector(
-        config=config,
-        band_stats_x=stats_x,
-        band_stats_y=stats_y,
-        d_x=xs.shape[1],
-        d_y=ys.shape[1],
-        term_x=term_x,
-        term_y=term_y,
-        term_z=term_z,
-    )
+        spec = config.kernel
+        k_x, k_y = gram(xs, spec), gram(ys, spec)
+        eig_x = spd_factorize(k_x, ridge_scale=0.0)
+        eig_y = spd_factorize(k_y, ridge_scale=0.0)
+        k_z = joint_kernel(k_x, k_y, spec, out=k_x) if spec.joint_splits else None
+        del k_x, k_y
+        if k_z is None:
+            k_z = gram(zs, spec)
+        eigens = (spd_factorize(k_z, ridge_scale=0.0), eig_x, eig_y)
+        del k_z
+        terms = [tuple(fit_kernel_term(rows, eig, spec, kernel_lambda(c, xs.shape[0]))
+                       for rows, eig in zip((zs, xs, ys), eigens)) for c in configs]
+    return [FittedDetector(config=c, band_stats_x=stats_x, band_stats_y=stats_y,
+                           d_x=xs.shape[1], d_y=ys.shape[1],
+                           term_z=term_z, term_x=term_x, term_y=term_y)
+            for c, (term_z, term_x, term_y) in zip(configs, terms)]
 
 
 def xi_term(term: LinearTerm, rows: np.ndarray) -> np.ndarray:
@@ -326,77 +314,37 @@ def xi_term(term: LinearTerm, rows: np.ndarray) -> np.ndarray:
     return mahalanobis_batch(p, [term.weights])[0]
 
 
-def _kernel_xi(terms, stats_x: BandStats, stats_y: BandStats, spec: KernelSpec,
-               x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kernel xi of the probe pairs (x, y) in _SCORE_CHUNK chunks, as a (w, 3, m) array.
+def _kernel_xi(dets: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kernel xi of the probe pairs (x, y) in _SCORE_CHUNK chunks, as a (len(dets), 3, m) array.
 
-    terms gives (train, basis, weights) for the z, x and y terms, weights
-    being a list of w weight vectors. Per chunk, k_x and k_y are evaluated
-    into two reused blocks, each term is projected into the third, and k_z
-    is built in place of k_x (or evaluated on z, for sam).
+    dets differ only in lambda, so they share band stats, training rows and
+    bases. Per chunk, k_x and k_y are evaluated into two reused blocks, each
+    term is projected into the third once, and k_z is built in place of k_x
+    (or evaluated on z, for sam); then each detector's weights give its xi.
     """
-    (z_train, z_basis, z_w), (x_train, x_basis, x_w), (y_train, y_basis, y_w) = terms
+    det = dets[0]
+    spec, z_train = det.config.kernel, det.term_z.train
+    x_w, y_w, z_w = ([d.term_x.weights for d in dets], [d.term_y.weights for d in dets],
+                     [d.term_z.weights for d in dets])
     m = x.shape[0]
-    xi = np.empty((len(z_w), 3, m))
+    xi = np.empty((len(dets), 3, m))
     blocks = np.empty((3, min(m, _SCORE_CHUNK), z_train.shape[0]))
     for start in range(0, m, _SCORE_CHUNK):
         sl = slice(start, min(start + _SCORE_CHUNK, m))
         k_x, k_y, proj = blocks[:, : sl.stop - start]
-        xs = standardize_apply(x[sl], stats_x)
-        ys = standardize_apply(y[sl], stats_y)
-        k_x = cross_gram(x_train, xs, spec, out=k_x, work=proj)
-        k_y = cross_gram(y_train, ys, spec, out=k_y, work=proj)
-        xi[:, 1, sl] = mahalanobis_batch(np.matmul(k_x, x_basis, out=proj), x_w)
-        xi[:, 2, sl] = mahalanobis_batch(np.matmul(k_y, y_basis, out=proj), y_w)
+        xs = standardize_apply(x[sl], det.band_stats_x)
+        ys = standardize_apply(y[sl], det.band_stats_y)
+        k_x = cross_gram(det.term_x.train, xs, spec, out=k_x, work=proj)
+        k_y = cross_gram(det.term_y.train, ys, spec, out=k_y, work=proj)
+        xi[:, 1, sl] = mahalanobis_batch(np.matmul(k_x, det.term_x.basis, out=proj), x_w)
+        xi[:, 2, sl] = mahalanobis_batch(np.matmul(k_y, det.term_y.basis, out=proj), y_w)
         if spec.joint_splits:
             k_z = joint_kernel(k_x, k_y, spec, out=k_x)
         else:
             k_z = cross_gram(z_train, stack_pair(xs, ys), spec, out=k_x, work=proj)
-        xi[:, 0, sl] = mahalanobis_batch(np.matmul(k_z, z_basis, out=proj), z_w)
+        xi[:, 0, sl] = mahalanobis_batch(np.matmul(k_z, det.term_z.basis, out=proj), z_w)
         del xs, ys  # so the next chunk's rows do not coexist with these
     return xi
-
-
-def xi_kernel_path(
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    config: DetectorConfig,
-    lams,
-) -> np.ndarray:
-    """Kernel xi of each probe pair for every regularizer in lams at once.
-
-    Takes finite 2-d float64 training rows, finite 2-d probe rows and a
-    kernel-mode config. Returns a (len(lams), 3, m) array whose entry i
-    equals, bit for bit,
-    xi_pixels(fit(x_train, y_train, with_params(config, lam=lams[i])), x, y):
-    the same Gram matrices and chunk loop, with each term's K
-    eigendecomposed once and each probe block projected and squared once
-    for all lambdas.
-    """
-    if config.mode != "kernel":
-        raise ValueError("xi_kernel_path needs a kernel-mode config")
-    lams = np.asarray(lams, dtype=np.float64)
-    if lams.ndim != 1 or not np.all(lams > 0):
-        raise ValueError("lams must be a 1-d array of positive values")
-    stats_x, stats_y, xs, ys, _ = standardized_training(x_train, y_train)
-    eigens = _kernel_eigens(xs, ys, config.kernel)
-    return _kernel_xi_path(xs, ys, eigens, stats_x, stats_y, config.kernel, x, y, lams)
-
-
-def _kernel_xi_path(xs: np.ndarray, ys: np.ndarray, eigens: tuple, stats_x: BandStats,
-                    stats_y: BandStats, spec: KernelSpec, x: np.ndarray, y: np.ndarray,
-                    lams) -> np.ndarray:
-    """xi_kernel_path from the training rows as standardized by stats_x and stats_y.
-
-    eigens holds the eigendecompositions (z, x, y) of their Gram matrices (_kernel_eigens).
-    """
-    terms = []
-    for train, eig in zip((stack_pair(xs, ys), xs, ys), eigens):
-        spectrum = eig.values * eig.values
-        terms.append((train, eig.basis, [inverse_weights(spectrum, lam) for lam in lams]))
-    return _kernel_xi(terms, stats_x, stats_y, spec, x, y)
 
 
 def combine_xi(
@@ -434,11 +382,13 @@ def xi_pixels(det: FittedDetector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     made (float32 pixels stay float32) and a kernel model keeps three
     _SCORE_CHUNK x n_train blocks.
     """
-    return _xi_rows(det, as_pixel_matrix(x), as_pixel_matrix(y))
+    return _xi_rows([det], as_pixel_matrix(x), as_pixel_matrix(y))[0]
 
 
-def _xi_rows(det: FittedDetector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """xi_pixels on finite 2-d float32 or float64 rows."""
+def _xi_rows(dets: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """xi_pixels of each of dets, detectors that differ only in lambda, as a (len(dets), 3, n)
+    array, on finite 2-d float32 or float64 rows."""
+    det = dets[0]
     if x.shape[0] != y.shape[0]:
         raise ValueError("unaligned pair: row counts differ")
     if x.shape[1] != det.d_x or y.shape[1] != det.d_y:
@@ -447,19 +397,18 @@ def _xi_rows(det: FittedDetector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             f"got ({x.shape[1]}, {y.shape[1]})"
         )
     if det.config.mode == "kernel":
-        terms = [(term.train, term.basis, [term.weights])
-                 for term in (det.term_z, det.term_x, det.term_y)]
-        return _kernel_xi(terms, det.band_stats_x, det.band_stats_y, det.config.kernel,
-                          x, y)[0]
+        return _kernel_xi(dets, x, y)
     n = x.shape[0]
-    xi = np.empty((3, n))
+    xi = np.empty((len(dets), 3, n))
     for start in range(0, n, _SCORE_CHUNK):
         sl = slice(start, min(start + _SCORE_CHUNK, n))
         xs = standardize_apply(x[sl], det.band_stats_x)
         ys = standardize_apply(y[sl], det.band_stats_y)
-        xi[0, sl] = xi_term(det.term_z, stack_pair(xs, ys))
-        xi[1, sl] = xi_term(det.term_x, xs)
-        xi[2, sl] = xi_term(det.term_y, ys)
+        zs = stack_pair(xs, ys)
+        for i, d in enumerate(dets):
+            xi[i, 0, sl] = xi_term(d.term_z, zs)
+            xi[i, 1, sl] = xi_term(d.term_x, xs)
+            xi[i, 2, sl] = xi_term(d.term_y, ys)
     return xi
 
 

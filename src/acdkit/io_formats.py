@@ -260,7 +260,7 @@ def _config_from(d: dict) -> DetectorConfig:
     )
 
 
-def save_model(det: FittedDetector, directory, metadata: dict | None = None) -> None:
+def save_model(det: FittedDetector, directory) -> None:
     """Write manifest.json plus float64 blobs; load_model restores bit-exactly."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -290,8 +290,6 @@ def save_model(det: FittedDetector, directory, metadata: dict | None = None) -> 
             entry.update(type="kernel", lam=term.lam, kernel=_spec_dict(term.spec),
                          train=_write_blob(directory, f"term_{name}_train.bin", term.train))
         manifest["terms"][name] = entry
-    if metadata is not None:
-        manifest["metadata"] = metadata
     (directory / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
@@ -317,7 +315,7 @@ def _term_from(directory: Path, entry: dict, where: str):
 
 
 def load_model(directory) -> FittedDetector:
-    """Restore a detector written by save_model.
+    """Restore a detector written by save_model; manifest keys it does not read are ignored.
 
     A manifest of another format version raises UnsupportedVersionError; any
     other malformed manifest, missing or corrupt blob raises CorruptModelError.

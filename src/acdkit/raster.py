@@ -151,11 +151,16 @@ def stack_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def standardize_fit(m: np.ndarray) -> BandStats:
-    """Per-column mean and population std of finite 2-d float64 rows; constant ones get std 1."""
+    """Per-column mean and population std of finite 2-d float32 or float64 rows.
+
+    Constant columns get std 1. Both accumulate in float64 (numpy sums
+    axis 0 row by row), so float32 rows give the bits of their float64 copy
+    without making one.
+    """
     if m.shape[0] < 2:
         raise ValueError("need at least 2 rows to fit band statistics")
-    mean = m.mean(axis=0)
-    std = m.std(axis=0)  # population (1/n), consistent with covariance
+    mean = m.mean(axis=0, dtype=np.float64)
+    std = m.std(axis=0, dtype=np.float64)  # population (1/n), consistent with covariance
     degenerate = std < DEGENERATE_STD_TOL * (np.abs(mean) + 1.0)
     std = np.where(degenerate, 1.0, std)
     return BandStats(mean=mean, std=std)

@@ -48,16 +48,18 @@ def pervasive_noise(cube: ImageCube, std: float, seed: int) -> ImageCube:
     the draw is added, then mapped back, so `std` means the same thing for
     bands of any dynamic range. std = 0 returns the input bit-exactly.
 
-    The band std is one pass over a float64 copy of the pixels. The
-    result, (x / band_std + noise) * band_std, is then computed chunk by
-    chunk inside the float64 noise array, which becomes the new cube's data.
+    The band std is taken from the float32 pixels as they are, accumulated
+    in float64 (raster.standardize_fit), so no float64 copy of the scene is
+    made. The result, (x / band_std + noise) * band_std, is then computed
+    chunk by chunk inside the float64 noise array, which becomes the new
+    cube's data.
     """
     if not 0 <= std < np.inf:
         raise ValueError("noise std must be finite and nonnegative")
     if std == 0.0:
         return cube
     pixels = flatten(cube)
-    band_std = standardize_fit(np.asarray(pixels, dtype=np.float64)).std
+    band_std = standardize_fit(pixels).std
     rng = np.random.default_rng(seed)
     noisy = rng.normal(0.0, std, size=pixels.shape)
     with np.errstate(over="ignore"):  # ImageCube rejects a pixel that overflows

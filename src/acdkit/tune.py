@@ -10,19 +10,18 @@ regularizer lambda. Default grids:
     lambda  30 points, log-spaced over [1e-10, 10^2.5]
 
 Training pixels are drawn from non-anomalous positions only; validation
-pixels are drawn from the remainder and keep both classes. Neither the
-fit nor the validation xi depends on nu, so nu is swept over cached xi
-values. In kernel mode neither the Gram matrices nor the validation
-probe kernels depend on lambda either: per sigma the search
-eigendecomposes each term's Gram matrix once and gets the validation
-xi of every lambda from one pass of the scoring chunk loop (the loop
-of detectors.xi_kernel_path), instead of refitting per (sigma, lambda).
-Linear mode fits once. Each AUC is counted by metrics.auc_score without
-building a ROC curve, so either way each trace AUC equals, bit for bit,
-roc_curve's validation AUC of a refit at its point. The search returns
-the best point's detector too, built from the fit (linear) or the
-eigendecompositions (kernel) it already made at that point, so no refit
-is needed to save it.
+pixels are drawn from the remainder and keep both classes. For each
+sigma the search builds the detectors of the whole lambda axis with the
+builder that `detectors.fit` uses at its one lambda: each term's Gram
+matrix is eigendecomposed once, and only the weights differ between
+lambdas (linear mode fits once). It scores them on the validation rows
+in one pass of the scoring chunk loop, projecting each probe block once
+for every lambda. Neither the fit nor the validation xi depends on nu,
+so nu is swept over the cached xi. Each AUC is counted by
+metrics.auc_score without building a ROC curve, so each trace AUC
+equals, bit for bit, roc_curve's validation AUC of a refit at its
+point. The search returns the detector it scored at the best point, with
+the best nu put in its config, so no refit is needed to save it.
 
 `default_grid` fills exactly the axes a config exposes, and `grid_search`
 rejects a grid that fills any other.
@@ -37,12 +36,9 @@ import numpy as np
 from .detectors import (
     DetectorConfig,
     FittedDetector,
-    _detector,
-    _kernel_eigens,
-    _kernel_xi_path,
+    _fit_lambdas,
     _xi_rows,
     combine_xi,
-    kernel_lambda,
     standardized_training,
     with_params,
 )
@@ -112,9 +108,10 @@ class GridPoint:
 class TuneResult:
     """The best grid point, its validation AUC and detector, and the whole trace.
 
-    best_detector equals, blob for blob, a fit on the search's training
-    draw at the best point; the search builds it from its own fit. Results
-    compare equal by their point, AUC and trace.
+    best_detector is the detector the search scored at the best point, with
+    the best nu in its config; it equals, blob for blob, a fit on the
+    search's training draw at that point. Results compare equal by their
+    point, AUC and trace.
     """
 
     best_params: GridPoint
@@ -228,49 +225,39 @@ def grid_search(
                                 for idx in (train_idx, val_idx) for m in (x, y))
     val_labels = (np.asarray(labels).ravel() > 0).astype(np.int64)[val_idx]
     training = standardized_training(x_tr, y_tr)
-    stats_x, stats_y, xs, ys, zs = training
 
     if grid is None:
         has_sigma = _exposed_axes(config)[1]
-        grid = default_grid(config, sigma_heuristic(zs) if has_sigma else None)
+        grid = default_grid(config, sigma_heuristic(training[4]) if has_sigma else None)
 
     nu_values = list(grid.nu_grid) if grid.nu_grid.size else [None]
     sigma_values = list(grid.sigma_grid) if grid.sigma_grid.size else [None]
     lambda_values = list(grid.lambda_grid) if grid.lambda_grid.size else [None]
-    lams = [kernel_lambda(with_params(config, lam=lam), n_train) for lam in lambda_values]
-    linear = _detector(config, training, None) if config.mode == "linear" else None
 
-    # nu only affects the score combination, so it is swept over the cached
-    # xi triplets of each (sigma, lambda). Gaussian scores take no nu at all.
-    # The best point is the first maximum in canonical order; the Gram
-    # eigendecompositions of its sigma are kept to build its detector.
+    # Per sigma, the detectors of the whole lambda axis come from one
+    # eigendecomposition per Gram matrix and are scored in one pass. nu only
+    # affects the score combination, so it is swept over their cached xi;
+    # Gaussian scores take no nu at all. The best point is the first maximum
+    # in canonical order, and its detector is the one scored there.
     d_x, d_y = x.shape[1], y.shape[1]
     nu_configs = [with_params(config, nu=nu) if config.distribution == "ec" else config
                   for nu in nu_values]
-    entries, best_key, best_eigens = {}, None, None
+    entries, best_key, best_detector = {}, None, None
     for i_s, sigma in enumerate(sigma_values):
-        if linear is not None:  # no sigma or lambda axis
-            eigens, xis = None, [_xi_rows(linear, x_val, y_val)]
-        else:
-            spec = with_params(config, sigma=sigma).kernel
-            eigens = _kernel_eigens(xs, ys, spec)
-            xis = _kernel_xi_path(xs, ys, eigens, stats_x, stats_y, spec, x_val, y_val, lams)
-        for i_l, (lam, xi) in enumerate(zip(lambda_values, xis)):
+        dets = _fit_lambdas(training, with_params(config, sigma=sigma), lambda_values)
+        xis = _xi_rows(dets, x_val, y_val)
+        for i_l, lam in enumerate(lambda_values):
             for i_n, (nu, nu_config) in enumerate(zip(nu_values, nu_configs)):
-                auc = auc_score(combine_xi(*xi, nu_config, d_x, d_y), val_labels)
+                auc = auc_score(combine_xi(*xis[i_l], nu_config, d_x, d_y), val_labels)
                 key = (i_n, i_s, i_l)
                 entries[key] = (GridPoint(nu=nu, sigma=sigma, lam=lam), auc)
                 if best_key is None or (-auc, key) < (-entries[best_key][1], best_key):
-                    best_key, best_eigens = key, eigens
-        del eigens, xis  # so they do not coexist with the next sigma's
+                    best_key, best_detector = key, dets[i_l]
+        del dets, xis  # so they do not coexist with the next sigma's
 
     trace = tuple(entries[key] for key in sorted(entries))
     best_params, best_auc = entries[best_key]
-    best_config = with_params(config, nu=best_params.nu, sigma=best_params.sigma,
-                              lam=best_params.lam)
-    if linear is not None:
-        best_detector = replace(linear, config=best_config)
-    else:
-        best_detector = _detector(best_config, training, best_eigens)
+    best_detector = replace(best_detector,
+                            config=with_params(best_detector.config, nu=best_params.nu))
     return TuneResult(best_params=best_params, best_val_auc=best_auc, trace=trace,
                       best_detector=best_detector)

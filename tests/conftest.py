@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from acdkit.detectors import _kernel_eigens, _kernel_xi_path
+from acdkit.detectors import DetectorConfig, _fit_lambdas, _xi_rows
 from acdkit.io_formats import save_model
-from acdkit.raster import BandStats, ImageCube
+from acdkit.raster import BandStats, ImageCube, stack_pair
 
 
 def correlated_pair(n, d_x, d_y=None, seed=0, noise=0.1):
@@ -19,16 +19,18 @@ def correlated_pair(n, d_x, d_y=None, seed=0, noise=0.1):
 
 
 def raw_kernel_xi_path(x_train, y_train, x, y, spec, lams):
-    """(len(lams), 3, m) kernel xi of the probe pairs under terms fit on the rows as given.
+    """(len(lams), 3, m) kernel xi of the probe pairs under detectors fit on the rows as given.
 
-    This is xi_kernel_path's chunk loop with identity band stats, so the
-    training rows may be uncentered, or a single row.
+    The detectors take identity band stats, so the training rows may be
+    uncentered, or a single row.
     """
     def identity(d):
         return BandStats(mean=np.zeros(d), std=np.ones(d))
 
-    return _kernel_xi_path(x_train, y_train, _kernel_eigens(x_train, y_train, spec),
-                           identity(x.shape[1]), identity(y.shape[1]), spec, x, y, lams)
+    training = (identity(x_train.shape[1]), identity(y_train.shape[1]), x_train, y_train,
+                stack_pair(x_train, y_train))
+    dets = _fit_lambdas(training, DetectorConfig(mode="kernel", kernel=spec), lams)
+    return _xi_rows(dets, x, y)
 
 
 def model_bytes(det, directory):

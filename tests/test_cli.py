@@ -113,6 +113,19 @@ def test_fit_gaussian_rejects_nu(scene, capsys):
     assert not model.exists()
 
 
+def test_fit_linear_rejects_lambda(scene, capsys):
+    model = scene["dir"] / "m"
+    rc = main([
+        "fit", "--x", str(scene["x"]), "--y", str(scene["y"]),
+        "--mode", "linear", "--lambda", "5", "--train-samples", "100",
+        "--model-out", str(model),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: lam applies to kernel mode only\n"
+    assert not model.exists()
+
+
 def test_import_leaves_scipy_unloaded():
     import acdkit
 
@@ -375,10 +388,14 @@ def _copy_kernel_term_x(manifest, model):
     (lambda m, d: m["terms"]["z"]["kernel"].update(sigma=0.5), "the config's kernel"),
     (lambda m, d: m["terms"]["x"].update(lam=123), "the config's lambda"),
     (lambda m, d: m["config"].update(lam=None), "the config's lambda"),
-    (lambda m, d: m["config"].update(mode="linear"), "config mode 'linear' needs linear terms"),
+    (lambda m, d: m["config"].update(mode="linear"), "a kernel spec applies to kernel mode only"),
+    (lambda m, d: m["config"].update(mode="linear", kernel=None),
+     "lam applies to kernel mode only"),
+    (lambda m, d: m["config"].update(mode="linear", kernel=None, lam=None),
+     "config mode 'linear' needs linear terms"),
     (_copy_kernel_term_x, "one training row count"),
 ], ids=["config sigma", "term sigma", "term lambda", "config lambda", "config mode",
-        "training rows"])
+        "config mode and lambda", "linear config", "training rows"])
 def test_score_rejects_model_whose_config_and_terms_disagree(scene, capsys, edit, message):
     d = scene["dir"]
     for name, n in (("m_edit", "120"), ("m_fewer", "80")):

@@ -14,12 +14,13 @@ from acdkit.detectors import (
     DetectorConfig,
     KernelTerm,
     LinearTerm,
+    _fit_lambdas,
+    _xi_rows,
     combine_xi,
     fit,
     score_pixels,
     with_params,
     standardized_training,
-    xi_kernel_path,
     xi_pixels,
     xi_term,
 )
@@ -35,6 +36,12 @@ def kernel_config(**kw):
     kw.setdefault("kernel", KernelSpec("rbf", 2.0))
     kw.setdefault("mode", "kernel")
     return DetectorConfig(**kw)
+
+
+def xi_kernel_path(x_train, y_train, x, y, config, lams):
+    """(len(lams), 3, m) xi of the probe pairs under the detectors of config at each
+    lambda, built and scored as tune does: one eigendecomposition per Gram matrix."""
+    return _xi_rows(_fit_lambdas(standardized_training(x_train, y_train), config, lams), x, y)
 
 
 def linear_term(c, mean, ridge):
@@ -93,6 +100,16 @@ def test_detector_terms_must_match_config():
 def test_gaussian_config_rejects_nu(nu):
     with pytest.raises(ValueError, match="nu applies to the ec distribution only"):
         DetectorConfig(distribution="gaussian", nu=nu)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"kernel": KernelSpec("rbf", 1.0)}, "a kernel spec applies to kernel mode only"),
+    ({"lam": 3.0}, "lam applies to kernel mode only"),
+    ({"kernel": KernelSpec("rbf", 1.0), "lam": 3.0}, "a kernel spec applies to kernel mode only"),
+])
+def test_linear_config_rejects_kernel_and_lambda(kw, message):
+    with pytest.raises(ValueError, match=message):
+        DetectorConfig(mode="linear", **kw)
 
 
 def test_terms_reject_malformed_whitening():
@@ -465,15 +482,6 @@ def test_xi_terms_match_high_precision_reference(ridge):
     cond = np.linalg.cond(c + ridge * np.eye(3))
     assert np.max(np.abs(linear / np.array(linear_ref) - 1)) <= 16 * cond * np.finfo(float).eps
     assert np.max(np.abs(kernel / np.array(kernel_ref) - 1)) <= 1e-8
-
-
-def test_xi_kernel_path_rejects_bad_lambdas(rng):
-    x, y = rng.normal(size=(10, 2)), rng.normal(size=(10, 2))
-    for lams in ([1e-3, 0.0], [-1.0], [[1e-3]]):
-        with pytest.raises(ValueError, match="lams"):
-            xi_kernel_path(x, y, x, y, kernel_config(kernel=KernelSpec("rbf", 1.0)), lams)
-    with pytest.raises(ValueError, match="kernel-mode config"):
-        xi_kernel_path(x, y, x, y, DetectorConfig(), [1e-3])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -285,10 +285,13 @@ def test_writers_deterministic(tmp_path):
     assert (tmp_path / "r1.bin").read_bytes() == (tmp_path / "r2.bin").read_bytes()
 
 
-def test_model_metadata_optional(tmp_path):
+def test_load_model_ignores_unknown_manifest_keys(tmp_path):
     x, y = correlated_pair(60, 2, seed=8)
     det = fit(x, y, DetectorConfig())
-    save_model(det, tmp_path / "model", metadata={"note": "run 1"})
-    manifest = json.loads((tmp_path / "model" / "manifest.json").read_text())
-    assert manifest["metadata"] == {"note": "run 1"}
-    load_model(tmp_path / "model")  # metadata ignored on load
+    save_model(det, tmp_path / "model")
+    manifest_path = tmp_path / "model" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["metadata"] = {"note": "run 1"}
+    manifest_path.write_text(json.dumps(manifest))
+    loaded = load_model(tmp_path / "model")
+    assert np.array_equal(score_pixels(loaded, x, y), score_pixels(det, x, y))

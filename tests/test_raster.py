@@ -140,3 +140,13 @@ def test_sample_pixels_distinct_and_in_range():
         idx = sample_pixels(50, 30, seed=seed)
         assert len(np.unique(idx)) == 30
         assert idx.min() >= 0 and idx.max() < 50
+
+
+@pytest.mark.parametrize("shape", [(65536, 8), (1000, 3), (7, 5), (5000, 1)])
+def test_standardize_fit_float32_rows_give_the_bits_of_their_float64_copy(shape):
+    # mean and std accumulate in float64. This rests on numpy summing axis 0
+    # row by row whether or not it casts each block of rows first.
+    rows = (np.random.default_rng(11).normal(size=shape) * 50.0 + 20.0).astype(np.float32)
+    got, want = standardize_fit(rows), standardize_fit(rows.astype(np.float64))
+    for a, b in ((got.mean, want.mean), (got.std, want.std)):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))

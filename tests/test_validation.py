@@ -126,11 +126,12 @@ _N = 512 * 512
 _P = _N * 8 * 4
 _SLACK = 2**19  # chunk-sized temporaries and numpy's own buffers
 CLI_MEMORY_CASES = {
-    # the input payload, a float64 copy of it for the band std and the
-    # deviations numpy's std makes of that copy; the float64 noise array
-    # comes after those two are freed, and the input goes before scrambling
+    # the scramble stage's float64 noisy array and its permuted copy: the
+    # input goes before scrambling, and the band std pass (the input plus
+    # numpy's float64 deviations) and the noise pass (the input plus the
+    # float64 noise array) hold less
     "simulate": (["simulate", "--input", "x", "--out", "y", "--labels", "labels"],
-                 _P + 2 * (2 * _P) + _SLACK),
+                 2 * (2 * _P) + _SLACK),
     # both payloads and training_draw's index of the background pixels
     "fit": (["fit", "--x", "x", "--y", "y", "--model-out", "model"],
             2 * _P + 8 * _N + _SLACK),
