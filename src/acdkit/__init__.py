@@ -29,7 +29,7 @@ from .raster import (
     sample_pixels,
     unflatten,
 )
-from .simulate import SimulationResult, pervasive_noise, scramble_anomalies
+from .simulate import pervasive_noise, scramble_anomalies
 from .tune import TuneGrid, TuneResult, default_grid, grid_search
 
 __version__ = "0.1.0"

@@ -11,11 +11,11 @@ subcommand is drawn in a fixed documented order:
     tune       training draw with seed, validation draw with seed + 1
 
 Rasters stay float32 as read (io_formats.read_raster); the library
-converts the rows it computes on to float64. simulate drops its input
-once the noise is added, so the input and the scrambled copy are never
-held together, and fit drops both scenes once it has drawn its training
-rows. tune --model-out saves the detector the search built at its best
-point.
+converts the rows it computes on to float64. simulate adds the noise
+into new rows, drops its input and scrambles those rows in place, which
+become the output: it never holds more than the input and one float64
+scene. fit drops both scenes once it has drawn its training rows. tune
+--model-out saves the detector the search built at its best point.
 
 Exit codes: 0 success, 1 I/O failure (including a raster write holding a
 value beyond float32's range, which writes nothing), 2 usage error,
@@ -97,15 +97,22 @@ def _read_labels(path, height, width) -> np.ndarray:
     return io_formats.cube_to_labels(cube)
 
 
+def _takes_sigma(args) -> bool:
+    """Whether the family flags name a kernel with a lengthscale (rbf or sam)."""
+    return args.mode == "kernel" and args.kernel != "linear"
+
+
 def _build_config(args, nu, sigma, lam) -> DetectorConfig:
     """The config of the family flags, with the given nu, sigma and lambda.
 
-    sigma is dropped for the linear kernel, which has no lengthscale.
+    A sigma outside kernel mode, or for the linear kernel, is a usage error.
     """
     beta_x, beta_y = DETECTOR_BETAS[args.detector]
     kernel = None
     if args.mode == "kernel":
-        kernel = KernelSpec(args.kernel, None if args.kernel == "linear" else sigma)
+        kernel = KernelSpec(args.kernel, sigma)
+    elif sigma is not None:
+        raise ValueError("sigma applies to kernel mode only")
     return DetectorConfig(
         beta_x=beta_x,
         beta_y=beta_y,
@@ -126,12 +133,11 @@ def cmd_simulate(args) -> int:
         raise ValueError("--scramble-frac must be in (0, 1]")
     cube = io_formats.read_raster(args.input)
     height, width = cube.height, cube.width
-    noisy = pervasive_noise(cube, args.noise_std, args.seed)
-    del cube  # the input need not coexist with the scrambled copy
-    result = scramble_anomalies(noisy, args.scramble_frac, args.seed + 1)
-    del noisy
-    io_formats.write_raster(result.second_image, args.out)
-    io_formats.write_raster(io_formats.labels_to_cube(result.labels, height, width), args.labels)
+    pixels = pervasive_noise(flatten(cube), args.noise_std, args.seed)
+    del cube  # the input need not coexist with the scrambled rows
+    labels = scramble_anomalies(pixels, args.scramble_frac, args.seed + 1)
+    io_formats.write_raster(unflatten(pixels, height, width), args.out)
+    io_formats.write_raster(io_formats.labels_to_cube(labels, height, width), args.labels)
     return EXIT_OK
 
 
@@ -145,7 +151,7 @@ def cmd_fit(args) -> int:
     del cube_x, cube_y  # fit reads only the drawn rows
 
     sigma = args.sigma
-    if args.mode == "kernel" and args.kernel != "linear" and sigma is None:
+    if _takes_sigma(args) and sigma is None:
         sigma = anchor_sigma(x_tr, y_tr)
         print(f"sigma auto -> {sigma:.17g}")
     det = fit(x_tr, y_tr, _build_config(args, args.nu, sigma, args.lam))
@@ -201,7 +207,8 @@ def cmd_tune(args) -> int:
     x, y = flatten(cube_x), flatten(cube_y)
     labels = _read_labels(args.labels, cube_x.height, cube_x.width)
     # grid_search replaces nu (ec) and sigma (rbf, sam); 1.0 keeps the config valid until then.
-    config = _build_config(args, 1.0 if args.dist == "ec" else None, 1.0, None)
+    config = _build_config(args, 1.0 if args.dist == "ec" else None,
+                           1.0 if _takes_sigma(args) else None, None)
 
     result = grid_search(
         x, y, labels, config, None, args.n_train, args.n_val, args.seed

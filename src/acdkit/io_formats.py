@@ -111,7 +111,7 @@ def read_raster(path) -> ImageCube:
         )
     data = np.frombuffer(payload, dtype="<f4").reshape(h, w, d)
     try:
-        return ImageCube.from_array(data)
+        return ImageCube(data)
     except ValueError as e:  # NaN or inf in the payload; ImageCube's own scan finds it
         raise RasterFormatError(f"bad raster {path}: {e}") from e
 
@@ -121,9 +121,7 @@ def labels_to_cube(labels: np.ndarray, height: int, width: int) -> ImageCube:
     labels = np.asarray(labels).ravel()
     if labels.size != height * width:
         raise ValueError("label count does not match height*width")
-    return ImageCube.from_array(
-        (labels > 0).astype(np.float32).reshape(height, width, 1)
-    )
+    return ImageCube((labels > 0).astype(np.float32).reshape(height, width, 1))
 
 
 def cube_to_labels(cube: ImageCube) -> np.ndarray:

@@ -36,7 +36,7 @@ _HEURISTIC_MAX_EXACT = 2000
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel kind plus lengthscale; sigma is ignored for the linear kernel."""
+    """Kernel kind plus lengthscale: rbf and sam need a sigma, the linear kernel takes none."""
 
     kind: str
     sigma: float | None = None
@@ -44,9 +44,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind != "linear":
-            if self.sigma is None or not 0 < self.sigma < np.inf:
-                raise ValueError(f"{self.kind} kernel requires a finite sigma > 0")
+        if self.kind == "linear":
+            if self.sigma is not None:
+                raise ValueError("the linear kernel takes no sigma")
+        elif self.sigma is None or not 0 < self.sigma < np.inf:
+            raise ValueError(f"{self.kind} kernel requires a finite sigma > 0")
 
     @property
     def joint_splits(self) -> bool:

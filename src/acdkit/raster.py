@@ -1,16 +1,19 @@
 """Raster data model: cubes, pixel matrices, band standardization, sampling.
 
-An image cube is an H x W x d stack of real-valued bands stored
-band-interleaved-by-pixel (row-major pixel order, bands fastest). Pixel
-matrices are numpy arrays of shape (n, d), one spectrum per row. Both keep
-float32 values as float32, so a raster read from disk stays its float32
-payload, and store any other values as float64. Arithmetic runs in
-float64, on rows converted where it needs them (one chunk, or the
-gathered training rows); float32 -> float64 is exact. All containers are
-immutable after construction; every operation here is pure.
-`as_pixel_matrix` validates a matrix once, where it enters the library;
-the row helpers expect finite 2-d float64 rows (`standardize_apply` and
-`unflatten` also float32 ones) and check only shapes.
+An image cube is the type of a raster file: one H x W x d array of
+real-valued bands stored band-interleaved-by-pixel (row-major pixel order,
+bands fastest), and nothing else; its dimensions are the array's shape.
+The library computes on pixel matrices, numpy arrays of shape (n, d), one
+spectrum per row; `flatten` and `unflatten` convert between the two
+without a copy. Both keep float32 values as float32, so a raster read from
+disk stays its float32 payload, and store any other values as float64.
+Arithmetic runs in float64, on rows converted where it needs them (one
+chunk, or the gathered training rows); float32 -> float64 is exact. The
+containers here are immutable after construction; every operation here is
+pure. `as_pixel_matrix` validates a matrix once, where it enters the
+library; the row helpers expect finite 2-d float64 rows
+(`standardize_apply` and `unflatten` also float32 ones) and check only
+shapes.
 """
 
 from __future__ import annotations
@@ -59,36 +62,31 @@ def _all_finite(a: np.ndarray) -> bool:
 class ImageCube:
     """H x W x d raster of finite real values, bands interleaved by pixel.
 
-    float32 data is kept as float32, without a copy; other data is stored
-    as float64.
+    The one field is the (H, W, d) array, made read-only. float32 data is
+    kept as float32, without a copy; other data is stored as float64.
     """
 
-    height: int
-    width: int
-    bands: int
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1 or self.bands < 1:
-            raise ValueError("cube dimensions must be positive")
         data = _real(self.data)
-        if data.shape != (self.height, self.width, self.bands):
-            raise ValueError(
-                f"data shape {data.shape} does not match "
-                f"({self.height}, {self.width}, {self.bands})"
-            )
+        if data.ndim != 3 or 0 in data.shape:
+            raise ValueError("expected a 3-d (H, W, d) array with no zero dimension")
         if not _all_finite(data):
             raise ValueError("cube contains non-finite values")
         object.__setattr__(self, "data", _readonly(data))
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "ImageCube":
-        """Build a cube from an (H, W, d) array."""
-        arr = _real(arr)
-        if arr.ndim != 3:
-            raise ValueError("expected a 3-d (H, W, d) array")
-        h, w, d = arr.shape
-        return cls(height=h, width=w, bands=d, data=arr)
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def bands(self) -> int:
+        return self.data.shape[2]
 
     @property
     def n_pixels(self) -> int:
@@ -139,7 +137,7 @@ def unflatten(m: np.ndarray, height: int, width: int) -> ImageCube:
     """Inverse of :func:`flatten` for finite 2-d rows; bit-exact round trip."""
     if m.shape[0] != height * width:
         raise ValueError("row count does not match height*width")
-    return ImageCube.from_array(m.reshape(height, width, m.shape[1]))
+    return ImageCube(m.reshape(height, width, m.shape[1]))
 
 
 def stack_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:

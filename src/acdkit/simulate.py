@@ -1,22 +1,24 @@
 """Synthetic change generator: pervasive noise plus anomalous pixel scrambling.
 
-The second image of a pair is simulated from the first in two steps:
-pervasive (global, uninteresting) change is Gaussian noise added to every
-band of every pixel; anomalous change is a seeded derangement of a small
-fraction of pixel spectra. Scrambling only moves spectra between
-positions, so per-band global distributions are unchanged and the
-anomalies are invisible to single-image statistics.
+The second image of a pair is simulated from the (n, d) pixel rows of the
+first in two steps: pervasive (global, uninteresting) change is Gaussian
+noise added to every band of every pixel; anomalous change is a seeded
+derangement of a small fraction of pixel spectra. Scrambling only moves
+spectra between positions, so per-band global distributions are unchanged
+and the anomalies are invisible to single-image statistics.
+
+`pervasive_noise` returns new, writable rows, and `scramble_anomalies`
+permutes the rows it is given in place, so the whole simulation holds one
+scene next to its input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .raster import ImageCube, flatten, standardize_fit, unflatten
+from .raster import as_pixel_matrix, standardize_fit
 
-__all__ = ["SimulationResult", "pervasive_noise", "scramble_anomalies"]
+__all__ = ["pervasive_noise", "scramble_anomalies"]
 
 # Rejection sampling for a derangement accepts with probability ~ 1/e.
 _MAX_DERANGE_TRIES = 10_000
@@ -26,48 +28,34 @@ _MAX_DERANGE_TRIES = 10_000
 _NOISE_CHUNK = 8192
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    """Scrambled image plus per-pixel ground-truth labels (1 = anomalous)."""
-
-    second_image: ImageCube
-    labels: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.uint8)
-        if labels.shape != (self.second_image.n_pixels,):
-            raise ValueError("labels length must equal pixel count")
-        labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-
-
-def pervasive_noise(cube: ImageCube, std: float, seed: int) -> ImageCube:
-    """Add independent N(0, std^2) noise, drawn in standardized band units.
+def pervasive_noise(pixels: np.ndarray, std: float, seed: int) -> np.ndarray:
+    """New (n, d) rows: the pixels plus independent N(0, std^2) noise in standardized band units.
 
     Each band is divided by its own population standard deviation before
     the draw is added, then mapped back, so `std` means the same thing for
-    bands of any dynamic range. std = 0 returns the input bit-exactly.
+    bands of any dynamic range. std = 0 returns a copy of the input, bit
+    for bit.
 
-    The band std is taken from the float32 pixels as they are, accumulated
-    in float64 (raster.standardize_fit), so no float64 copy of the scene is
+    The band std is taken from float32 pixels as they are, accumulated in
+    float64 (raster.standardize_fit), so no float64 copy of the scene is
     made. The result, (x / band_std + noise) * band_std, is then computed
-    chunk by chunk inside the float64 noise array, which becomes the new
-    cube's data.
+    chunk by chunk inside the float64 noise array, which is returned. A
+    value that overflows is left as infinity; ImageCube rejects it.
     """
     if not 0 <= std < np.inf:
         raise ValueError("noise std must be finite and nonnegative")
+    pixels = as_pixel_matrix(pixels)
     if std == 0.0:
-        return cube
-    pixels = flatten(cube)
+        return pixels.copy()
     band_std = standardize_fit(pixels).std
     rng = np.random.default_rng(seed)
     noisy = rng.normal(0.0, std, size=pixels.shape)
-    with np.errstate(over="ignore"):  # ImageCube rejects a pixel that overflows
+    with np.errstate(over="ignore"):
         for start in range(0, noisy.shape[0], _NOISE_CHUNK):
             rows = noisy[start : start + _NOISE_CHUNK]
             np.add(pixels[start : start + _NOISE_CHUNK] / band_std, rows, out=rows)
             rows *= band_std
-    return unflatten(noisy, cube.height, cube.width)
+    return noisy
 
 
 def _derangement(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -78,17 +66,20 @@ def _derangement(rng: np.random.Generator, k: int) -> np.ndarray:
     raise RuntimeError("failed to draw a derangement")  # pragma: no cover
 
 
-def scramble_anomalies(cube: ImageCube, frac: float, seed: int) -> SimulationResult:
-    """Derange the spectra of a random fraction of pixels and label them.
+def scramble_anomalies(pixels: np.ndarray, frac: float, seed: int) -> np.ndarray:
+    """Derange the spectra of a random fraction of rows, in place; return uint8 labels.
 
-    k = round(frac * H * W) positions are drawn uniformly without
+    pixels must be a writable 2-d ndarray, one spectrum per row; it is
+    never copied. k = round(frac * n) rows are drawn uniformly without
     replacement, then their spectra are permuted by a derangement so no
-    selected pixel keeps its own spectrum. Draw order: positions first,
-    then derangement attempts.
+    selected row keeps its own spectrum. The labels mark them with 1.
+    Draw order: positions first, then derangement attempts.
     """
     if not 0.0 < frac <= 1.0:
         raise ValueError("scramble fraction must be in (0, 1]")
-    n = cube.n_pixels
+    if not (isinstance(pixels, np.ndarray) and pixels.ndim == 2 and pixels.flags.writeable):
+        raise ValueError("scramble_anomalies needs a writable 2-d array of pixel rows")
+    n = pixels.shape[0]
     k = int(np.rint(frac * n))
     if k < 2:
         raise ValueError("cannot derange fewer than 2 pixels")
@@ -96,10 +87,7 @@ def scramble_anomalies(cube: ImageCube, frac: float, seed: int) -> SimulationRes
     positions = rng.choice(n, size=k, replace=False)
     perm = _derangement(rng, k)
 
-    flat = flatten(cube).copy()
-    flat[positions] = flat[positions[perm]]
+    pixels[positions] = pixels[positions[perm]]
     labels = np.zeros(n, dtype=np.uint8)
     labels[positions] = 1
-    return SimulationResult(
-        second_image=unflatten(flat, cube.height, cube.width), labels=labels
-    )
+    return labels

@@ -54,7 +54,7 @@ def mixture_cube(height, width, bands, seed, n_components=3, separation=4.0):
     for c in range(n_components):
         mask = comp == c
         flat[mask] = means[c] + eps[mask] @ chols[c].T
-    return ImageCube.from_array(flat.reshape(height, width, bands))
+    return ImageCube(flat.reshape(height, width, bands))
 
 
 @pytest.fixture

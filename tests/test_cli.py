@@ -126,6 +126,20 @@ def test_fit_linear_rejects_lambda(scene, capsys):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--mode", "linear"], "sigma applies to kernel mode only"),
+    (["--mode", "kernel", "--kernel", "linear"], "the linear kernel takes no sigma"),
+], ids=["linear mode", "linear kernel"])
+def test_fit_rejects_a_sigma_nothing_reads(scene, capsys, flags, message):
+    model = scene["dir"] / "m"
+    argv = ["fit", "--x", str(scene["x"]), "--y", str(scene["y"]), *flags,
+            "--train-samples", "100", "--model-out", str(model)]
+    assert main([*argv, "--sigma", "3"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not model.exists()
+    assert main([*argv, "--sigma", "auto"]) == 0
+
+
 def test_import_leaves_scipy_unloaded():
     import acdkit
 
@@ -192,7 +206,7 @@ def test_roc_prints_library_auc(scene, capsys, tmp_path):
 
 def test_roc_degenerate_labels_exit4(scene, tmp_path):
     bad = tmp_path / "allzero.bin"
-    write_raster(ImageCube.from_array(np.zeros((48, 48, 1))), bad)
+    write_raster(ImageCube(np.zeros((48, 48, 1))), bad)
     rc = main([
         "roc", "--scores", str(scene["y"]), "--labels", str(bad),
         "--out", str(tmp_path / "r.csv"),
@@ -438,10 +452,30 @@ def test_score_rejects_model_whose_z_rows_are_not_x_and_y(scene, capsys):
     assert not (d / "s.bin").exists()
 
 
+@pytest.mark.parametrize("where", ["config", "term"])
+def test_score_rejects_linear_kernel_model_with_a_sigma(scene, capsys, where):
+    d = scene["dir"]
+    model = d / "m"
+    assert main(["fit", "--x", str(scene["x"]), "--y", str(scene["y"]), "--mode", "kernel",
+                 "--kernel", "linear", "--train-samples", "80",
+                 "--model-out", str(model)]) == 0
+    manifest = json.loads((model / "manifest.json").read_text())
+    spec = manifest["config"]["kernel"] if where == "config" else manifest["terms"]["z"]["kernel"]
+    assert spec == {"kind": "linear", "sigma": None}
+    spec["sigma"] = 2.0
+    (model / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = main(["score", "--model", str(model), "--x", str(scene["x"]), "--y", str(scene["y"]),
+               "--out", str(d / "s.bin")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: corrupt model: the linear kernel takes no sigma\n"
+    assert not (d / "s.bin").exists()
+
+
 @pytest.mark.parametrize("value, code", [("nan", 2), ("inf", 0), ("-inf", 0)])
 def test_map_threshold_must_be_a_number(scene, tmp_path, value, code):
     scores = tmp_path / "scores.bin"
-    write_raster(ImageCube.from_array(np.arange(12.0).reshape(3, 4, 1)), scores)
+    write_raster(ImageCube(np.arange(12.0).reshape(3, 4, 1)), scores)
     rc = main(["map", "--scores", str(scores), f"--threshold={value}",
                "--out", str(tmp_path / "map.pgm")])
     assert rc == code
@@ -481,7 +515,7 @@ def test_score_beyond_float32_writes_nothing(scene, capsys):
                  "--train-samples", "400", "--model-out", str(d / "model")]) == 0
     y = read_raster(scene["y"]).data.copy()
     y[5, 7] = 1e30  # its xi is far beyond float32's range
-    write_raster(ImageCube.from_array(y), d / "y_far.bin")
+    write_raster(ImageCube(y), d / "y_far.bin")
     capsys.readouterr()
     out = d / "scores.bin"
     rc = main(["score", "--model", str(d / "model"), "--x", str(scene["x"]),

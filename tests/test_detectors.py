@@ -499,7 +499,7 @@ def test_xi_kernel_path_nonnegative_and_nonincreasing(data, kind, sigma, lams):
     n_train, n_probe = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 6))
     x_train, y_train = data.draw(rows(n_train, d_x)), data.draw(rows(n_train, d_y))
     x, y = data.draw(rows(n_probe, d_x)), data.draw(rows(n_probe, d_y))
-    spec = KernelSpec(kind, sigma)
+    spec = KernelSpec(kind, None if kind == "linear" else sigma)
     # the rows as given (one training row is allowed there), and standardized
     paths = [raw_kernel_xi_path(x_train, y_train, x, y, spec, lams)]
     if n_train >= 2:

@@ -31,7 +31,7 @@ from conftest import correlated_pair
 
 def f32_cube(h, w, d, seed=0):
     rng = np.random.default_rng(seed)
-    return ImageCube.from_array(
+    return ImageCube(
         rng.normal(size=(h, w, d)).astype(np.float32).astype(np.float64)
     )
 
@@ -48,7 +48,7 @@ def test_raster_round_trip_exact(tmp_path):
 
 
 def test_raster_payload_byte_layout(tmp_path):
-    cube = ImageCube.from_array(np.arange(8.0).reshape(2, 2, 2))
+    cube = ImageCube(np.arange(8.0).reshape(2, 2, 2))
     path = tmp_path / "img.bin"
     write_raster(cube, path)
     payload = np.frombuffer(path.read_bytes(), dtype="<f4")
@@ -73,14 +73,14 @@ def test_write_raster_rejects_values_beyond_float32(tmp_path, value):
     data[1, 2, 0] = value
     path = tmp_path / "img.bin"
     with pytest.raises(RasterFormatError, match="beyond float32's range"):
-        write_raster(ImageCube.from_array(data), path)
+        write_raster(ImageCube(data), path)
     assert not path.exists() and not Path(str(path) + ".json").exists()
 
 
 def test_write_raster_keeps_float32_max(tmp_path):
     top = float(np.finfo(np.float32).max)
     path = tmp_path / "img.bin"
-    write_raster(ImageCube.from_array(np.array([[[top, -top]]])), path)
+    write_raster(ImageCube(np.array([[[top, -top]]])), path)
     assert np.array_equal(read_raster(path).data.ravel(), [top, -top])
 
 
@@ -258,7 +258,7 @@ def test_malformed_manifest_rejected(tmp_path, capsys, mutate, error):
     with pytest.raises(error):
         load_model(tmp_path / "model")
     for name, m in (("x", x), ("y", y)):
-        write_raster(ImageCube.from_array(m.reshape(6, 10, 2)), tmp_path / f"{name}.bin")
+        write_raster(ImageCube(m.reshape(6, 10, 2)), tmp_path / f"{name}.bin")
     rc = main(["score", "--model", str(tmp_path / "model"), "--x", str(tmp_path / "x.bin"),
                "--y", str(tmp_path / "y.bin"), "--out", str(tmp_path / "scores.bin")])
     err = capsys.readouterr().err

@@ -84,7 +84,7 @@ def loads_or_documented_error(load, path):
 def raster(tmp_path_factory):
     path = tmp_path_factory.mktemp("raster") / "img.bin"
     rng = np.random.default_rng(0)
-    write_raster(ImageCube.from_array(rng.normal(size=(4, 3, 2))), path)
+    write_raster(ImageCube(rng.normal(size=(4, 3, 2))), path)
     return path
 
 
@@ -161,7 +161,7 @@ def same_bits(a, b):
                                          st.integers(1, 4)),
                    elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
 def test_raster_round_trip_bit_exact(data):
-    cube = ImageCube.from_array(data)
+    cube = ImageCube(data)
     with tempfile.TemporaryDirectory() as tmp:
         write_raster(cube, Path(tmp) / "img.bin")
         assert same_bits(read_raster(Path(tmp) / "img.bin"), cube)

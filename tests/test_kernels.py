@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+from acdkit.detectors import DetectorConfig, with_params
 from acdkit.kernels import (
     KernelSpec,
     _sam_cosines,
@@ -225,4 +226,14 @@ def test_kernel_spec_validation():
         KernelSpec("rbf")
     with pytest.raises(ValueError):
         KernelSpec("nope", 1.0)
-    KernelSpec("linear")  # sigma optional
+    KernelSpec("linear")  # no sigma
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.0])
+def test_linear_kernel_spec_takes_no_sigma(sigma):
+    # a.b has no lengthscale, so one spec stands for the linear kernel
+    with pytest.raises(ValueError, match="the linear kernel takes no sigma"):
+        KernelSpec("linear", sigma)
+    config = DetectorConfig(mode="kernel", kernel=KernelSpec("linear"))
+    with pytest.raises(ValueError, match="the linear kernel takes no sigma"):
+        with_params(config, sigma=5.0)

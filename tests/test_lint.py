@@ -1,6 +1,10 @@
-"""Source checks that need no linter: every module imports only what it uses."""
+"""Source checks that need no linter: every module imports only what it uses,
+and every function the benchmark traces by name exists."""
 
 import ast
+import importlib
+import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,38 @@ def test_dead_import_check_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_only_what_it_uses(path):
     assert dead_imports(path.read_text()) == []
+
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def untraceable(names) -> list:
+    """The `<layer>.<function>.<metric>` names whose function the tracer cannot wrap.
+
+    bench/tracer.py wraps each public function that `acdkit.<layer>` itself
+    defines; a name it did not wrap makes a traced run raise KeyError. Names
+    of another form (`tune.points`, `trace.wall_s`) are left out.
+    """
+    missing = []
+    for name in names:
+        parts = name.split(".")
+        if len(parts) != 3:
+            continue
+        layer, function, _ = parts
+        module = importlib.import_module(f"acdkit.{layer}")
+        obj = getattr(module, function, None)
+        if (function.startswith("_") or not inspect.isfunction(obj)
+                or obj.__module__ != module.__name__):
+            missing.append(name)
+    return missing
+
+
+def test_untraceable_finds_names_the_tracer_does_not_wrap():
+    names = ["simulate.pervasive_noise.s", "simulate.no_such.s", "raster._real.s",
+             "raster.ImageCube.s", "cli.flatten.s", "tune.points", "trace.wall_s"]
+    assert untraceable(names) == names[1:5]
+
+
+def test_benchmark_traces_only_functions_that_exist():
+    names = [metric["name"] for metric in json.loads(BENCHMARK.read_text())["per_layer"]]
+    assert untraceable(names) == []

@@ -14,7 +14,7 @@ from acdkit.raster import (
 
 
 def test_flatten_single_pixel():
-    cube = ImageCube.from_array(np.array([[[1.0, 2.0, 3.0]]]))
+    cube = ImageCube(np.array([[[1.0, 2.0, 3.0]]]))
     m = flatten(cube)
     assert m.shape == (1, 3)
     assert np.array_equal(m[0], [1.0, 2.0, 3.0])
@@ -22,13 +22,13 @@ def test_flatten_single_pixel():
 
 def test_flatten_row_major_order():
     data = np.arange(4.0).reshape(2, 2, 1)
-    m = flatten(ImageCube.from_array(data))
+    m = flatten(ImageCube(data))
     assert np.array_equal(m.ravel(), [0.0, 1.0, 2.0, 3.0])
 
 
 def test_flatten_unflatten_round_trip_bit_exact():
     rng = np.random.default_rng(7)
-    cube = ImageCube.from_array(rng.normal(size=(7, 5, 4)))
+    cube = ImageCube(rng.normal(size=(7, 5, 4)))
     back = unflatten(flatten(cube), 7, 5)
     assert np.array_equal(back.data, cube.data)
 
@@ -37,7 +37,16 @@ def test_cube_rejects_non_finite():
     data = np.ones((2, 2, 1))
     data[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
-        ImageCube.from_array(data)
+        ImageCube(data)
+
+
+def test_cube_dimensions_are_its_array_shape():
+    cube = ImageCube(np.arange(24.0).reshape(2, 3, 4))
+    assert (cube.height, cube.width, cube.bands, cube.n_pixels) == (2, 3, 4, 6)
+    assert cube.data.dtype == np.float64 and not cube.data.flags.writeable
+    for shape in [(6, 4), (0, 3, 4), (2, 3, 0)]:
+        with pytest.raises(ValueError, match="3-d"):
+            ImageCube(np.zeros(shape))
 
 
 def test_stack_pair_concatenates_rows():

@@ -77,7 +77,7 @@ def test_grid_search_computes_the_sigma_heuristic_only_for_a_sigma_axis(monkeypa
 
     monkeypatch.setattr(tune, "sigma_heuristic", counted)
     x, y, labels = labeled_pair(n=300, seed=25)
-    cfg = DetectorConfig(mode="kernel", kernel=KernelSpec(kind, 1.0))
+    cfg = DetectorConfig(mode="kernel", kernel=KernelSpec(kind, None if kind == "linear" else 1.0))
     result = grid_search(x, y, labels, cfg, None, 40, 100, seed=26)
     assert len(seen) == calls
     assert len(result.trace) == 30 * (60 if kind == "rbf" else 1)

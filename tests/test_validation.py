@@ -12,6 +12,7 @@ from acdkit.cli import main
 from acdkit.detectors import _SCORE_CHUNK, DetectorConfig, fit, score_pixels, xi_pixels
 from acdkit.io_formats import write_raster
 from acdkit.kernels import KernelSpec
+from acdkit.simulate import _NOISE_CHUNK
 from acdkit.tune import TuneGrid, anchor_sigma, grid_search
 
 from conftest import correlated_pair, mixture_cube, model_bytes
@@ -126,12 +127,12 @@ _N = 512 * 512
 _P = _N * 8 * 4
 _SLACK = 2**19  # chunk-sized temporaries and numpy's own buffers
 CLI_MEMORY_CASES = {
-    # the scramble stage's float64 noisy array and its permuted copy: the
-    # input goes before scrambling, and the band std pass (the input plus
-    # numpy's float64 deviations) and the noise pass (the input plus the
-    # float64 noise array) hold less
+    # the noise pass: the input, the float64 noise array and one chunk's float64
+    # quotient. The band std pass (the input plus numpy's float64 deviations)
+    # holds less; the input goes before the noise array is scrambled in place,
+    # and writing it adds one float32 payload to the two.
     "simulate": (["simulate", "--input", "x", "--out", "y", "--labels", "labels"],
-                 2 * (2 * _P) + _SLACK),
+                 _P + 2 * _P + _NOISE_CHUNK * 8 * 8 + _SLACK),
     # both payloads and training_draw's index of the background pixels
     "fit": (["fit", "--x", "x", "--y", "y", "--model-out", "model"],
             2 * _P + 8 * _N + _SLACK),
