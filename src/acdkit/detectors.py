@@ -22,10 +22,11 @@ each xi in a Student-t flavored rescaling (dim + nu) * log1p(xi / nu);
 as nu grows it reproduces the Gaussian ordering.
 
 Every term computes xi as one whitened quadratic form, with a basis U and
-positive weights w: xi(v) = sum_j p_j^2 w_j for p = (phi(v) - c) U. Linear
-terms take phi(v) = v, c the training mean, C = U diag(s) U^T the training
-covariance and w = 1 / (s + eps), eps = 1e-8 trace(C)/d. Kernel terms
-evaluate the regularized dual form
+positive weights w: xi(v) = sum_j p_j^2 w_j for p = (phi(v) - c) U. A term
+stores U and its spectrum s; the detector derives w, so lambda is the
+config's alone. Linear terms take phi(v) = v, c the training mean,
+C = U diag(s) U^T the training covariance and w = 1 / (s + eps),
+eps = 1e-8 trace(C)/d. Kernel terms evaluate the regularized dual form
 
     xi_H(v) = k_v (K K + lambda I)^-1 k_v^T
 
@@ -40,7 +41,7 @@ and the probe kernel alike: where the kernel splits over x and y
 (kernels.joint_kernel), k_z is built from k_x and k_y, not evaluated
 again: k_x * k_y for rbf (one sigma) and k_x + k_y for the linear kernel.
 The sam kernel is evaluated on the stacked rows themselves. So term_z's
-training rows are always [term_x.train | term_y.train], bit for bit.
+training rows are always [term_x.train | term_y.train], and not saved.
 
 Inputs are z-score standardized per band with statistics fit on the
 training pixels; Gram matrices are not centered in feature space.
@@ -56,6 +57,7 @@ from .kernels import KernelSpec, cross_gram, gram, joint_kernel
 from .linalg import SpdEigen, covariance, inverse_weights, mahalanobis_batch, spd_factorize
 from .raster import (
     BandStats,
+    _readonly,
     as_pixel_matrix,
     stack_pair,
     standardize_apply,
@@ -71,8 +73,6 @@ __all__ = [
     "standardized_training",
     "fit",
     "fit_kernel_term",
-    "kernel_lambda",
-    "xi_term",
     "xi_pixels",
     "combine_xi",
     "score_pixels",
@@ -135,33 +135,28 @@ class DetectorConfig:
 
 
 def _freeze(term, k: int, **arrays) -> None:
-    """Store read-only float64 arrays on a term, then check its basis (k x k) and weights (k)."""
+    """Store read-only float64 arrays on a term, then check its basis (k x k) and spectrum (k)."""
     for name, arr in arrays.items():
         arr = np.asarray(arr, dtype=np.float64)
         arr.flags.writeable = False
         object.__setattr__(term, name, arr)
-    if term.basis.shape != (k, k) or term.weights.shape != (k,):
-        raise ValueError(f"basis and weights must have shapes ({k}, {k}) and ({k},)")
-    if not np.all(term.weights > 0):
-        raise ValueError("weights must be positive")
+    if term.basis.shape != (k, k) or term.values.shape != (k,):
+        raise ValueError(f"basis and values must have shapes ({k}, {k}) and ({k},)")
 
 
 @dataclass(frozen=True)
 class LinearTerm:
-    """One term (x, y, or z) in input space: xi(v) = ((v - mean) basis)^2 . weights.
-
-    basis and weights whiten the training covariance C = U diag(s) U^T:
-    weights = 1 / (s + ridge).
-    """
+    """One term (x, y, or z) in input space: the training mean, and the
+    eigendecomposition C = U diag(s) U^T of the training covariance (basis =
+    U, values = s) with the ridge its weights 1 / (s + ridge) add."""
 
     mean: np.ndarray = field(repr=False)
     basis: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
     ridge: float
 
     def __post_init__(self):
-        _freeze(self, np.size(self.mean), mean=self.mean, basis=self.basis,
-                weights=self.weights)
+        _freeze(self, np.size(self.mean), mean=self.mean, basis=self.basis, values=self.values)
 
     @property
     def dim(self) -> int:
@@ -170,21 +165,17 @@ class LinearTerm:
 
 @dataclass(frozen=True)
 class KernelTerm:
-    """One term in feature space: xi(v) = (k_v basis)^2 . weights.
-
-    train holds finite 2-d float64 rows. With the training Gram matrix
-    K = U diag(s) U^T, basis = U and weights = 1 / (s^2 + lam).
-    """
+    """One term in feature space: finite 2-d float64 training rows, and the
+    eigendecomposition K = U diag(s) U^T of their Gram matrix (basis = U,
+    values = s)."""
 
     train: np.ndarray = field(repr=False)
-    spec: KernelSpec
-    lam: float
     basis: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         _freeze(self, np.shape(self.train)[0], train=self.train, basis=self.basis,
-                weights=self.weights)
+                values=self.values)
 
     @property
     def dim(self) -> int:
@@ -193,57 +184,55 @@ class KernelTerm:
 
 @dataclass(frozen=True)
 class FittedDetector:
+    """Band stats and terms of a fit; weights (z, x, y) are derived here from the spectra."""
+
     config: DetectorConfig
     band_stats_x: BandStats
     band_stats_y: BandStats
-    d_x: int
-    d_y: int
     term_x: LinearTerm | KernelTerm
     term_y: LinearTerm | KernelTerm
     term_z: LinearTerm | KernelTerm
+    weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dims = (self.band_stats_x.d, self.term_x.dim, self.band_stats_y.d, self.term_y.dim,
-                self.term_z.dim)
-        if dims != (self.d_x, self.d_x, self.d_y, self.d_y, self.d_x + self.d_y):
-            raise ValueError("band stats and terms must have d_x, d_y and d_x + d_y dims")
-        terms = (self.term_x, self.term_y, self.term_z)
+        terms = (self.term_z, self.term_x, self.term_y)
+        if tuple(term.dim for term in terms) != (self.d_x + self.d_y, self.d_x, self.d_y):
+            raise ValueError("terms must have the band stats' d_x + d_y, d_x and d_y dims")
         kind = LinearTerm if self.config.mode == "linear" else KernelTerm
         if not all(isinstance(term, kind) for term in terms):
             raise ValueError(f"config mode {self.config.mode!r} needs {self.config.mode} terms")
-        if kind is KernelTerm:
-            n_train = self.term_z.train.shape[0]
-            if any(term.train.shape[0] != n_train for term in terms):
-                raise ValueError("kernel terms must share one training row count")
-            if any(term.spec != self.config.kernel for term in terms):
-                raise ValueError("kernel terms must use the config's kernel")
-            if any(term.lam != kernel_lambda(self.config, n_train) for term in terms):
-                raise ValueError("kernel terms must use the config's lambda")
-            z_train = np.hstack([self.term_x.train, self.term_y.train])
-            if not np.array_equal(self.term_z.train.view(np.int64), z_train.view(np.int64)):
-                raise ValueError("kernel term z must hold the x and y training rows side by side")
+        if kind is KernelTerm and len({term.train.shape[0] for term in terms}) != 1:
+            raise ValueError("kernel terms must share one training row count")
+        object.__setattr__(self, "weights",
+                           tuple(_readonly(_term_weights(term, self.config)) for term in terms))
+
+    @property
+    def d_x(self) -> int:
+        return self.band_stats_x.d
+
+    @property
+    def d_y(self) -> int:
+        return self.band_stats_y.d
+
+
+def _term_weights(term, config: DetectorConfig) -> np.ndarray:
+    """w = 1 / (s + ridge) for a linear term, 1 / (s^2 + lambda) for a kernel term, with
+    lambda the config's, or auto: AUTO_LAMBDA_NUM / n_train for lam None."""
+    if isinstance(term, LinearTerm):
+        return inverse_weights(term.values, term.ridge)
+    lam = config.lam if config.lam is not None else AUTO_LAMBDA_NUM / term.train.shape[0]
+    return inverse_weights(term.values * term.values, lam)
 
 
 def _fit_linear_term(rows: np.ndarray) -> LinearTerm:
     mean = rows.mean(axis=0)
     eig = spd_factorize(covariance(rows, mean))
-    return LinearTerm(mean=mean, basis=eig.basis,
-                      weights=inverse_weights(eig.values, eig.ridge), ridge=eig.ridge)
+    return LinearTerm(mean=mean, basis=eig.basis, values=eig.values, ridge=eig.ridge)
 
 
-def fit_kernel_term(train: np.ndarray, eig: SpdEigen, spec: KernelSpec,
-                    lam: float) -> KernelTerm:
-    """Kernel term on finite 2-d float64 rows and the eigh K = U diag(s) U^T of their Gram matrix.
-
-    Its weights are w = 1 / (s^2 + lam).
-    """
-    return KernelTerm(train=train, spec=spec, lam=lam, basis=eig.basis,
-                      weights=inverse_weights(eig.values * eig.values, lam))
-
-
-def kernel_lambda(config: DetectorConfig, n_train: int) -> float:
-    """The kernel regularizer a fit on n_train rows applies: config.lam, or auto."""
-    return config.lam if config.lam is not None else AUTO_LAMBDA_NUM / n_train
+def fit_kernel_term(train: np.ndarray, eig: SpdEigen) -> KernelTerm:
+    """Kernel term on finite 2-d float64 rows and the eigh of their Gram matrix."""
+    return KernelTerm(train=train, basis=eig.basis, values=eig.values)
 
 
 def standardized_training(x_train: np.ndarray, y_train: np.ndarray):
@@ -263,9 +252,10 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> Fit
 
     Band standardization is fit on the training pixels and baked into the
     detector. Linear mode stores, for x, y and the stacked z, the mean and
-    the whitened covariance; kernel mode stores the standardized training
-    samples and the whitened Gram matrix per term. x_train and y_train are
-    validated here, and float32 rows are converted to float64 here.
+    the covariance's eigendecomposition; kernel mode stores the standardized
+    training rows and their Gram matrix's eigendecomposition per term.
+    x_train and y_train are validated here, and float32 rows are converted
+    to float64 here.
     """
     x_train, y_train = (np.asarray(as_pixel_matrix(m), dtype=np.float64)
                         for m in (x_train, y_train))
@@ -279,16 +269,16 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> Fit
 def _fit_lambdas(training: tuple, config: DetectorConfig, lams: list) -> list:
     """The detectors of config at each lambda of lams, on standardized_training's output.
 
-    A None in lams keeps config's own lam, so linear mode takes [None] and
-    fits once. Kernel mode eigendecomposes each term's Gram matrix once for
-    every lambda; K_z follows the joint rule and is built in place of K_x
-    once K_x and K_y are factorized, so no more than two n x n Gram
-    matrices are held. The detectors share their training rows and bases.
+    A None in lams keeps config's own lam, so linear mode takes [None]. The
+    terms are fit once for every lambda, and the detectors differ only in
+    the weights they derive. Kernel mode eigendecomposes each term's Gram
+    matrix; K_z follows the joint rule and is built in place of K_x once
+    K_x and K_y are factorized, so no more than two n x n Gram matrices are
+    held.
     """
     stats_x, stats_y, xs, ys, zs = training
-    configs = [with_params(config, lam=lam) for lam in lams]
     if config.mode == "linear":
-        terms = [tuple(_fit_linear_term(rows) for rows in (zs, xs, ys))] * len(configs)
+        terms = [_fit_linear_term(rows) for rows in (zs, xs, ys)]
     else:
         spec = config.kernel
         k_x, k_y = gram(xs, spec), gram(ys, spec)
@@ -300,32 +290,24 @@ def _fit_lambdas(training: tuple, config: DetectorConfig, lams: list) -> list:
             k_z = gram(zs, spec)
         eigens = (spd_factorize(k_z, ridge_scale=0.0), eig_x, eig_y)
         del k_z
-        terms = [tuple(fit_kernel_term(rows, eig, spec, kernel_lambda(c, xs.shape[0]))
-                       for rows, eig in zip((zs, xs, ys), eigens)) for c in configs]
-    return [FittedDetector(config=c, band_stats_x=stats_x, band_stats_y=stats_y,
-                           d_x=xs.shape[1], d_y=ys.shape[1],
-                           term_z=term_z, term_x=term_x, term_y=term_y)
-            for c, (term_z, term_x, term_y) in zip(configs, terms)]
-
-
-def xi_term(term: LinearTerm, rows: np.ndarray) -> np.ndarray:
-    """(v - mean)^T (C + ridge I)^-1 (v - mean) of each finite 2-d float64 row under a linear term."""
-    p = (rows - term.mean) @ term.basis
-    return mahalanobis_batch(p, [term.weights])[0]
+        terms = [fit_kernel_term(rows, eig) for rows, eig in zip((zs, xs, ys), eigens)]
+    term_z, term_x, term_y = terms
+    return [FittedDetector(config=with_params(config, lam=lam), band_stats_x=stats_x,
+                           band_stats_y=stats_y, term_x=term_x, term_y=term_y, term_z=term_z)
+            for lam in lams]
 
 
 def _kernel_xi(dets: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Kernel xi of the probe pairs (x, y) in _SCORE_CHUNK chunks, as a (len(dets), 3, m) array.
 
-    dets differ only in lambda, so they share band stats, training rows and
-    bases. Per chunk, k_x and k_y are evaluated into two reused blocks, each
-    term is projected into the third once, and k_z is built in place of k_x
-    (or evaluated on z, for sam); then each detector's weights give its xi.
+    dets share their band stats and terms and differ only in lambda. Per
+    chunk, k_x and k_y are evaluated into two reused blocks, each term is
+    projected into the third once, and k_z is built in place of k_x (or
+    evaluated on z, for sam); then each detector's weights give its xi.
     """
     det = dets[0]
     spec, z_train = det.config.kernel, det.term_z.train
-    x_w, y_w, z_w = ([d.term_x.weights for d in dets], [d.term_y.weights for d in dets],
-                     [d.term_z.weights for d in dets])
+    z_w, x_w, y_w = ([d.weights[i] for d in dets] for i in range(3))
     m = x.shape[0]
     xi = np.empty((len(dets), 3, m))
     blocks = np.empty((3, min(m, _SCORE_CHUNK), z_train.shape[0]))
@@ -398,17 +380,17 @@ def _xi_rows(dets: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         )
     if det.config.mode == "kernel":
         return _kernel_xi(dets, x, y)
+    # linear terms: xi(v) = (v - mean)^T (C + ridge I)^-1 (v - mean), per term
     n = x.shape[0]
     xi = np.empty((len(dets), 3, n))
+    terms = (det.term_z, det.term_x, det.term_y)
     for start in range(0, n, _SCORE_CHUNK):
         sl = slice(start, min(start + _SCORE_CHUNK, n))
         xs = standardize_apply(x[sl], det.band_stats_x)
         ys = standardize_apply(y[sl], det.band_stats_y)
-        zs = stack_pair(xs, ys)
-        for i, d in enumerate(dets):
-            xi[i, 0, sl] = xi_term(d.term_z, zs)
-            xi[i, 1, sl] = xi_term(d.term_x, xs)
-            xi[i, 2, sl] = xi_term(d.term_y, ys)
+        for i, (term, rows) in enumerate(zip(terms, (stack_pair(xs, ys), xs, ys))):
+            p = (rows - term.mean) @ term.basis
+            xi[:, i, sl] = mahalanobis_batch(p, [d.weights[i] for d in dets])
     return xi
 
 

@@ -6,9 +6,13 @@ order with a JSON sidecar at `<path>.json` describing the shape.
 copy, and checks its values once, there. `write_raster` writes a float32
 cube's buffer as it is; a float64 cube is converted once, and a value
 beyond float32's range fails the write before any file is made. Models are
-a directory holding `manifest.json` plus little-endian float64 blobs that
-are CRC32-checked on load. All writers are deterministic byte-for-byte for
-identical inputs.
+a directory holding `manifest.json` plus little-endian float64 blobs. Each
+term stores its basis U and spectrum s; a linear term adds its mean and
+ridge, and the x and y kernel terms their training rows. Term z's rows are
+rebuilt as [x | y], and the weights are derived from the spectra and the
+config's lambda when the detector is built. Every blob, and the manifest
+fields load_model reads, are CRC32-checked on load. All writers are
+deterministic byte-for-byte for identical inputs.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +28,7 @@ import numpy as np
 from .detectors import DetectorConfig, FittedDetector, KernelTerm, LinearTerm
 from .kernels import KernelSpec
 from .metrics import RocCurve
-from .raster import BandStats, ImageCube, _all_finite
+from .raster import BandStats, ImageCube, _all_finite, stack_pair
 
 __all__ = [
     "RasterFormatError",
@@ -40,7 +45,10 @@ __all__ = [
     "load_model",
 ]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+
+# The manifest fields load_model reads; the manifest's own "crc32" covers them.
+_MANIFEST_FIELDS = ("format_version", "config", "band_stats", "terms")
 
 
 class RasterFormatError(Exception):
@@ -221,41 +229,26 @@ def _read_blob(directory: Path, entry: dict, key: str, where: str, ndim: int) ->
     return values
 
 
-def _spec_dict(spec: KernelSpec | None):
-    if spec is None:
-        return None
-    return {"kind": spec.kind, "sigma": spec.sigma}
-
-
-def _spec_from(d: dict | None, where: str) -> KernelSpec | None:
-    if d is None:
-        return None
-    return KernelSpec(kind=_get(d, "kind", str, where),
-                      sigma=_get(d, "sigma", _OPTIONAL_NUMBER, where))
-
-
-def _config_dict(config: DetectorConfig) -> dict:
-    return {
-        "beta_x": config.beta_x,
-        "beta_y": config.beta_y,
-        "distribution": config.distribution,
-        "nu": config.nu,
-        "mode": config.mode,
-        "kernel": _spec_dict(config.kernel),
-        "lam": config.lam,
-    }
-
-
 def _config_from(d: dict) -> DetectorConfig:
+    kernel = _get(d, "kernel", (dict, type(None)), "config")
+    if kernel is not None:
+        kernel = KernelSpec(kind=_get(kernel, "kind", str, "config.kernel"),
+                            sigma=_get(kernel, "sigma", _OPTIONAL_NUMBER, "config.kernel"))
     return DetectorConfig(
         beta_x=_get(d, "beta_x", int, "config"),
         beta_y=_get(d, "beta_y", int, "config"),
         distribution=_get(d, "distribution", str, "config"),
         nu=_get(d, "nu", _OPTIONAL_NUMBER, "config"),
         mode=_get(d, "mode", str, "config"),
-        kernel=_spec_from(_get(d, "kernel", (dict, type(None)), "config"), "config.kernel"),
+        kernel=kernel,
         lam=_get(d, "lam", _OPTIONAL_NUMBER, "config"),
     )
+
+
+def _manifest_crc(manifest: dict) -> int:
+    """CRC32 of the canonical JSON of the fields load_model reads."""
+    fields = {key: manifest.get(key) for key in _MANIFEST_FIELDS}
+    return zlib.crc32(json.dumps(fields, sort_keys=True).encode()) & 0xFFFFFFFF
 
 
 def save_model(det: FittedDetector, directory) -> None:
@@ -265,9 +258,7 @@ def save_model(det: FittedDetector, directory) -> None:
 
     manifest = {
         "format_version": FORMAT_VERSION,
-        "config": _config_dict(det.config),
-        "d_x": det.d_x,
-        "d_y": det.d_y,
+        "config": asdict(det.config),  # its seven fields, and the kernel's kind and sigma
         "band_stats": {},
         "terms": {},
     }
@@ -279,44 +270,46 @@ def save_model(det: FittedDetector, directory) -> None:
     for name, term in (("x", det.term_x), ("y", det.term_y), ("z", det.term_z)):
         entry = {
             "basis": _write_blob(directory, f"term_{name}_basis.bin", term.basis),
-            "weights": _write_blob(directory, f"term_{name}_weights.bin", term.weights),
+            "values": _write_blob(directory, f"term_{name}_values.bin", term.values),
         }
         if isinstance(term, LinearTerm):
             entry.update(type="linear", ridge=term.ridge,
                          mean=_write_blob(directory, f"term_{name}_mean.bin", term.mean))
         else:
-            entry.update(type="kernel", lam=term.lam, kernel=_spec_dict(term.spec),
-                         train=_write_blob(directory, f"term_{name}_train.bin", term.train))
+            entry["type"] = "kernel"
+            if name != "z":  # term z's rows are [x | y]
+                entry["train"] = _write_blob(directory, f"term_{name}_train.bin", term.train)
         manifest["terms"][name] = entry
+    manifest["crc32"] = _manifest_crc(manifest)
     (directory / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
 
 
-def _term_from(directory: Path, entry: dict, where: str):
-    whitening = {
+def _term_from(directory: Path, entry: dict, where: str, train: np.ndarray | None = None):
+    """The term of a manifest entry; a kernel term reads its rows unless given them."""
+    eig = {
         "basis": _read_blob(directory, entry, "basis", where, 2),
-        "weights": _read_blob(directory, entry, "weights", where, 1),
+        "values": _read_blob(directory, entry, "values", where, 1),
     }
     kind = _get(entry, "type", str, where)
     if kind == "linear":
         return LinearTerm(mean=_read_blob(directory, entry, "mean", where, 1),
-                          ridge=_get(entry, "ridge", _NUMBER, where), **whitening)
+                          ridge=_get(entry, "ridge", _NUMBER, where), **eig)
     if kind == "kernel":
-        return KernelTerm(
-            train=_read_blob(directory, entry, "train", where, 2),
-            spec=_spec_from(_get(entry, "kernel", dict, where), f"{where}.kernel"),
-            lam=_get(entry, "lam", _NUMBER, where),
-            **whitening,
-        )
+        if train is None:
+            train = _read_blob(directory, entry, "train", where, 2)
+        return KernelTerm(train=train, **eig)
     raise CorruptModelError(f"unknown term type {kind!r}")
 
 
 def load_model(directory) -> FittedDetector:
-    """Restore a detector written by save_model; manifest keys it does not read are ignored.
+    """Restore a detector written by save_model; other top-level manifest keys are ignored.
 
     A manifest of another format version raises UnsupportedVersionError; any
-    other malformed manifest, missing or corrupt blob raises CorruptModelError.
+    other malformed manifest, missing or corrupt blob, or a manifest whose
+    fields fail their checksum raises CorruptModelError. The checksum is
+    checked last, so a type or constructor check reports an edit it catches.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -344,19 +337,21 @@ def load_model(directory) -> FittedDetector:
                 mean=_read_blob(directory, entry, "mean", where, 1),
                 std=_read_blob(directory, entry, "std", where, 1),
             )
-        term = {
-            name: _term_from(directory, _get(terms, name, dict, "terms"), f"terms.{name}")
-            for name in ("x", "y", "z")
-        }
-        return FittedDetector(
+        term_x, term_y = (_term_from(directory, _get(terms, name, dict, "terms"), f"terms.{name}")
+                          for name in ("x", "y"))
+        z_train = None
+        if isinstance(term_x, KernelTerm) and isinstance(term_y, KernelTerm):
+            z_train = stack_pair(term_x.train, term_y.train)
+        det = FittedDetector(
             config=_config_from(_get(manifest, "config", dict, "manifest")),
             band_stats_x=stats["x"],
             band_stats_y=stats["y"],
-            d_x=_get(manifest, "d_x", int, "manifest"),
-            d_y=_get(manifest, "d_y", int, "manifest"),
-            term_x=term["x"],
-            term_y=term["y"],
-            term_z=term["z"],
+            term_x=term_x,
+            term_y=term_y,
+            term_z=_term_from(directory, _get(terms, "z", dict, "terms"), "terms.z", z_train),
         )
     except ValueError as e:
         raise CorruptModelError(f"corrupt model: {e}") from e
+    if _get(manifest, "crc32", int, "manifest") != _manifest_crc(manifest):
+        raise CorruptModelError("corrupt model: checksum mismatch in manifest.json")
+    return det

@@ -33,10 +33,17 @@ KERNEL_KINDS = ("linear", "rbf", "sam")
 # The pairwise-distance heuristic goes exact up to this many rows, subsampled above.
 _HEURISTIC_MAX_EXACT = 2000
 
+# Python floats: an int of any size compares with them exactly, and a product
+# of Python floats neither warns nor raises when it overflows.
+_F64_TINY, _F64_MAX = float(np.finfo(np.float64).tiny), float(np.finfo(np.float64).max)
+
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel kind plus lengthscale: rbf and sam need a sigma, the linear kernel takes none."""
+    """Kernel kind plus lengthscale: rbf and sam need a sigma, the linear kernel takes none.
+
+    sigma must be > 0 with a finite, normal float64 square (about 1.5e-154 to 1.3e154).
+    """
 
     kind: str
     sigma: float | None = None
@@ -47,8 +54,10 @@ class KernelSpec:
         if self.kind == "linear":
             if self.sigma is not None:
                 raise ValueError("the linear kernel takes no sigma")
-        elif self.sigma is None or not 0 < self.sigma < np.inf:
-            raise ValueError(f"{self.kind} kernel requires a finite sigma > 0")
+        elif not (self.sigma is not None and 0 < self.sigma <= _F64_MAX  # False for NaN
+                  and _F64_TINY <= float(self.sigma) * float(self.sigma) <= _F64_MAX):
+            raise ValueError(f"{self.kind} kernel requires a finite sigma > 0 "
+                             "whose square is a normal float64")
 
     @property
     def joint_splits(self) -> bool:
@@ -99,10 +108,12 @@ def _eval_into(a: np.ndarray, b: np.ndarray, spec: KernelSpec, out: np.ndarray,
             twice_ab = np.matmul(a, (2.0 * b).T, out=work)
         np.subtract(out, twice_ab, out=out)
         np.maximum(out, 0.0, out=out)
-        np.divide(out, -2.0 * spec.sigma**2, out=out)
+        with np.errstate(over="ignore"):  # -inf at a tiny sigma, and exp(-inf) = 0 is exact
+            np.divide(out, -2.0 * spec.sigma**2, out=out)
         return np.exp(out, out=out)
     angles = np.arccos(_sam_cosines(a, b))
-    return np.exp(-(angles**2) / (2.0 * spec.sigma**2), out=out)
+    with np.errstate(over="ignore"):
+        return np.exp(-(angles**2) / (2.0 * spec.sigma**2), out=out)
 
 
 def gram(rows: np.ndarray, spec: KernelSpec) -> np.ndarray:

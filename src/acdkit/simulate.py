@@ -27,6 +27,8 @@ _MAX_DERANGE_TRIES = 10_000
 # time, so its float64 temporaries stay small (512 KiB at 8 bands).
 _NOISE_CHUNK = 8192
 
+_F64_MAX = np.finfo(np.float64).max
+
 
 def pervasive_noise(pixels: np.ndarray, std: float, seed: int) -> np.ndarray:
     """New (n, d) rows: the pixels plus independent N(0, std^2) noise in standardized band units.
@@ -40,7 +42,9 @@ def pervasive_noise(pixels: np.ndarray, std: float, seed: int) -> np.ndarray:
     float64 (raster.standardize_fit), so no float64 copy of the scene is
     made. The result, (x / band_std + noise) * band_std, is then computed
     chunk by chunk inside the float64 noise array, which is returned. A
-    value that overflows is left as infinity; ImageCube rejects it.
+    value that overflows float64 saturates at its largest magnitude, so it
+    stays a finite value beyond float32's range, which write_raster reports
+    like any other.
     """
     if not 0 <= std < np.inf:
         raise ValueError("noise std must be finite and nonnegative")
@@ -55,6 +59,7 @@ def pervasive_noise(pixels: np.ndarray, std: float, seed: int) -> np.ndarray:
             rows = noisy[start : start + _NOISE_CHUNK]
             np.add(pixels[start : start + _NOISE_CHUNK] / band_std, rows, out=rows)
             rows *= band_std
+            np.clip(rows, -_F64_MAX, _F64_MAX, out=rows)
     return noisy
 
 

@@ -12,9 +12,10 @@ regularizer lambda. Default grids:
 Training pixels are drawn from non-anomalous positions only; validation
 pixels are drawn from the remainder and keep both classes. For each
 sigma the search builds the detectors of the whole lambda axis with the
-builder that `detectors.fit` uses at its one lambda: each term's Gram
-matrix is eigendecomposed once, and only the weights differ between
-lambdas (linear mode fits once). It scores them on the validation rows
+builder that `detectors.fit` uses at its one lambda: the terms are fit
+once, each Gram matrix eigendecomposed once, and the detectors over them
+differ only in the weights they derive from the config's lambda (linear
+mode fits once). It scores them on the validation rows
 in one pass of the scoring chunk loop, projecting each probe block once
 for every lambda. Neither the fit nor the validation xi depends on nu,
 so nu is swept over the cached xi. Each AUC is counted by
@@ -234,8 +235,9 @@ def grid_search(
     sigma_values = list(grid.sigma_grid) if grid.sigma_grid.size else [None]
     lambda_values = list(grid.lambda_grid) if grid.lambda_grid.size else [None]
 
-    # Per sigma, the detectors of the whole lambda axis come from one
-    # eigendecomposition per Gram matrix and are scored in one pass. nu only
+    # Per sigma, the terms come from one eigendecomposition per Gram matrix,
+    # and the detectors of the whole lambda axis, which differ only in the
+    # weights they derive, are scored in one pass over them. nu only
     # affects the score combination, so it is swept over their cached xi;
     # Gaussian scores take no nu at all. The best point is the first maximum
     # in canonical order, and its detector is the one scored there.

@@ -290,7 +290,7 @@ ACDKIT_ROOT = Path(acdkit.__file__).resolve().parent.parent
 
 
 def _cli_env():
-    env = {k: v for k, v in os.environ.items() if k != "ACD_THREADS"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ACDKIT_ROOT), *filter(None, [env.get("PYTHONPATH")])])
     return env

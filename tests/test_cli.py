@@ -1,14 +1,13 @@
 import json
 import subprocess
 import sys
-import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from acdkit.cli import main
-from acdkit.io_formats import read_raster, write_raster
+from acdkit.io_formats import load_model, read_raster, write_raster
 from acdkit.metrics import roc_curve
 from acdkit.raster import ImageCube
 
@@ -178,7 +177,9 @@ def test_fit_auto_sigma_and_lambda(scene, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["kernel"]["sigma"] > 0
     assert manifest["config"]["lam"] is None  # auto
-    assert manifest["terms"]["x"]["lam"] == pytest.approx(1e-5 / 150)
+    det = load_model(out)  # its weights use the auto lambda 1e-5 / n_train
+    values = det.term_x.values
+    np.testing.assert_array_equal(det.weights[1], 1.0 / (values * values + 1e-5 / 150))
 
 
 def test_roc_prints_library_auc(scene, capsys, tmp_path):
@@ -391,25 +392,20 @@ def test_fit_rejects_non_finite_hyperparameters(scene, capsys, flags):
 def _copy_kernel_term_x(manifest, model):
     """Swap in term x (entry and blobs) of a model fit on fewer training rows."""
     other = model.parent / "m_fewer"
-    for blob in ("train", "basis", "weights"):
+    for blob in ("train", "basis", "values"):
         name = f"term_x_{blob}.bin"
         (model / name).write_bytes((other / name).read_bytes())
     manifest["terms"]["x"] = json.loads((other / "manifest.json").read_text())["terms"]["x"]
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda m, d: m["config"]["kernel"].update(sigma=99), "the config's kernel"),
-    (lambda m, d: m["terms"]["z"]["kernel"].update(sigma=0.5), "the config's kernel"),
-    (lambda m, d: m["terms"]["x"].update(lam=123), "the config's lambda"),
-    (lambda m, d: m["config"].update(lam=None), "the config's lambda"),
     (lambda m, d: m["config"].update(mode="linear"), "a kernel spec applies to kernel mode only"),
     (lambda m, d: m["config"].update(mode="linear", kernel=None),
      "lam applies to kernel mode only"),
     (lambda m, d: m["config"].update(mode="linear", kernel=None, lam=None),
      "config mode 'linear' needs linear terms"),
-    (_copy_kernel_term_x, "one training row count"),
-], ids=["config sigma", "term sigma", "term lambda", "config lambda", "config mode",
-        "config mode and lambda", "linear config", "training rows"])
+    (_copy_kernel_term_x, "row counts differ"),
+], ids=["config mode", "config mode and lambda", "linear config", "training rows"])
 def test_score_rejects_model_whose_config_and_terms_disagree(scene, capsys, edit, message):
     d = scene["dir"]
     for name, n in (("m_edit", "120"), ("m_fewer", "80")):
@@ -429,30 +425,35 @@ def test_score_rejects_model_whose_config_and_terms_disagree(scene, capsys, edit
     assert not (d / "s.bin").exists()
 
 
-def test_score_rejects_model_whose_z_rows_are_not_x_and_y(scene, capsys):
-    # a kernel model builds k_z from k_x and k_y, which holds only while term z's
-    # training rows are exactly [term x rows | term y rows]
+@pytest.mark.parametrize("mode, edit", [
+    ("kernel", lambda m: m["config"]["kernel"].update(sigma=0.8)),
+    ("kernel", lambda m: m["config"].update(lam=0.5)),
+    ("kernel", lambda m: m["config"].update(nu=7.0)),
+    ("kernel", lambda m: m["config"].update(beta_x=0)),
+    ("kernel", lambda m: m["config"].update(beta_y=0)),
+    ("linear", lambda m: m["terms"]["x"].update(ridge=2 * m["terms"]["x"]["ridge"])),
+], ids=["config sigma", "config lambda", "config nu", "config beta_x", "config beta_y",
+        "term ridge"])
+def test_score_rejects_edited_manifest(scene, capsys, mode, edit):
+    # each edit leaves a valid model, which would score; the manifest's checksum rejects it
     d = scene["dir"]
     model = d / "m"
-    assert main(["fit", "--x", str(scene["x"]), "--y", str(scene["y"]), "--mode", "kernel",
-                 "--sigma", "0.7", "--train-samples", "80", "--model-out", str(model)]) == 0
-    z = np.frombuffer((model / "term_z_train.bin").read_bytes(), dtype="<f8").copy()
-    z[5] = np.nextafter(z[5], np.inf)
-    (model / "term_z_train.bin").write_bytes(z.tobytes())
+    assert main(["fit", "--x", str(scene["x"]), "--y", str(scene["y"]), "--mode", mode,
+                 "--dist", "ec", "--nu", "2", "--train-samples", "80",
+                 *(["--sigma", "0.7", "--lambda", "0.001"] if mode == "kernel" else []),
+                 "--model-out", str(model)]) == 0
     manifest = json.loads((model / "manifest.json").read_text())
-    manifest["terms"]["z"]["train"]["crc32"] = zlib.crc32(z.tobytes())  # a consistent edit
+    edit(manifest)
     (model / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     rc = main(["score", "--model", str(model), "--x", str(scene["x"]), "--y", str(scene["y"]),
                "--out", str(d / "s.bin")])
-    err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error: corrupt model: ") and "side by side" in err
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert capsys.readouterr().err == "error: corrupt model: checksum mismatch in manifest.json\n"
     assert not (d / "s.bin").exists()
 
 
-@pytest.mark.parametrize("where", ["config", "term"])
+@pytest.mark.parametrize("where", ["config"])
 def test_score_rejects_linear_kernel_model_with_a_sigma(scene, capsys, where):
     d = scene["dir"]
     model = d / "m"
@@ -460,7 +461,7 @@ def test_score_rejects_linear_kernel_model_with_a_sigma(scene, capsys, where):
                  "--kernel", "linear", "--train-samples", "80",
                  "--model-out", str(model)]) == 0
     manifest = json.loads((model / "manifest.json").read_text())
-    spec = manifest["config"]["kernel"] if where == "config" else manifest["terms"]["z"]["kernel"]
+    spec = manifest[where]["kernel"]
     assert spec == {"kind": "linear", "sigma": None}
     spec["sigma"] = 2.0
     (model / "manifest.json").write_text(json.dumps(manifest))
@@ -470,6 +471,42 @@ def test_score_rejects_linear_kernel_model_with_a_sigma(scene, capsys, where):
     assert rc == 1
     assert capsys.readouterr().err == "error: corrupt model: the linear kernel takes no sigma\n"
     assert not (d / "s.bin").exists()
+
+
+@pytest.mark.parametrize("kernel", ["rbf", "sam"])
+@pytest.mark.parametrize("sigma", ["1.4e154", "1e-170", "1e-300"])
+def test_sigma_whose_square_is_not_normal_is_rejected(scene, capsys, kernel, sigma):
+    # 1.4e154 squared overflows float64, 1e-170 squared is subnormal, 1e-300 squared is 0
+    d = scene["dir"]
+    message = f"{kernel} kernel requires a finite sigma > 0 whose square is a normal float64\n"
+    fit = ["fit", "--x", str(scene["x"]), "--y", str(scene["y"]), "--mode", "kernel",
+           "--kernel", kernel, "--train-samples", "80"]
+    assert main([*fit, "--sigma", sigma, "--model-out", str(d / "m_bad")]) == 2
+    assert capsys.readouterr().err == f"error: {message}"
+    assert not (d / "m_bad").exists()
+    # a model holding such a sigma does not load
+    assert main([*fit, "--sigma", "0.7", "--model-out", str(d / "m")]) == 0
+    manifest = json.loads((d / "m" / "manifest.json").read_text())
+    manifest["config"]["kernel"]["sigma"] = float(sigma)
+    (d / "m" / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = main(["score", "--model", str(d / "m"), "--x", str(scene["x"]), "--y", str(scene["y"]),
+               "--out", str(d / "s.bin")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: corrupt model: {message}"
+    assert not (d / "s.bin").exists()
+
+
+@pytest.mark.parametrize("kernel", ["rbf", "sam"])
+@pytest.mark.parametrize("sigma", ["1.5e-154", "1e-150", "1.3e154"])
+def test_sigma_at_the_ends_of_its_range_fits_and_scores(scene, kernel, sigma):
+    # sigma^2 is normal; the kernel's -d^2 / (2 sigma^2) may overflow to -inf, and exp gives 0
+    d = scene["dir"]
+    assert main(["fit", "--x", str(scene["x"]), "--y", str(scene["y"]), "--mode", "kernel",
+                 "--kernel", kernel, "--sigma", sigma, "--train-samples", "80",
+                 "--model-out", str(d / "m")]) == 0
+    assert main(["score", "--model", str(d / "m"), "--x", str(scene["x"]),
+                 "--y", str(scene["y"]), "--out", str(d / "s.bin")]) == 0
 
 
 @pytest.mark.parametrize("value, code", [("nan", 2), ("inf", 0), ("-inf", 0)])
@@ -500,13 +537,19 @@ def _assert_one_line_exit(rc, capsys, code, *unwritten):
         assert not path.exists() and not Path(str(path) + ".json").exists()
 
 
-def test_simulate_beyond_float32_writes_nothing(tmp_path, capsys):
+@pytest.mark.parametrize("std", ["1e38", "1e308", "1.7976931348623157e308"])
+def test_simulate_beyond_float32_writes_nothing(tmp_path, capsys, std):
+    # 1e38 stays finite in float64; the larger two overflow it, and are reported alike
     x_path = tmp_path / "x.bin"
     write_raster(mixture_cube(16, 16, 3, seed=0), x_path)
     y_path, labels_path = tmp_path / "y.bin", tmp_path / "labels.bin"
     rc = main(["simulate", "--input", str(x_path), "--out", str(y_path),
-               "--labels", str(labels_path), "--noise-std", "1e38"])
-    _assert_one_line_exit(rc, capsys, 1, y_path, labels_path)
+               "--labels", str(labels_path), "--noise-std", std])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write raster {y_path}: a value is beyond float32's range\n")
+    for path in (y_path, labels_path):
+        assert not path.exists() and not Path(str(path) + ".json").exists()
 
 
 def test_score_beyond_float32_writes_nothing(scene, capsys):

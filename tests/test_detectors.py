@@ -12,6 +12,7 @@ from scipy.stats import rankdata
 from acdkit.detectors import (
     DETECTOR_BETAS,
     DetectorConfig,
+    FittedDetector,
     KernelTerm,
     LinearTerm,
     _fit_lambdas,
@@ -22,11 +23,10 @@ from acdkit.detectors import (
     with_params,
     standardized_training,
     xi_pixels,
-    xi_term,
 )
 from acdkit.kernels import KernelSpec, cross_gram, gram
-from acdkit.linalg import covariance, inverse_weights, spd_factorize
-from acdkit.raster import standardize_apply
+from acdkit.linalg import covariance, spd_factorize
+from acdkit.raster import BandStats, standardize_apply
 from acdkit.tune import default_grid
 
 from conftest import correlated_pair, raw_kernel_xi_path
@@ -44,11 +44,25 @@ def xi_kernel_path(x_train, y_train, x, y, config, lams):
     return _xi_rows(_fit_lambdas(standardized_training(x_train, y_train), config, lams), x, y)
 
 
-def linear_term(c, mean, ridge):
-    """LinearTerm whitening covariance c with the given ridge."""
-    eig = spd_factorize(c, ridge_scale=0.0)
-    return LinearTerm(mean=mean, basis=eig.basis, weights=inverse_weights(eig.values, ridge),
-                      ridge=ridge)
+def linear_xi(c, mean, ridge, rows):
+    """xi of rows under a linear term whitening covariance c with the given ridge.
+
+    The term is the x term of a detector with identity band stats, so
+    xi_pixels scores the rows as given.
+    """
+    def term(c, mean, ridge):
+        eig = spd_factorize(c, ridge_scale=0.0)
+        return LinearTerm(mean=mean, basis=eig.basis, values=eig.values, ridge=ridge)
+
+    def identity(d):
+        return BandStats(mean=np.zeros(d), std=np.ones(d))
+
+    d = mean.size
+    det = FittedDetector(config=DetectorConfig(), band_stats_x=identity(d),
+                         band_stats_y=identity(1), term_x=term(c, mean, ridge),
+                         term_y=term(np.eye(1), np.zeros(1), 0.0),
+                         term_z=term(np.eye(d + 1), np.zeros(d + 1), 0.0))
+    return xi_pixels(det, rows, np.zeros((rows.shape[0], 1)))[1]
 
 
 def test_detector_beta_table():
@@ -81,19 +95,25 @@ def test_detector_terms_must_match_config():
     det = fit(x[:40], y[:40], kernel_config(lam=1e-3))
     with pytest.raises(ValueError, match="config mode 'linear' needs linear terms"):
         replace(det, config=DetectorConfig())
-    with pytest.raises(ValueError, match="config's kernel"):
-        replace(det, config=kernel_config(kernel=KernelSpec("rbf", 3.0), lam=1e-3))
-    with pytest.raises(ValueError, match="config's lambda"):
-        replace(det, config=kernel_config())  # auto lambda 1e-5 / 40
     with pytest.raises(ValueError, match="one training row count"):
         replace(det, term_x=fit(x[:30], y[:30], kernel_config(lam=1e-3)).term_x)
     with pytest.raises(ValueError, match="config mode 'kernel' needs kernel terms"):
         replace(fit(x, y, DetectorConfig()), config=kernel_config())
-    # k_z is built from k_x and k_y, so term z must hold exactly their rows
-    z_train = np.array(det.term_z.train)
-    z_train[3, 0] = np.nextafter(z_train[3, 0], np.inf)
-    with pytest.raises(ValueError, match="x and y training rows side by side"):
-        replace(det, term_z=replace(det.term_z, train=z_train))
+    with pytest.raises(ValueError, match="d_x \\+ d_y, d_x and d_y dims"):
+        replace(det, term_z=det.term_x)
+
+
+def test_detector_at_another_lambda_is_the_same_terms_under_another_config():
+    # the config alone sets lambda: a refit at lambda' and the fitted terms under
+    # a config with lambda' derive the same weights and score the same bits
+    x, y = correlated_pair(60, 2, seed=1)
+    det = fit(x[:40], y[:40], kernel_config(lam=1e-3))
+    refit = fit(x[:40], y[:40], kernel_config(lam=0.5))
+    moved = replace(det, config=kernel_config(lam=0.5))
+    for a, b in zip(moved.weights, refit.weights):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(score_pixels(moved, x[40:], y[40:]),
+                                  score_pixels(refit, x[40:], y[40:]))
 
 
 @pytest.mark.parametrize("nu", [-3.0, 0.0, 4.0])
@@ -113,11 +133,14 @@ def test_linear_config_rejects_kernel_and_lambda(kw, message):
 
 
 def test_terms_reject_malformed_whitening():
-    with pytest.raises(ValueError, match="weights must be positive"):
-        LinearTerm(mean=np.zeros(2), basis=np.eye(2), weights=np.array([1.0, 0.0]), ridge=0.0)
+    x, y = correlated_pair(60, 2, seed=1)
+    det = fit(x, y, DetectorConfig())
+    singular = LinearTerm(mean=np.zeros(2), basis=np.eye(2), values=np.array([1.0, 0.0]),
+                          ridge=0.0)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        replace(det, term_x=singular)
     with pytest.raises(ValueError, match="shapes"):
-        KernelTerm(train=np.zeros((3, 2)), spec=KernelSpec("linear"), lam=1.0,
-                   basis=np.eye(2), weights=np.ones(2))
+        KernelTerm(train=np.zeros((3, 2)), basis=np.eye(2), values=np.ones(2))
 
 
 def test_fit_linear_dimensions():
@@ -131,9 +154,9 @@ def test_fit_linear_dimensions():
 def test_fit_kernel_dimensions():
     x, y = correlated_pair(50, 3, seed=1)
     det = fit(x, y, kernel_config())
-    for term in (det.term_x, det.term_y, det.term_z):
+    for term, weights in zip((det.term_z, det.term_x, det.term_y), det.weights):
         assert term.basis.shape == (50, 50)
-        assert term.weights.shape == (50,)
+        assert term.values.shape == weights.shape == (50,)
     assert det.term_z.dim == 6
 
 
@@ -154,7 +177,7 @@ def test_fit_recovers_known_covariance():
     x, y = base[:, :1], base[:, 1:]
     det = fit(x, y, DetectorConfig(beta_x=0, beta_y=0))
     term = det.term_z
-    fitted = (term.basis / term.weights) @ term.basis.T
+    fitted = (term.basis * term.values) @ term.basis.T
     assert np.max(np.abs(fitted - true_c)) < 0.1
 
 
@@ -172,19 +195,17 @@ def test_linear_fit_on_constant_x_uses_machine_epsilon_floor():
 
 
 def test_xi_linear_cases():
-    term = linear_term(np.eye(2), np.zeros(2), 0.0)
-    assert xi_term(term, np.zeros((1, 2)))[0] == 0.0
-    assert xi_term(term, np.ones((1, 2)))[0] == pytest.approx(2.0)
+    assert linear_xi(np.eye(2), np.zeros(2), 0.0, np.zeros((1, 2)))[0] == 0.0
+    assert linear_xi(np.eye(2), np.zeros(2), 0.0, np.ones((1, 2)))[0] == pytest.approx(2.0)
 
 
 def test_xi_linear_matches_explicit_inverse(rng):
     rows = rng.normal(size=(300, 3))
     mean = rows.mean(axis=0)
     c = covariance(rows, mean)
-    term = linear_term(c, mean, 0.0)
     v = rng.normal(size=3)
     expected = (v - mean) @ np.linalg.inv(c) @ (v - mean)
-    assert xi_term(term, v[None])[0] == pytest.approx(expected, rel=1e-9)
+    assert linear_xi(c, mean, 0.0, v[None])[0] == pytest.approx(expected, rel=1e-9)
 
 
 def test_xi_kernel_linear_reduction(rng):
@@ -343,7 +364,8 @@ def test_unequal_band_counts():
 def test_auto_lambda_resolution():
     x, y = correlated_pair(50, 2, seed=15)
     det = fit(x, y, kernel_config(lam=None))
-    assert det.term_x.lam == pytest.approx(1e-5 / 50)
+    expected = 1.0 / (det.term_x.values * det.term_x.values + 1e-5 / 50)
+    np.testing.assert_array_equal(det.weights[1], expected)
 
 
 def test_with_params():
@@ -478,7 +500,7 @@ def test_xi_terms_match_high_precision_reference(ridge):
             linear_ref.append(float((dv.T * mpmath.lu_solve(c_mp, dv))[0]))
     kernel_ref = rbf_xi_reference(k_train, k_probes, sigma, [ridge], dps=60)[0]
 
-    linear = xi_term(linear_term(c, mean, ridge), probes)
+    linear = linear_xi(c, mean, ridge, probes)
     cond = np.linalg.cond(c + ridge * np.eye(3))
     assert np.max(np.abs(linear / np.array(linear_ref) - 1)) <= 16 * cond * np.finfo(float).eps
     assert np.max(np.abs(kernel / np.array(kernel_ref) - 1)) <= 1e-8

@@ -178,6 +178,20 @@ def test_model_round_trip_scores_bit_exact(tmp_path, mode):
     assert loaded.config == det.config
 
 
+@pytest.mark.parametrize("kernel", [None, KernelSpec("rbf", 2.0)], ids=["linear", "kernel"])
+def test_model_stores_spectra_and_one_copy_of_each_quantity(tmp_path, kernel):
+    x, y = correlated_pair(60, 2, seed=4)
+    mode = "linear" if kernel is None else "kernel"
+    save_model(fit(x, y, DetectorConfig(mode=mode, kernel=kernel)), tmp_path / "model")
+    manifest = json.loads((tmp_path / "model" / "manifest.json").read_text())
+    assert set(manifest) == {"format_version", "config", "band_stats", "terms", "crc32"}
+    per_term = {"basis", "values", "type"}
+    per_term |= {"mean", "ridge"} if kernel is None else set()
+    for name, entry in manifest["terms"].items():
+        assert set(entry) == per_term | ({"train"} if kernel and name != "z" else set())
+    assert not (tmp_path / "model" / "term_z_train.bin").exists()
+
+
 def test_model_tamper_detected(tmp_path):
     x, y = correlated_pair(60, 2, seed=4)
     det = fit(x, y, DetectorConfig())
@@ -231,6 +245,13 @@ def _as_format_1(manifest):
     manifest["config"].update(kernel_x=None, kernel_y=None, kernel_z=None, ridge_scale=1e-8)
 
 
+def _as_format_3(manifest):
+    """Version 3 stored weights instead of spectra, and d_x and d_y."""
+    manifest.update(format_version=3, d_x=2, d_y=2)
+    for entry in manifest["terms"].values():
+        entry["weights"] = entry.pop("values")
+
+
 @pytest.mark.parametrize("mutate,error", [
     pytest.param(lambda text, directory: text[:-10], CorruptModelError, id="not-json"),
     pytest.param(_edited(lambda m: m.pop("band_stats")), CorruptModelError, id="no-band-stats"),
@@ -238,13 +259,12 @@ def _as_format_1(manifest):
                  id="config-string"),
     pytest.param(_edited(lambda m: m["terms"]["z"]["basis"].update(shape=[3, 3])),
                  CorruptModelError, id="shape-disagrees-with-count"),
-    pytest.param(_edited(lambda m: m.update(d_x=1, d_y=3)), CorruptModelError,
-                 id="dims-disagree-with-terms"),
     pytest.param(_edited(lambda m: m["terms"]["x"]["basis"].update(
         path="../model/term_x_basis.bin")), CorruptModelError, id="blob-path-not-a-file-name"),
     pytest.param(_edited(_as_format_1), UnsupportedVersionError, id="format-1"),
     pytest.param(_edited(lambda m: m.update(format_version=2)), UnsupportedVersionError,
                  id="format-2"),
+    pytest.param(_edited(_as_format_3), UnsupportedVersionError, id="format-3"),
     pytest.param(_blob_holding(np.nan, "band_stats", "x", "mean"), CorruptModelError,
                  id="nan-blob"),
     pytest.param(_blob_holding(np.inf, "terms", "z", "mean"), CorruptModelError,

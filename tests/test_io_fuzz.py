@@ -143,10 +143,13 @@ def test_arbitrary_manifest(models, content):
 
 
 def same_bits(a, b):
-    """Equal values, with arrays compared by dtype, shape and bytes."""
+    """Equal values, with arrays compared by dtype, shape and bytes, also inside tuples."""
     if isinstance(a, np.ndarray):
         return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
                 and a.tobytes() == b.tobytes())
+    if isinstance(a, tuple):  # a detector's derived weights
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(same_bits(u, v) for u, v in zip(a, b)))
     if dataclasses.is_dataclass(a):
         return type(a) is type(b) and all(
             same_bits(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
