@@ -44,7 +44,8 @@ The sam kernel is evaluated on the stacked rows themselves. So term_z's
 training rows are always [term_x.train | term_y.train], and not saved.
 
 Inputs are z-score standardized per band with statistics fit on the
-training pixels; Gram matrices are not centered in feature space.
+training pixels; Gram matrices are not centered in feature space. One
+chunk loop scores both term kinds, which differ only in phi and c.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .kernels import KernelSpec, cross_gram, gram, joint_kernel
 from .linalg import SpdEigen, covariance, inverse_weights, mahalanobis_batch, spd_factorize
 from .raster import (
     BandStats,
+    _all_finite,
     _readonly,
     as_pixel_matrix,
     stack_pair,
@@ -297,38 +299,6 @@ def _fit_lambdas(training: tuple, config: DetectorConfig, lams: list) -> list:
             for lam in lams]
 
 
-def _kernel_xi(dets: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kernel xi of the probe pairs (x, y) in _SCORE_CHUNK chunks, as a (len(dets), 3, m) array.
-
-    dets share their band stats and terms and differ only in lambda. Per
-    chunk, k_x and k_y are evaluated into two reused blocks, each term is
-    projected into the third once, and k_z is built in place of k_x (or
-    evaluated on z, for sam); then each detector's weights give its xi.
-    """
-    det = dets[0]
-    spec, z_train = det.config.kernel, det.term_z.train
-    z_w, x_w, y_w = ([d.weights[i] for d in dets] for i in range(3))
-    m = x.shape[0]
-    xi = np.empty((len(dets), 3, m))
-    blocks = np.empty((3, min(m, _SCORE_CHUNK), z_train.shape[0]))
-    for start in range(0, m, _SCORE_CHUNK):
-        sl = slice(start, min(start + _SCORE_CHUNK, m))
-        k_x, k_y, proj = blocks[:, : sl.stop - start]
-        xs = standardize_apply(x[sl], det.band_stats_x)
-        ys = standardize_apply(y[sl], det.band_stats_y)
-        k_x = cross_gram(det.term_x.train, xs, spec, out=k_x, work=proj)
-        k_y = cross_gram(det.term_y.train, ys, spec, out=k_y, work=proj)
-        xi[:, 1, sl] = mahalanobis_batch(np.matmul(k_x, det.term_x.basis, out=proj), x_w)
-        xi[:, 2, sl] = mahalanobis_batch(np.matmul(k_y, det.term_y.basis, out=proj), y_w)
-        if spec.joint_splits:
-            k_z = joint_kernel(k_x, k_y, spec, out=k_x)
-        else:
-            k_z = cross_gram(z_train, stack_pair(xs, ys), spec, out=k_x, work=proj)
-        xi[:, 0, sl] = mahalanobis_batch(np.matmul(k_z, det.term_z.basis, out=proj), z_w)
-        del xs, ys  # so the next chunk's rows do not coexist with these
-    return xi
-
-
 def combine_xi(
     xi_z: np.ndarray,
     xi_x: np.ndarray,
@@ -342,34 +312,43 @@ def combine_xi(
     Gaussian: xi_z - beta_x * xi_x - beta_y * xi_y. EC with Student-t
     shape nu: each xi becomes (dim + nu) * log1p(xi / nu), with dim that
     term's own input dimensionality, so unequal band counts d_x != d_y are
-    handled consistently.
+    handled consistently. Where xi / nu overflows (a tiny nu), log1p(xi / nu)
+    is taken as log(nu + xi) - log(nu), so finite xi give finite scores.
     """
     beta_x, beta_y = config.beta_x, config.beta_y
     if config.distribution == "gaussian":
         return xi_z - beta_x * xi_x - beta_y * xi_y
     nu = config.nu
-    score = (d_x + d_y + nu) * np.log1p(xi_z / nu)
-    if beta_x:
-        score = score - (d_x + nu) * np.log1p(xi_x / nu)
-    if beta_y:
-        score = score - (d_y + nu) * np.log1p(xi_y / nu)
+
+    def ec(log1p_ratio):
+        score = (d_x + d_y + nu) * log1p_ratio(xi_z)
+        for beta, d, xi in ((beta_x, d_x, xi_x), (beta_y, d_y, xi_y)):
+            if beta:
+                score = score - (d + nu) * log1p_ratio(xi)
+        return score
+
+    with np.errstate(over="ignore", invalid="ignore"):  # the one check below sees an overflow
+        score = ec(lambda xi: np.log1p(xi / nu))
+        if not _all_finite(score):
+            score = ec(lambda xi: np.log(nu + xi) - np.log(nu))
     return score
 
 
 def xi_pixels(det: FittedDetector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-pixel xi as a (3, n) array whose rows are xi_z, xi_x and xi_y.
 
-    x and y are validated here. Each fixed-size chunk is converted to
-    float64, standardized and scored in turn, so no full-scene copy is
-    made (float32 pixels stay float32) and a kernel model keeps three
-    _SCORE_CHUNK x n_train blocks.
+    x and y are validated here. The one chunk loop converts each
+    _SCORE_CHUNK rows to float64, standardizes them and projects them for
+    each term in turn, so no full-scene copy is made (float32 pixels stay
+    float32) and a kernel model keeps three _SCORE_CHUNK x n_train blocks.
     """
     return _xi_rows([det], as_pixel_matrix(x), as_pixel_matrix(y))[0]
 
 
 def _xi_rows(dets: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """xi_pixels of each of dets, detectors that differ only in lambda, as a (len(dets), 3, n)
-    array, on finite 2-d float32 or float64 rows."""
+    array, on finite 2-d float32 or float64 rows. Per chunk, x and y are standardized once
+    and each term's projection p is made once, then weighted by each detector."""
     det = dets[0]
     if x.shape[0] != y.shape[0]:
         raise ValueError("unaligned pair: row counts differ")
@@ -378,20 +357,42 @@ def _xi_rows(dets: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             f"band-count mismatch: expected ({det.d_x}, {det.d_y}), "
             f"got ({x.shape[1]}, {y.shape[1]})"
         )
-    if det.config.mode == "kernel":
-        return _kernel_xi(dets, x, y)
-    # linear terms: xi(v) = (v - mean)^T (C + ridge I)^-1 (v - mean), per term
     n = x.shape[0]
-    xi = np.empty((len(dets), 3, n))
     terms = (det.term_z, det.term_x, det.term_y)
+    weights = [[d.weights[i] for d in dets] for i in range(3)]
+    blocks = (np.empty((3, min(n, _SCORE_CHUNK), det.term_z.train.shape[0]))
+              if det.config.mode == "kernel" else None)
+    xi = np.empty((len(dets), 3, n))
     for start in range(0, n, _SCORE_CHUNK):
         sl = slice(start, min(start + _SCORE_CHUNK, n))
         xs = standardize_apply(x[sl], det.band_stats_x)
         ys = standardize_apply(y[sl], det.band_stats_y)
-        for i, (term, rows) in enumerate(zip(terms, (stack_pair(xs, ys), xs, ys))):
-            p = (rows - term.mean) @ term.basis
-            xi[:, i, sl] = mahalanobis_batch(p, [d.weights[i] for d in dets])
+        if blocks is None:  # linear terms: p = (v - mean) U
+            projections = ((i, (rows - term.mean) @ term.basis) for i, (term, rows)
+                           in enumerate(zip(terms, (stack_pair(xs, ys), xs, ys))))
+        else:
+            projections = _kernel_projections(det, xs, ys, blocks[:, : sl.stop - start])
+        for i, p in projections:
+            xi[:, i, sl] = mahalanobis_batch(p, weights[i])
+        del xs, ys, projections  # so the next chunk's rows do not coexist with these
     return xi
+
+
+def _kernel_projections(det: FittedDetector, xs: np.ndarray, ys: np.ndarray, blocks):
+    """(term index, k_v U) of a kernel detector's x, y and z terms on one standardized chunk.
+    k_x and k_y fill two blocks and each p the third, so each p must be used before the
+    next; k_z is built in place of k_x (or evaluated on z, for sam)."""
+    spec = det.config.kernel
+    k_x, k_y, proj = blocks
+    k_x = cross_gram(det.term_x.train, xs, spec, out=k_x, work=proj)
+    k_y = cross_gram(det.term_y.train, ys, spec, out=k_y, work=proj)
+    yield 1, np.matmul(k_x, det.term_x.basis, out=proj)
+    yield 2, np.matmul(k_y, det.term_y.basis, out=proj)
+    if spec.joint_splits:
+        k_z = joint_kernel(k_x, k_y, spec, out=k_x)
+    else:
+        k_z = cross_gram(det.term_z.train, stack_pair(xs, ys), spec, out=k_x, work=proj)
+    yield 0, np.matmul(k_z, det.term_z.basis, out=proj)
 
 
 def score_pixels(

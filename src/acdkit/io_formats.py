@@ -133,9 +133,9 @@ def labels_to_cube(labels: np.ndarray, height: int, width: int) -> ImageCube:
 
 
 def cube_to_labels(cube: ImageCube) -> np.ndarray:
-    """Flatten a 1-band cube back to a binary label vector."""
+    """Flatten a 1-band cube back to a binary label vector; ValueError for another band count."""
     if cube.bands != 1:
-        raise RasterFormatError("label raster must have exactly one band")
+        raise ValueError("label raster must have exactly one band")
     return (cube.data.ravel() > 0.5).astype(np.uint8)
 
 

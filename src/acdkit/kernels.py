@@ -117,14 +117,13 @@ def _eval_into(a: np.ndarray, b: np.ndarray, spec: KernelSpec, out: np.ndarray,
 
 
 def gram(rows: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """n x n kernel matrix over finite 2-d float64 rows, exactly symmetric.
+    """n x n kernel matrix over finite 2-d float64 rows, exactly symmetric as evaluated.
 
-    For rbf and sam the diagonal is pinned to exactly 1.
+    rows @ rows.T runs as a symmetric rank-k update, and the rest is
+    elementwise. For rbf and sam the diagonal is pinned to exactly 1.
     """
     n = rows.shape[0]
-    k, work = np.empty((n, n)), np.empty((n, n))
-    _eval_into(rows, rows, spec, k, work)
-    k = np.divide(np.add(k, k.T, out=work), 2.0, out=work)  # (k + k.T) / 2 in the spare block
+    k = _eval_into(rows, rows, spec, np.empty((n, n)), None)
     if spec.kind != "linear":
         np.fill_diagonal(k, 1.0)
     return k

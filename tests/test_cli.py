@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from acdkit.cli import main
-from acdkit.io_formats import load_model, read_raster, write_raster
+from acdkit.io_formats import _manifest_crc, load_model, read_raster, write_raster
 from acdkit.metrics import roc_curve
 from acdkit.raster import ImageCube
 
@@ -564,6 +565,117 @@ def test_score_beyond_float32_writes_nothing(scene, capsys):
     rc = main(["score", "--model", str(d / "model"), "--x", str(scene["x"]),
                "--y", str(d / "y_far.bin"), "--out", str(out)])
     _assert_one_line_exit(rc, capsys, 1, out)
+
+
+@pytest.mark.parametrize("mode", [["--mode", "linear"], ["--mode", "kernel", "--kernel", "rbf"]],
+                         ids=["linear", "rbf"])
+@pytest.mark.parametrize("nu", ["5e-324", "1e-320", "1e-310", "1e-300", "1e300",
+                                "1.7976931348623157e308"])
+def test_every_finite_nu_scores_finite(scene, capsys, mode, nu):
+    # at the small end xi / nu overflows float64, and score once printed warnings and failed
+    d = scene["dir"]
+    assert main(["fit", "--x", str(scene["x"]), "--y", str(scene["y"]), *mode, "--dist", "ec",
+                 "--nu", nu, "--train-samples", "200", "--model-out", str(d / "m")]) == 0
+    assert main(["score", "--model", str(d / "m"), "--x", str(scene["x"]),
+                 "--y", str(scene["y"]), "--out", str(d / "s.bin")]) == 0
+    assert capsys.readouterr().err == ""
+    assert np.all(np.isfinite(read_raster(d / "s.bin").data))
+
+
+def _raster(path, height, width, bands):
+    write_raster(ImageCube(np.ones((height, width, bands))), path)
+    return str(path)
+
+
+def _fit_then_score(edit):
+    """Argv scoring a fresh linear model after edit(model directory, manifest) has changed it."""
+    def case(scene):
+        d = scene["dir"]
+        model = d / "m"
+        assert main(["fit", "--x", str(scene["x"]), "--y", str(scene["y"]),
+                     "--train-samples", "80", "--model-out", str(model)]) == 0
+        manifest = json.loads((model / "manifest.json").read_text())
+        edit(model, manifest)
+        manifest["crc32"] = _manifest_crc(manifest)
+        (model / "manifest.json").write_text(json.dumps(manifest))
+        return ["score", "--model", str(model), "--x", str(scene["x"]), "--y", str(scene["y"]),
+                "--out", str(d / "s.bin")]
+    return case
+
+
+def _rewrite_blob(entry, model, payload):
+    """Replace a blob's bytes and give its manifest entry their CRC32."""
+    (model / entry["path"]).write_bytes(payload)
+    entry["crc32"] = zlib.crc32(payload) & 0xFFFFFFFF
+
+
+def _map(*flags, labels=False):
+    return lambda s: ["map", "--scores", _raster(s["dir"] / "s.bin", 48, 48, 1), *flags,
+                      *(["--labels", str(s["labels"])] if labels else []),
+                      "--out", str(s["dir"] / "map.pgm")]
+
+
+def _fit(*flags):
+    return lambda s: ["fit", "--x", str(s["x"]), "--y", str(s["y"]), *flags,
+                      "--model-out", str(s["dir"] / "m")]
+
+
+# CLI branches reached only by a misplaced or malformed input: (argv of the
+# scene, exit code, the one stderr line)
+MISUSE_CASES = {
+    "pair height/width": (
+        lambda s: ["fit", "--x", str(s["x"]), "--y", _raster(s["dir"] / "y2.bin", 40, 48, 3),
+                   "--model-out", str(s["dir"] / "m")],
+        2, "error: unaligned pair: rasters differ in height/width\n"),
+    "label raster size": (
+        lambda s: ["roc", "--scores", _raster(s["dir"] / "s.bin", 48, 48, 1),
+                   "--labels", _raster(s["dir"] / "l.bin", 48, 40, 1),
+                   "--out", str(s["dir"] / "roc.csv")],
+        2, "error: label raster does not match image dimensions\n"),
+    "label raster bands": (
+        lambda s: ["roc", "--scores", _raster(s["dir"] / "s.bin", 48, 48, 1),
+                   "--labels", _raster(s["dir"] / "l.bin", 48, 48, 2),
+                   "--out", str(s["dir"] / "roc.csv")],
+        2, "error: label raster must have exactly one band\n"),
+    "map scores bands": (
+        lambda s: ["map", "--scores", _raster(s["dir"] / "s.bin", 48, 48, 2),
+                   "--quantile", "0.5", "--out", str(s["dir"] / "map.pgm")],
+        2, "error: scores raster must have exactly one band\n"),
+    "map tpr without labels": (_map("--tpr-rate", "0.5"), 2,
+                               "error: --tpr-rate requires --labels\n"),
+    "map tpr 0": (_map("--tpr-rate", "0", labels=True), 2, "error: rate must be in (0, 1]\n"),
+    "map tpr 1.5": (_map("--tpr-rate", "1.5", labels=True), 2,
+                    "error: rate must be in (0, 1]\n"),
+    "map quantile 0": (_map("--quantile", "0"), 2, "error: q must be in (0, 1)\n"),
+    "map quantile 1": (_map("--quantile", "1"), 2, "error: q must be in (0, 1)\n"),
+    "fit 1 sample": (_fit("--train-samples", "1"), 2,
+                     "error: need at least 2 training samples\n"),
+    "fit -1 samples": (_fit("--train-samples", "-1"), 2,
+                       "error: sample size must be nonnegative\n"),
+    "model missing blob": (
+        _fit_then_score(lambda m, _: (m / "term_x_basis.bin").unlink()),
+        1, "error: missing blob term_x_basis.bin\n"),
+    "model truncated blob": (
+        _fit_then_score(lambda m, man: _rewrite_blob(
+            man["terms"]["x"]["values"], m, (m / "term_x_values.bin").read_bytes()[:-8])),
+        1, "error: corrupt model: wrong element count in term_x_values.bin\n"),
+    "model term type": (
+        _fit_then_score(lambda m, man: man["terms"]["y"].update(type="quadratic")),
+        1, "error: unknown term type 'quadratic'\n"),
+    "model zero std": (
+        _fit_then_score(lambda m, man: _rewrite_blob(
+            man["band_stats"]["x"]["std"], m, np.zeros(3, dtype="<f8").tobytes())),
+        1, "error: corrupt model: std entries must be strictly positive\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISUSE_CASES))
+def test_misuse_exits_with_its_code_and_one_line(scene, capsys, case):
+    argv, code, message = MISUSE_CASES[case]
+    argv = argv(scene)
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr().err == message
 
 
 def test_threads_must_be_positive(scene, capsys):

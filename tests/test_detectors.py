@@ -285,6 +285,22 @@ def test_score_ec_high_nu_approaches_gaussian():
     assert np.allclose(e, g, rtol=1e-4)
 
 
+@pytest.mark.parametrize("nu", [5e-324, 1e-320, 1e-310, 1e-300, 1e300, 1.7976931348623157e308])
+@pytest.mark.parametrize("betas", [(0, 0), (1, 1)])
+def test_score_ec_finite_at_extreme_nu(nu, betas):
+    # at the small end xi / nu overflows float64; the score must not
+    xi = np.array([[0.0, 1e-3, 2.5, 3e8, 1e12], [0.0, 2e-3, 1.0, 1e3, 5e11],
+                   [0.0, 1e-3, 0.5, 2e8, 1e6]])
+    got = ec_scores(*xi, *betas, nu=nu, d_x=3, d_y=2)
+    assert np.all(np.isfinite(got))
+    with mpmath.workdps(50):
+        nu_mp = mpmath.mpf(nu)
+        for j in range(xi.shape[1]):
+            z, x, y = ((d + nu_mp) * mpmath.log1p(mpmath.mpf(float(v)) / nu_mp)
+                       for d, v in zip((5, 3, 2), xi[:, j]))
+            assert got[j] == pytest.approx(float(z - betas[0] * x - betas[1] * y), rel=1e-12)
+
+
 def test_score_ec_rejects_bad_nu():
     # nu is checked once, where the config is built
     with pytest.raises(ValueError):

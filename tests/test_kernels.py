@@ -153,6 +153,16 @@ def test_in_place_kernels_keep_the_allocating_bits(spec, n, m, d):
     assert gram(train, spec).tobytes() == k.tobytes()
 
 
+@pytest.mark.parametrize("spec", [KernelSpec("rbf", 1.7), KernelSpec("linear"),
+                                  KernelSpec("sam", 0.9)], ids=lambda s: s.kind)
+@pytest.mark.parametrize("n, d", [(2, 3), (97, 5), (500, 8), (1000, 16)])
+def test_gram_exactly_symmetric(spec, n, d):
+    # as evaluated, with no symmetrizing pass: eigh reads one triangle of it
+    rows = np.random.default_rng(n + d).normal(size=(n, d))
+    k = gram(rows, spec)
+    assert np.array_equal(k, k.T)
+
+
 def test_joint_kernel_matches_kernel_on_stacked_rows(rng):
     x, y = rng.normal(size=(30, 3)), rng.normal(size=(30, 2))
     px, py = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
