@@ -6,12 +6,13 @@ order with a JSON sidecar at `<path>.json` describing the shape.
 copy, and checks its values once, there. `write_raster` writes a float32
 cube's buffer as it is; a float64 cube is converted once, and a value
 beyond float32's range fails the write before any file is made. Models are
-a directory holding `manifest.json` plus little-endian float64 blobs. Each
-term stores its basis U and spectrum s; a linear term adds its mean and
-ridge, and the x and y kernel terms their training rows. Term z's rows are
-rebuilt as [x | y], and the weights are derived from the spectra and the
-config's lambda when the detector is built. Every blob, and the manifest
-fields load_model reads, are CRC32-checked on load. All writers are
+a directory holding `manifest.json` and `model.bin`, every float64 array
+little-endian in one fixed order (`_layout`). Each term stores its basis
+U and spectrum s; a linear term adds its mean and ridge, and the x and y
+kernel terms their training rows. Term z's rows are rebuilt as [x | y],
+and the weights are derived from the spectra and the config's lambda when
+the detector is built. The manifest holds the config, the arrays' shapes
+and model.bin's CRC32, and its own CRC32 covers them all. All writers are
 deterministic byte-for-byte for identical inputs.
 """
 
@@ -45,10 +46,10 @@ __all__ = [
     "load_model",
 ]
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 # The manifest fields load_model reads; the manifest's own "crc32" covers them.
-_MANIFEST_FIELDS = ("format_version", "config", "band_stats", "terms")
+_MANIFEST_FIELDS = ("format_version", "config", "band_stats", "terms", "payload_crc32")
 
 
 class RasterFormatError(Exception):
@@ -56,7 +57,7 @@ class RasterFormatError(Exception):
 
 
 class CorruptModelError(Exception):
-    """The model manifest is malformed or a blob is missing or fails its checksum."""
+    """The model manifest is malformed, or model.bin disagrees with it or fails its checksum."""
 
 
 class UnsupportedVersionError(Exception):
@@ -180,19 +181,26 @@ def write_trace_csv(trace, path) -> None:
 # models
 # ---------------------------------------------------------------------------
 
-def _write_blob(directory: Path, name: str, arr: np.ndarray) -> dict:
-    payload = np.ascontiguousarray(arr, dtype="<f8").tobytes(order="C")
-    (directory / name).write_bytes(payload)
-    return {
-        "path": name,
-        "count": int(arr.size),
-        "shape": list(arr.shape),
-        "crc32": zlib.crc32(payload) & 0xFFFFFFFF,
-    }
-
-
 _NUMBER = (int, float)
 _OPTIONAL_NUMBER = (int, float, type(None))
+
+# FittedDetector's attribute for each manifest section: band_stats_x, term_z, ...
+_OWNER_PREFIX = {"band_stats": "band_stats_", "terms": "term_"}
+
+
+def _layout(mode: str):
+    """(section, name, key, ndim) of each array in model.bin, in payload order; the
+    manifest holds its shape at [section][name][key]. Term z's kernel rows are [x | y]."""
+    for name in ("x", "y"):
+        yield "band_stats", name, "mean", 1
+        yield "band_stats", name, "std", 1
+    for name in ("x", "y", "z"):
+        yield "terms", name, "basis", 2
+        yield "terms", name, "values", 1
+        if mode == "linear":
+            yield "terms", name, "mean", 1
+        elif name != "z":
+            yield "terms", name, "train", 2
 
 
 def _get(d: dict, key: str, types, where: str):
@@ -203,30 +211,6 @@ def _get(d: dict, key: str, types, where: str):
     if isinstance(value, bool) or not isinstance(value, types):
         raise CorruptModelError(f"corrupt model: {where}.{key} has the wrong type")
     return value
-
-
-def _read_blob(directory: Path, entry: dict, key: str, where: str, ndim: int) -> np.ndarray:
-    ref, where = _get(entry, key, dict, where), f"{where}.{key}"
-    name = _get(ref, "path", str, where)
-    count = _get(ref, "count", int, where)
-    shape = _get(ref, "shape", list, where)
-    if Path(name).name != name or name == "..":
-        raise CorruptModelError(f"corrupt model: blob path {name!r} is not a file name")
-    if (len(shape) != ndim or not all(type(n) is int and n >= 0 for n in shape)
-            or math.prod(shape) != count):
-        raise CorruptModelError(f"corrupt model: bad shape {shape!r} for {name}")
-    blob_path = directory / name
-    if not blob_path.is_file():
-        raise CorruptModelError(f"missing blob {name}")
-    payload = blob_path.read_bytes()
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != _get(ref, "crc32", int, where):
-        raise CorruptModelError(f"corrupt model: checksum mismatch in {name}")
-    if len(payload) != 8 * count:
-        raise CorruptModelError(f"corrupt model: wrong element count in {name}")
-    values = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
-    if not np.isfinite(values).all():
-        raise CorruptModelError(f"corrupt model: non-finite value in {name}")
-    return values
 
 
 def _config_from(d: dict) -> DetectorConfig:
@@ -252,63 +236,75 @@ def _manifest_crc(manifest: dict) -> int:
 
 
 def save_model(det: FittedDetector, directory) -> None:
-    """Write manifest.json plus float64 blobs; load_model restores bit-exactly."""
+    """Write manifest.json and model.bin; load_model restores bit-exactly.
+
+    Each array is written to model.bin as it is (float64 arrays are not
+    copied) and its CRC32 accumulated, so no joined payload is made.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": asdict(det.config),  # its seven fields, and the kernel's kind and sigma
-        "band_stats": {},
-        "terms": {},
+        "band_stats": {"x": {}, "y": {}},
+        "terms": {"x": {}, "y": {}, "z": {}},
     }
-    for axis, stats in (("x", det.band_stats_x), ("y", det.band_stats_y)):
-        manifest["band_stats"][axis] = {
-            "mean": _write_blob(directory, f"band_stats_{axis}_mean.bin", stats.mean),
-            "std": _write_blob(directory, f"band_stats_{axis}_std.bin", stats.std),
-        }
-    for name, term in (("x", det.term_x), ("y", det.term_y), ("z", det.term_z)):
-        entry = {
-            "basis": _write_blob(directory, f"term_{name}_basis.bin", term.basis),
-            "values": _write_blob(directory, f"term_{name}_values.bin", term.values),
-        }
-        if isinstance(term, LinearTerm):
-            entry.update(type="linear", ridge=term.ridge,
-                         mean=_write_blob(directory, f"term_{name}_mean.bin", term.mean))
-        else:
-            entry["type"] = "kernel"
-            if name != "z":  # term z's rows are [x | y]
-                entry["train"] = _write_blob(directory, f"term_{name}_train.bin", term.train)
-        manifest["terms"][name] = entry
+    crc = 0
+    with open(directory / "model.bin", "wb") as f:
+        for section, name, key, _ in _layout(det.config.mode):
+            owner = getattr(det, _OWNER_PREFIX[section] + name)
+            arr = np.ascontiguousarray(getattr(owner, key), dtype="<f8")
+            f.write(arr)
+            crc = zlib.crc32(arr, crc)
+            manifest[section][name][key] = list(arr.shape)
+    if det.config.mode == "linear":
+        for name, entry in manifest["terms"].items():
+            entry["ridge"] = getattr(det, "term_" + name).ridge
+    manifest["payload_crc32"] = crc
     manifest["crc32"] = _manifest_crc(manifest)
     (directory / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
 
 
-def _term_from(directory: Path, entry: dict, where: str, train: np.ndarray | None = None):
-    """The term of a manifest entry; a kernel term reads its rows unless given them."""
-    eig = {
-        "basis": _read_blob(directory, entry, "basis", where, 2),
-        "values": _read_blob(directory, entry, "values", where, 1),
-    }
-    kind = _get(entry, "type", str, where)
-    if kind == "linear":
-        return LinearTerm(mean=_read_blob(directory, entry, "mean", where, 1),
-                          ridge=_get(entry, "ridge", _NUMBER, where), **eig)
-    if kind == "kernel":
-        if train is None:
-            train = _read_blob(directory, entry, "train", where, 2)
-        return KernelTerm(train=train, **eig)
-    raise CorruptModelError(f"unknown term type {kind!r}")
+def _read_payload(directory: Path, manifest: dict, mode: str) -> dict:
+    """model.bin's arrays as read-only views, as arrays[section][name][key].
+
+    Each is checked against its manifest shape and for finite values; then
+    the payload's length, and its CRC32 against payload_crc32.
+    """
+    sections = {section: _get(manifest, section, dict, "manifest") for section in _OWNER_PREFIX}
+    payload = (directory / "model.bin").read_bytes()
+    arrays, offset = {}, 0
+    for section, name, key, ndim in _layout(mode):
+        where = f"{section}.{name}"
+        shape = _get(_get(sections[section], name, dict, section), key, list, where)
+        if len(shape) != ndim or not all(type(n) is int and n >= 0 for n in shape):
+            raise CorruptModelError(f"corrupt model: bad shape {shape!r} for {where}.{key}")
+        nbytes = 8 * math.prod(shape)
+        if offset + nbytes > len(payload):
+            raise CorruptModelError("corrupt model: model.bin is shorter than its shapes")
+        values = np.frombuffer(payload, "<f8", nbytes // 8, offset).reshape(shape)
+        if not _all_finite(values):
+            raise CorruptModelError(f"corrupt model: non-finite value in {where}.{key}")
+        arrays.setdefault(section, {}).setdefault(name, {})[key] = values
+        offset += nbytes
+    if offset != len(payload):
+        raise CorruptModelError("corrupt model: model.bin is longer than its shapes")
+    if zlib.crc32(payload) != _get(manifest, "payload_crc32", int, "manifest"):
+        raise CorruptModelError("corrupt model: checksum mismatch in model.bin")
+    return arrays
 
 
 def load_model(directory) -> FittedDetector:
     """Restore a detector written by save_model; other top-level manifest keys are ignored.
 
     A manifest of another format version raises UnsupportedVersionError; any
-    other malformed manifest, missing or corrupt blob, or a manifest whose
-    fields fail their checksum raises CorruptModelError. The checksum is
+    other malformed manifest, a model.bin that disagrees with the manifest's
+    shapes or fails its checksum, or a manifest whose fields fail their
+    checksum raises CorruptModelError. The config is read first, and its
+    mode decides which arrays each term reads. The manifest's checksum is
     checked last, so a type or constructor check reports an edit it catches.
     """
     directory = Path(directory)
@@ -327,28 +323,24 @@ def load_model(directory) -> FittedDetector:
             f"unsupported version {version!r} of the model format "
             f"(this acdkit reads version {FORMAT_VERSION}); refit the model"
         )
-    band_stats = _get(manifest, "band_stats", dict, "manifest")
-    terms = _get(manifest, "terms", dict, "manifest")
     try:  # the constructors reject values that are well-typed but inconsistent
-        stats = {}
-        for axis in ("x", "y"):
-            entry, where = _get(band_stats, axis, dict, "band_stats"), f"band_stats.{axis}"
-            stats[axis] = BandStats(
-                mean=_read_blob(directory, entry, "mean", where, 1),
-                std=_read_blob(directory, entry, "std", where, 1),
-            )
-        term_x, term_y = (_term_from(directory, _get(terms, name, dict, "terms"), f"terms.{name}")
-                          for name in ("x", "y"))
-        z_train = None
-        if isinstance(term_x, KernelTerm) and isinstance(term_y, KernelTerm):
-            z_train = stack_pair(term_x.train, term_y.train)
+        config = _config_from(_get(manifest, "config", dict, "manifest"))
+        arrays = _read_payload(directory, manifest, config.mode)
+        terms = arrays["terms"]
+        if config.mode == "linear":
+            make = LinearTerm
+            for name, fields in terms.items():
+                fields["ridge"] = _get(manifest["terms"][name], "ridge", _NUMBER, f"terms.{name}")
+        else:
+            make = KernelTerm
+            terms["z"]["train"] = stack_pair(terms["x"]["train"], terms["y"]["train"])
         det = FittedDetector(
-            config=_config_from(_get(manifest, "config", dict, "manifest")),
-            band_stats_x=stats["x"],
-            band_stats_y=stats["y"],
-            term_x=term_x,
-            term_y=term_y,
-            term_z=_term_from(directory, _get(terms, "z", dict, "terms"), "terms.z", z_train),
+            config=config,
+            band_stats_x=BandStats(**arrays["band_stats"]["x"]),
+            band_stats_y=BandStats(**arrays["band_stats"]["y"]),
+            term_x=make(**terms["x"]),
+            term_y=make(**terms["y"]),
+            term_z=make(**terms["z"]),
         )
     except ValueError as e:
         raise CorruptModelError(f"corrupt model: {e}") from e

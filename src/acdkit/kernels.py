@@ -163,7 +163,7 @@ def joint_kernel(k_x: np.ndarray, k_y: np.ndarray, spec: KernelSpec,
     return combine(k_x, k_y, out=out)
 
 
-def sigma_heuristic(rows: np.ndarray, *, seed: int = 0) -> float:
+def sigma_heuristic(rows: np.ndarray) -> float:
     """Mean pairwise Euclidean distance over all pairs i < j of finite 2-d float64 rows.
 
     Exact up to 2000 rows; above that the estimate uses 2000 seeded random
@@ -172,7 +172,7 @@ def sigma_heuristic(rows: np.ndarray, *, seed: int = 0) -> float:
     if rows.shape[0] < 2:
         raise ValueError("need at least 2 rows")
     if rows.shape[0] > _HEURISTIC_MAX_EXACT:
-        idx = sample_pixels(rows.shape[0], _HEURISTIC_MAX_EXACT, seed)
+        idx = sample_pixels(rows.shape[0], _HEURISTIC_MAX_EXACT, seed=0)
         rows = rows[np.sort(idx)]
     # Squared differences are summed column by column, in column order, so
     # each distance rounds exactly as a per-pair loop over the columns does.

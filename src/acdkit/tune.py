@@ -74,8 +74,8 @@ def _check_grid_axis(values: np.ndarray, name: str) -> np.ndarray:
     if values.ndim != 1:
         raise ValueError(f"{name} grid must be 1-d")
     if values.size:
-        if not np.all(values > 0):
-            raise ValueError(f"{name} grid entries must be strictly positive")
+        if not np.all((values > 0) & np.isfinite(values)):
+            raise ValueError(f"{name} grid entries must be finite and strictly positive")
         if not np.all(np.diff(values) >= 0):
             raise ValueError(f"{name} grid must be sorted ascending")
     values.flags.writeable = False
@@ -110,7 +110,7 @@ class TuneResult:
     """The best grid point, its validation AUC and detector, and the whole trace.
 
     best_detector is the detector the search scored at the best point, with
-    the best nu in its config; it equals, blob for blob, a fit on the
+    the best nu in its config; it equals, array for array, a fit on the
     search's training draw at that point. Results compare equal by their
     point, AUC and trace.
     """
@@ -224,7 +224,7 @@ def grid_search(
     train_idx, val_idx = split_train_val(labels, n_train, n_val, seed)
     x_tr, y_tr, x_val, y_val = (np.asarray(m[idx], dtype=np.float64)
                                 for idx in (train_idx, val_idx) for m in (x, y))
-    val_labels = (np.asarray(labels).ravel() > 0).astype(np.int64)[val_idx]
+    val_labels = (np.asarray(labels).ravel()[val_idx] > 0).astype(np.int64)
     training = standardized_training(x_tr, y_tr)
 
     if grid is None:

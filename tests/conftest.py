@@ -1,8 +1,11 @@
+import math
+import zlib
+
 import numpy as np
 import pytest
 
 from acdkit.detectors import DetectorConfig, _fit_lambdas, _xi_rows
-from acdkit.io_formats import save_model
+from acdkit.io_formats import _layout, save_model
 from acdkit.raster import BandStats, ImageCube, stack_pair
 
 
@@ -37,6 +40,22 @@ def model_bytes(det, directory):
     """Save a detector under directory and return {file name: bytes} of what was written."""
     save_model(det, directory)
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def payload_spans(manifest):
+    """The byte span (start, stop) of each array in model.bin, keyed (section, name, key)."""
+    spans, start = {}, 0
+    for section, name, key, _ in _layout(manifest["config"]["mode"]):
+        stop = start + 8 * math.prod(manifest[section][name][key])
+        spans[section, name, key] = (start, stop)
+        start = stop
+    return spans
+
+
+def rewrite_payload(manifest, model, payload):
+    """Replace model.bin's bytes and give the manifest their CRC32."""
+    (model / "model.bin").write_bytes(payload)
+    manifest["payload_crc32"] = zlib.crc32(payload)
 
 
 def mixture_cube(height, width, bands, seed, n_components=3, separation=4.0):

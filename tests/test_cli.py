@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ from acdkit.io_formats import _manifest_crc, load_model, read_raster, write_rast
 from acdkit.metrics import roc_curve
 from acdkit.raster import ImageCube
 
-from conftest import mixture_cube
+from conftest import mixture_cube, payload_spans, rewrite_payload
 
 
 @pytest.fixture
@@ -391,12 +390,15 @@ def test_fit_rejects_non_finite_hyperparameters(scene, capsys, flags):
 
 
 def _copy_kernel_term_x(manifest, model):
-    """Swap in term x (entry and blobs) of a model fit on fewer training rows."""
+    """Swap in term x (shapes and arrays) of a model fit on fewer training rows."""
     other = model.parent / "m_fewer"
-    for blob in ("train", "basis", "values"):
-        name = f"term_x_{blob}.bin"
-        (model / name).write_bytes((other / name).read_bytes())
-    manifest["terms"]["x"] = json.loads((other / "manifest.json").read_text())["terms"]["x"]
+    other_manifest = json.loads((other / "manifest.json").read_text())
+    ours, theirs = (model / "model.bin").read_bytes(), (other / "model.bin").read_bytes()
+    their_spans = payload_spans(other_manifest)
+    payload = b"".join(theirs[slice(*their_spans[k])] if k[:2] == ("terms", "x")
+                       else ours[slice(*span)] for k, span in payload_spans(manifest).items())
+    manifest["terms"]["x"] = other_manifest["terms"]["x"]
+    rewrite_payload(manifest, model, payload)
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -404,7 +406,7 @@ def _copy_kernel_term_x(manifest, model):
     (lambda m, d: m["config"].update(mode="linear", kernel=None),
      "lam applies to kernel mode only"),
     (lambda m, d: m["config"].update(mode="linear", kernel=None, lam=None),
-     "config mode 'linear' needs linear terms"),
+     "terms.x has no 'mean'"),
     (_copy_kernel_term_x, "row counts differ"),
 ], ids=["config mode", "config mode and lambda", "linear config", "training rows"])
 def test_score_rejects_model_whose_config_and_terms_disagree(scene, capsys, edit, message):
@@ -603,10 +605,12 @@ def _fit_then_score(edit):
     return case
 
 
-def _rewrite_blob(entry, model, payload):
-    """Replace a blob's bytes and give its manifest entry their CRC32."""
-    (model / entry["path"]).write_bytes(payload)
-    entry["crc32"] = zlib.crc32(payload) & 0xFFFFFFFF
+def _zero_std_x(model, manifest):
+    """Set the x band stats' std to zero in model.bin."""
+    payload = bytearray((model / "model.bin").read_bytes())
+    start, stop = payload_spans(manifest)["band_stats", "x", "std"]
+    payload[start:stop] = bytes(stop - start)
+    rewrite_payload(manifest, model, bytes(payload))
 
 
 def _map(*flags, labels=False):
@@ -652,19 +656,12 @@ MISUSE_CASES = {
                      "error: need at least 2 training samples\n"),
     "fit -1 samples": (_fit("--train-samples", "-1"), 2,
                        "error: sample size must be nonnegative\n"),
-    "model missing blob": (
-        _fit_then_score(lambda m, _: (m / "term_x_basis.bin").unlink()),
-        1, "error: missing blob term_x_basis.bin\n"),
     "model truncated blob": (
-        _fit_then_score(lambda m, man: _rewrite_blob(
-            man["terms"]["x"]["values"], m, (m / "term_x_values.bin").read_bytes()[:-8])),
-        1, "error: corrupt model: wrong element count in term_x_values.bin\n"),
-    "model term type": (
-        _fit_then_score(lambda m, man: man["terms"]["y"].update(type="quadratic")),
-        1, "error: unknown term type 'quadratic'\n"),
+        _fit_then_score(lambda m, man: rewrite_payload(
+            man, m, (m / "model.bin").read_bytes()[:-8])),
+        1, "error: corrupt model: model.bin is shorter than its shapes\n"),
     "model zero std": (
-        _fit_then_score(lambda m, man: _rewrite_blob(
-            man["band_stats"]["x"]["std"], m, np.zeros(3, dtype="<f8").tobytes())),
+        _fit_then_score(_zero_std_x),
         1, "error: corrupt model: std entries must be strictly positive\n"),
 }
 

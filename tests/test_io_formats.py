@@ -1,4 +1,5 @@
 import json
+import math
 import zlib
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from acdkit.io_formats import (
     CorruptModelError,
     RasterFormatError,
     UnsupportedVersionError,
+    _layout,
     cube_to_labels,
     labels_to_cube,
     load_model,
@@ -26,7 +28,7 @@ from acdkit.metrics import roc_curve
 from acdkit.raster import ImageCube
 from acdkit.tune import GridPoint
 
-from conftest import correlated_pair
+from conftest import correlated_pair, payload_spans, rewrite_payload
 
 
 def f32_cube(h, w, d, seed=0):
@@ -182,25 +184,41 @@ def test_model_round_trip_scores_bit_exact(tmp_path, mode):
 def test_model_stores_spectra_and_one_copy_of_each_quantity(tmp_path, kernel):
     x, y = correlated_pair(60, 2, seed=4)
     mode = "linear" if kernel is None else "kernel"
-    save_model(fit(x, y, DetectorConfig(mode=mode, kernel=kernel)), tmp_path / "model")
+    det = fit(x, y, DetectorConfig(mode=mode, kernel=kernel))
+    save_model(det, tmp_path / "model")
+    assert sorted(p.name for p in (tmp_path / "model").iterdir()) == ["manifest.json", "model.bin"]
     manifest = json.loads((tmp_path / "model" / "manifest.json").read_text())
-    assert set(manifest) == {"format_version", "config", "band_stats", "terms", "crc32"}
-    per_term = {"basis", "values", "type"}
-    per_term |= {"mean", "ridge"} if kernel is None else set()
+    assert set(manifest) == {"format_version", "config", "band_stats", "terms", "payload_crc32",
+                             "crc32"}
+    assert manifest["band_stats"] == {axis: {"mean": [2], "std": [2]} for axis in "xy"}
+    n = 60
     for name, entry in manifest["terms"].items():
-        assert set(entry) == per_term | ({"train"} if kernel and name != "z" else set())
-    assert not (tmp_path / "model" / "term_z_train.bin").exists()
+        k = 4 if name == "z" else 2
+        if kernel is None:
+            expected = {"basis": [k, k], "values": [k], "mean": [k],
+                        "ridge": getattr(det, "term_" + name).ridge}
+        else:
+            expected = {"basis": [n, n], "values": [n]}
+            if name != "z":  # term z's rows are [x | y]
+                expected["train"] = [n, k]
+        assert entry == expected
+    # the payload holds the arrays in _layout's order, and nothing else
+    payload = (tmp_path / "model" / "model.bin").read_bytes()
+    arrays = [getattr(getattr(det, ("band_stats_" if section == "band_stats" else "term_") + name),
+                      key) for section, name, key, _ in _layout(mode)]
+    assert payload == b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
+    assert manifest["payload_crc32"] == zlib.crc32(payload)
 
 
 def test_model_tamper_detected(tmp_path):
     x, y = correlated_pair(60, 2, seed=4)
     det = fit(x, y, DetectorConfig())
     save_model(det, tmp_path / "model")
-    blob = tmp_path / "model" / "term_z_basis.bin"
-    raw = bytearray(blob.read_bytes())
+    payload = tmp_path / "model" / "model.bin"
+    raw = bytearray(payload.read_bytes())
     raw[3] ^= 0xFF
-    blob.write_bytes(bytes(raw))
-    with pytest.raises(CorruptModelError, match="corrupt model"):
+    payload.write_bytes(bytes(raw))
+    with pytest.raises(CorruptModelError, match="corrupt model: checksum mismatch in model.bin"):
         load_model(tmp_path / "model")
 
 
@@ -225,17 +243,24 @@ def _edited(edit):
 
 
 def _blob_holding(value, *keys):
-    """Put value first in the blob at manifest[keys], with a matching CRC."""
+    """Put value first in the model.bin array at manifest[keys], with a matching payload CRC."""
     def apply(text, directory):
         manifest = json.loads(text)
-        ref = manifest
-        for key in keys:
-            ref = ref[key]
-        blob = directory / ref["path"]
-        values = np.frombuffer(blob.read_bytes(), dtype="<f8").copy()
-        values[0] = value
-        blob.write_bytes(values.tobytes())
-        ref["crc32"] = zlib.crc32(values.tobytes()) & 0xFFFFFFFF
+        start = payload_spans(manifest)[keys][0]
+        payload = bytearray((directory / "model.bin").read_bytes())
+        payload[start:start + 8] = np.float64(value).tobytes()
+        rewrite_payload(manifest, directory, bytes(payload))
+        return json.dumps(manifest)
+    return apply
+
+
+def _payload_resized(change):
+    """Append to or truncate model.bin by change bytes, with a matching payload CRC."""
+    def apply(text, directory):
+        manifest = json.loads(text)
+        payload = (directory / "model.bin").read_bytes()
+        rewrite_payload(manifest, directory,
+                        payload + bytes(change) if change > 0 else payload[:change])
         return json.dumps(manifest)
     return apply
 
@@ -252,19 +277,34 @@ def _as_format_3(manifest):
         entry["weights"] = entry.pop("values")
 
 
+def _as_format_4(manifest):
+    """Version 4 stored one blob file per array, named in the manifest with a type per term."""
+    manifest["format_version"] = 4
+    for name, entry in manifest["terms"].items():
+        for key in ("basis", "values", "mean"):
+            entry[key] = {"path": f"term_{name}_{key}.bin", "count": math.prod(entry[key]),
+                          "shape": entry[key], "crc32": 0}
+        entry["type"] = "linear"
+
+
 @pytest.mark.parametrize("mutate,error", [
     pytest.param(lambda text, directory: text[:-10], CorruptModelError, id="not-json"),
     pytest.param(_edited(lambda m: m.pop("band_stats")), CorruptModelError, id="no-band-stats"),
     pytest.param(_edited(lambda m: m.update(config="hacd")), CorruptModelError,
                  id="config-string"),
-    pytest.param(_edited(lambda m: m["terms"]["z"]["basis"].update(shape=[3, 3])),
-                 CorruptModelError, id="shape-disagrees-with-count"),
-    pytest.param(_edited(lambda m: m["terms"]["x"]["basis"].update(
-        path="../model/term_x_basis.bin")), CorruptModelError, id="blob-path-not-a-file-name"),
+    pytest.param(_edited(lambda m: m["terms"]["z"].update(basis=[3, 3])),
+                 CorruptModelError, id="shape-disagrees-with-payload"),
+    pytest.param(_edited(lambda m: m["terms"]["z"].update(basis=[16])),
+                 CorruptModelError, id="shape-of-wrong-rank"),
+    pytest.param(lambda text, directory: (directory / "model.bin").unlink() or text,
+                 FileNotFoundError, id="payload-missing"),
+    pytest.param(_payload_resized(-8), CorruptModelError, id="payload-too-short"),
+    pytest.param(_payload_resized(8), CorruptModelError, id="payload-too-long"),
     pytest.param(_edited(_as_format_1), UnsupportedVersionError, id="format-1"),
     pytest.param(_edited(lambda m: m.update(format_version=2)), UnsupportedVersionError,
                  id="format-2"),
     pytest.param(_edited(_as_format_3), UnsupportedVersionError, id="format-3"),
+    pytest.param(_edited(_as_format_4), UnsupportedVersionError, id="format-4"),
     pytest.param(_blob_holding(np.nan, "band_stats", "x", "mean"), CorruptModelError,
                  id="nan-blob"),
     pytest.param(_blob_holding(np.inf, "terms", "z", "mean"), CorruptModelError,
@@ -284,8 +324,11 @@ def test_malformed_manifest_rejected(tmp_path, capsys, mutate, error):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "scores.bin").exists()
     if error is UnsupportedVersionError:
         assert "refit" in err
+    if error is CorruptModelError:
+        assert err.startswith("error: corrupt model: ")
 
 
 def test_writers_deterministic(tmp_path):

@@ -1,5 +1,6 @@
 """Source checks that need no linter: every module imports only what it uses,
-and every function the benchmark traces by name exists."""
+every model error names itself as one, and every function the benchmark
+traces by name exists."""
 
 import ast
 import importlib
@@ -46,6 +47,36 @@ def test_dead_import_check_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_only_what_it_uses(path):
     assert dead_imports(path.read_text()) == []
+
+
+def unprefixed_model_errors(source: str) -> list:
+    """Lines that build a CorruptModelError whose message does not start with
+    'corrupt model:', the prefix a user sees on every corrupt-model line."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and "CorruptModelError" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+            continue
+        message = node.args[0] if node.args else None
+        if isinstance(message, ast.JoinedStr):  # an f-string: its first part
+            message = message.values[0] if message.values else None
+        if not (isinstance(message, ast.Constant) and isinstance(message.value, str)
+                and message.value.startswith("corrupt model:")):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_model_error_check_finds_an_unprefixed_message():
+    source = ('raise CorruptModelError(f"corrupt model: bad {x}")\n'
+              'raise CorruptModelError(f"missing blob {name}")\n'
+              'raise io_formats.CorruptModelError("unknown term type")\n'
+              'raise CorruptModelError(message)\n')
+    assert unprefixed_model_errors(source) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_model_errors_start_with_corrupt_model(path):
+    assert unprefixed_model_errors(path.read_text()) == []
 
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"

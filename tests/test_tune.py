@@ -90,6 +90,13 @@ def test_tune_grid_validation():
         TuneGrid(sigma_grid=np.array([3.0, 1.0]))
 
 
+@pytest.mark.parametrize("axis", ["nu_grid", "sigma_grid", "lambda_grid"])
+def test_tune_grid_rejects_an_infinite_entry(axis):
+    # rejected as the grid is built, before any draw or fit
+    with pytest.raises(ValueError, match="grid entries must be finite and strictly positive"):
+        TuneGrid(**{axis: np.array([1.0, 2.0, np.inf])})
+
+
 def test_split_train_val_background_only():
     labels = np.zeros(500, dtype=int)
     labels[::10] = 1
