@@ -82,6 +82,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _sample_count(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError("must be an integer >= 2")
+    return value
+
+
+def _rate(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError("must be in (0, 1]")
+    return value
+
+
+def _open_fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError("must be in (0, 1)")
+    return value
+
+
 def _read_pair(x_path, y_path):
     cube_x = io_formats.read_raster(x_path)
     cube_y = io_formats.read_raster(y_path)
@@ -274,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit a detector on a raster pair")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--train-samples", type=int, default=1000)
+    p.add_argument("--train-samples", type=_sample_count, default=1000)
     p.add_argument("--train-labels", default=None,
                    help="optional label raster; training draws from non-anomalous pixels")
     p.add_argument("--model-out", required=True)
@@ -297,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--threshold", type=_not_nan, default=None)
-    group.add_argument("--tpr-rate", type=float, default=None,
+    group.add_argument("--tpr-rate", type=_rate, default=None,
                        help="pick the threshold detecting this fraction of labeled changes")
-    group.add_argument("--quantile", type=float, default=None,
+    group.add_argument("--quantile", type=_open_fraction, default=None,
                        help="flag roughly this fraction of pixels")
     p.add_argument("--labels", default=None)
     p.add_argument("--out", required=True)

@@ -306,6 +306,7 @@ def combine_xi(
     config: DetectorConfig,
     d_x: int,
     d_y: int,
+    nu: np.ndarray | None = None,
 ) -> np.ndarray:
     """Combine per-term xi values into final scores per the config.
 
@@ -314,23 +315,43 @@ def combine_xi(
     term's own input dimensionality, so unequal band counts d_x != d_y are
     handled consistently. Where xi / nu overflows (a tiny nu), log1p(xi / nu)
     is taken as log(nu + xi) - log(nu), so finite xi give finite scores.
+
+    nu, for an ec config only, is a (k, 1) column of shapes that replaces
+    config.nu: the scores of n pixels come back as (k, n), and row j equals
+    the call at config.nu = nu[j] bit for bit, the same operations in the
+    same order, with the fallback taken for exactly the rows whose scores
+    it would take it for.
     """
     beta_x, beta_y = config.beta_x, config.beta_y
     if config.distribution == "gaussian":
+        if nu is not None:
+            raise ValueError("nu applies to the ec distribution only")
         return xi_z - beta_x * xi_x - beta_y * xi_y
-    nu = config.nu
 
-    def ec(log1p_ratio):
-        score = (d_x + d_y + nu) * log1p_ratio(xi_z)
+    def ec(nu, log1p_ratio):
+        score = log1p_ratio(xi_z, nu)
+        score *= d_x + d_y + nu
         for beta, d, xi in ((beta_x, d_x, xi_x), (beta_y, d_y, xi_y)):
             if beta:
-                score = score - (d + nu) * log1p_ratio(xi)
+                term = log1p_ratio(xi, nu)
+                term *= d + nu
+                score -= term
         return score
 
-    with np.errstate(over="ignore", invalid="ignore"):  # the one check below sees an overflow
-        score = ec(lambda xi: np.log1p(xi / nu))
-        if not _all_finite(score):
-            score = ec(lambda xi: np.log(nu + xi) - np.log(nu))
+    def direct(xi, nu):
+        return np.log1p(xi / nu)
+
+    def fallback(xi, nu):
+        return np.log(nu + xi) - np.log(nu)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below see an overflow
+        if nu is None:
+            score = ec(config.nu, direct)
+            return score if _all_finite(score) else ec(config.nu, fallback)
+        score = ec(nu, direct)
+        bad = ~np.isfinite(score).all(axis=1)
+        if bad.any():
+            score[bad] = ec(nu[bad], fallback)
     return score
 
 

@@ -171,9 +171,18 @@ def write_roc_csv(curve: RocCurve, path) -> None:
 
 
 def write_trace_csv(trace, path) -> None:
+    """One row per (GridPoint, auc) of the trace. Each distinct nu, sigma and lambda is
+    formatted once: grid entries are positive, so equal values have equal text."""
+    formatted = {}
+
+    def fmt(v) -> str:
+        if v not in formatted:
+            formatted[v] = _fmt(v)
+        return formatted[v]
+
     lines = ["nu,sigma,lambda,val_auc"]
     for point, auc in trace:
-        lines.append(f"{_fmt(point.nu)},{_fmt(point.sigma)},{_fmt(point.lam)},{_fmt(auc)}")
+        lines.append(f"{fmt(point.nu)},{fmt(point.sigma)},{fmt(point.lam)},{_fmt(auc)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -213,19 +222,29 @@ def _get(d: dict, key: str, types, where: str):
     return value
 
 
+def _optional_float(d: dict, key: str, where: str) -> float | None:
+    """d[key], a number or None, as a float; a JSON integer beyond float64's range is corrupt."""
+    value = _get(d, key, _OPTIONAL_NUMBER, where)
+    try:
+        return None if value is None else float(value)
+    except OverflowError:
+        raise CorruptModelError(
+            f"corrupt model: {where}.{key} is beyond float64's range") from None
+
+
 def _config_from(d: dict) -> DetectorConfig:
     kernel = _get(d, "kernel", (dict, type(None)), "config")
     if kernel is not None:
         kernel = KernelSpec(kind=_get(kernel, "kind", str, "config.kernel"),
-                            sigma=_get(kernel, "sigma", _OPTIONAL_NUMBER, "config.kernel"))
+                            sigma=_optional_float(kernel, "sigma", "config.kernel"))
     return DetectorConfig(
         beta_x=_get(d, "beta_x", int, "config"),
         beta_y=_get(d, "beta_y", int, "config"),
         distribution=_get(d, "distribution", str, "config"),
-        nu=_get(d, "nu", _OPTIONAL_NUMBER, "config"),
+        nu=_optional_float(d, "nu", "config"),
         mode=_get(d, "mode", str, "config"),
         kernel=kernel,
-        lam=_get(d, "lam", _OPTIONAL_NUMBER, "config"),
+        lam=_optional_float(d, "lam", "config"),
     )
 
 

@@ -9,7 +9,9 @@ vertices is the integer 2 #(pos > neg) + #(pos == neg) over
 Mann-Whitney statistic with half credit for ties, exactly. `roc_curve`
 keeps only the corners of the curve (vertices where its direction
 changes), which leaves the polyline and its area unchanged; `auc_score`
-counts the same integer without building the curve.
+counts the same integer without building the curve, for one score vector
+or for a (k, n) block of them against the same labels, which are then
+checked once.
 """
 
 from __future__ import annotations
@@ -54,23 +56,30 @@ class RocCurve:
 
 
 def _finite_scores(scores: np.ndarray) -> np.ndarray:
-    scores = np.asarray(scores, dtype=np.float64).ravel()
+    """scores as a float64 array of the same shape, checked once for NaN and infinity."""
+    scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores contain non-finite values")
     return scores
 
 
-def _check_scored_labels(scores: np.ndarray, labels: np.ndarray):
-    scores = _finite_scores(scores)
+def _check_labels(labels: np.ndarray, n: int):
+    """n labels as a 0/1 uint8 vector with its positive and negative counts; both classes
+    must be present."""
     labels = np.asarray(labels).ravel()
-    if scores.shape != labels.shape:
+    if labels.size != n:
         raise ValueError("scores and labels must have equal length")
     labels = (labels > 0).view(np.uint8)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("degenerate labels: need both classes")
-    return scores, labels, n_pos, n_neg
+    return labels, n_pos, n_neg
+
+
+def _check_scored_labels(scores: np.ndarray, labels: np.ndarray):
+    scores = _finite_scores(scores).ravel()
+    return (scores, *_check_labels(labels, scores.size))
 
 
 def _exact_auc(twice_area: int, n_pos: int, n_neg: int) -> float:
@@ -103,19 +112,28 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     return RocCurve(fpr=fp[keep] / n_neg, tpr=tp[keep] / n_pos, thresholds=thresholds, auc=auc)
 
 
-def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
+def auc_score(scores: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
     """The AUC of roc_curve, bit for bit, counted without building the curve.
 
     Each positive score adds the number of negatives below it plus the
-    number at or below it to the integer numerator.
+    number at or below it to the integer numerator. A (k, n) block of
+    scores, k rows against the same n labels, gives a float64 array of k
+    AUCs, each equal to the call on its row: the labels are checked once,
+    the block's finiteness once, and the negatives of every row are sorted
+    in one call. Scores of any other shape are raveled and give one float.
     """
-    scores, labels, n_pos, n_neg = _check_scored_labels(scores, labels)
-    positive = labels == 1
-    neg = np.sort(scores[~positive])
-    pos = scores[positive]
-    twice_area = (np.searchsorted(neg, pos, "left").sum()
-                  + np.searchsorted(neg, pos, "right").sum())
-    return _exact_auc(twice_area, n_pos, n_neg)
+    scores = _finite_scores(scores)
+    rows = scores if scores.ndim == 2 else scores.reshape(1, -1)
+    labels, n_pos, n_neg = _check_labels(labels, rows.shape[1])
+    # compress keeps the gathered rows C-contiguous (rows[:, mask] would not), so each row
+    # sorts and searches in place
+    positive = labels.view(bool)
+    negs = rows.compress(~positive, axis=1)
+    negs.sort(axis=1)
+    aucs = [_exact_auc(neg.searchsorted(pos, "left").sum()
+                       + neg.searchsorted(pos, "right").sum(), n_pos, n_neg)
+            for neg, pos in zip(negs, rows.compress(positive, axis=1))]
+    return np.array(aucs) if scores.ndim == 2 else aucs[0]
 
 
 def threshold_at_tpr(scores: np.ndarray, labels: np.ndarray, rate: float) -> float:
@@ -141,7 +159,7 @@ def threshold_at_quantile(scores: np.ndarray, q: float) -> float:
     flagged fraction is within 1/n of q, q -> 0 flags nothing and q -> 1
     flags everything but the minimum.
     """
-    scores = _finite_scores(scores)
+    scores = _finite_scores(scores).ravel()
     if scores.size == 0:
         raise ValueError("scores must be nonempty")
     if not 0.0 < q < 1.0:

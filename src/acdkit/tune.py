@@ -18,11 +18,14 @@ differ only in the weights they derive from the config's lambda (linear
 mode fits once). It scores them on the validation rows
 in one pass of the scoring chunk loop, projecting each probe block once
 for every lambda. Neither the fit nor the validation xi depends on nu,
-so nu is swept over the cached xi. Each AUC is counted by
-metrics.auc_score without building a ROC curve, so each trace AUC
-equals, bit for bit, roc_curve's validation AUC of a refit at its
-point. The search returns the detector it scored at the best point, with
-the best nu put in its config, so no refit is needed to save it.
+so nu is swept over the cached xi, in blocks of k values sized so that
+one (k, n_val) float64 block of scores is 256 KiB: one combine_xi call
+scores a block, row for row as it scores one nu, and one
+metrics.auc_score call counts its k AUCs without building a ROC curve.
+So each trace AUC equals, bit for bit, roc_curve's validation AUC of a
+refit at its point. The search returns the detector it scored at the
+best point, with the best nu put in its config, so no refit is needed
+to save it.
 
 `default_grid` fills exactly the axes a config exposes, and `grid_search`
 rejects a grid that fills any other.
@@ -61,6 +64,10 @@ __all__ = [
 NU_RANGE = (1e-5, 1e10, 100)
 SIGMA_MULTIPLIER_RANGE = (1e-3, 1e3, 60)
 LAMBDA_RANGE = (1e-10, 10.0**2.5, 30)
+
+# tune sweeps nu in blocks of k = _NU_BLOCK // n_val values, so that one
+# float64 (k, n_val) block of scores is 256 KiB and its passes stay in cache.
+_NU_BLOCK = 32768
 
 
 def _log_grid(lo: float, hi: float, num: int) -> np.ndarray:
@@ -238,28 +245,38 @@ def grid_search(
     # Per sigma, the terms come from one eigendecomposition per Gram matrix,
     # and the detectors of the whole lambda axis, which differ only in the
     # weights they derive, are scored in one pass over them. nu only
-    # affects the score combination, so it is swept over their cached xi;
-    # Gaussian scores take no nu at all. The best point is the first maximum
-    # in canonical order, and its detector is the one scored there.
+    # affects the score combination, so it is swept over their cached xi in
+    # blocks of k values: one (k, n_val) combination and one auc_score call
+    # per block. Without a nu axis (Gaussian scores take no nu at all) that
+    # is one call per lambda. Each sigma's best is the first maximum of its
+    # slab in (nu, lambda) order, and the first of those in (nu, sigma,
+    # lambda) order wins, so only the best point's detector is kept.
     d_x, d_y = x.shape[1], y.shape[1]
-    nu_configs = [with_params(config, nu=nu) if config.distribution == "ec" else config
-                  for nu in nu_values]
-    entries, best_key, best_detector = {}, None, None
+    k = max(1, _NU_BLOCK // n_val)
+    nu_blocks = ([(slice(i, i + k), grid.nu_grid[i:i + k, None])
+                  for i in range(0, grid.nu_grid.size, k)] or [(slice(None), None)])
+    aucs = np.empty((len(nu_values), len(sigma_values), len(lambda_values)))
+    best_key, best_detector = None, None
     for i_s, sigma in enumerate(sigma_values):
         dets = _fit_lambdas(training, with_params(config, sigma=sigma), lambda_values)
-        xis = _xi_rows(dets, x_val, y_val)
-        for i_l, lam in enumerate(lambda_values):
-            for i_n, (nu, nu_config) in enumerate(zip(nu_values, nu_configs)):
-                auc = auc_score(combine_xi(*xis[i_l], nu_config, d_x, d_y), val_labels)
-                key = (i_n, i_s, i_l)
-                entries[key] = (GridPoint(nu=nu, sigma=sigma, lam=lam), auc)
-                if best_key is None or (-auc, key) < (-entries[best_key][1], best_key):
-                    best_key, best_detector = key, dets[i_l]
-        del dets, xis  # so they do not coexist with the next sigma's
+        for i_l, xi in enumerate(_xi_rows(dets, x_val, y_val)):
+            for rows, nu in nu_blocks:
+                aucs[rows, i_s, i_l] = auc_score(combine_xi(*xi, config, d_x, d_y, nu=nu),
+                                                 val_labels)
+        i_n, i_l = divmod(int(np.argmax(aucs[:, i_s])), len(lambda_values))
+        key = (-aucs[i_n, i_s, i_l], i_n, i_s, i_l)
+        if best_key is None or key < best_key:
+            best_key, best_detector = key, dets[i_l]
+        del dets, xi  # so they do not coexist with the next sigma's
 
-    trace = tuple(entries[key] for key in sorted(entries))
-    best_params, best_auc = entries[best_key]
+    auc_values = aucs.tolist()
+    trace = tuple((GridPoint(nu=nu, sigma=sigma, lam=lam), auc_values[i_n][i_s][i_l])
+                  for i_n, nu in enumerate(nu_values)
+                  for i_s, sigma in enumerate(sigma_values)
+                  for i_l, lam in enumerate(lambda_values))
+    _, i_n, i_s, i_l = best_key
+    best_params = GridPoint(nu=nu_values[i_n], sigma=sigma_values[i_s], lam=lambda_values[i_l])
     best_detector = replace(best_detector,
                             config=with_params(best_detector.config, nu=best_params.nu))
-    return TuneResult(best_params=best_params, best_val_auc=best_auc, trace=trace,
-                      best_detector=best_detector)
+    return TuneResult(best_params=best_params, best_val_auc=auc_values[i_n][i_s][i_l],
+                      trace=trace, best_detector=best_detector)

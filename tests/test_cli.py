@@ -589,12 +589,13 @@ def _raster(path, height, width, bands):
     return str(path)
 
 
-def _fit_then_score(edit):
-    """Argv scoring a fresh linear model after edit(model directory, manifest) has changed it."""
+def _fit_then_score(edit, *fit_flags):
+    """Argv scoring a fresh model (linear, unless fit_flags say otherwise) after
+    edit(model directory, manifest) has changed it."""
     def case(scene):
         d = scene["dir"]
         model = d / "m"
-        assert main(["fit", "--x", str(scene["x"]), "--y", str(scene["y"]),
+        assert main(["fit", "--x", str(scene["x"]), "--y", str(scene["y"]), *fit_flags,
                      "--train-samples", "80", "--model-out", str(model)]) == 0
         manifest = json.loads((model / "manifest.json").read_text())
         edit(model, manifest)
@@ -624,8 +625,14 @@ def _fit(*flags):
                       "--model-out", str(s["dir"] / "m")]
 
 
+def _set_config(**fields):
+    return lambda model, manifest: manifest["config"].update(fields)
+
+
 # CLI branches reached only by a misplaced or malformed input: (argv of the
-# scene, exit code, the one stderr line)
+# scene, exit code, the one stderr line). A flag out of its range is
+# argparse's to reject, before any file is read: it prints its usage, then
+# one error line naming the flag.
 MISUSE_CASES = {
     "pair height/width": (
         lambda s: ["fit", "--x", str(s["x"]), "--y", _raster(s["dir"] / "y2.bin", 40, 48, 3),
@@ -647,15 +654,18 @@ MISUSE_CASES = {
         2, "error: scores raster must have exactly one band\n"),
     "map tpr without labels": (_map("--tpr-rate", "0.5"), 2,
                                "error: --tpr-rate requires --labels\n"),
-    "map tpr 0": (_map("--tpr-rate", "0", labels=True), 2, "error: rate must be in (0, 1]\n"),
+    "map tpr 0": (_map("--tpr-rate", "0", labels=True), 2,
+                  "acdkit map: error: argument --tpr-rate: must be in (0, 1]\n"),
     "map tpr 1.5": (_map("--tpr-rate", "1.5", labels=True), 2,
-                    "error: rate must be in (0, 1]\n"),
-    "map quantile 0": (_map("--quantile", "0"), 2, "error: q must be in (0, 1)\n"),
-    "map quantile 1": (_map("--quantile", "1"), 2, "error: q must be in (0, 1)\n"),
+                    "acdkit map: error: argument --tpr-rate: must be in (0, 1]\n"),
+    "map quantile 0": (_map("--quantile", "0"), 2,
+                       "acdkit map: error: argument --quantile: must be in (0, 1)\n"),
+    "map quantile 1": (_map("--quantile", "1"), 2,
+                       "acdkit map: error: argument --quantile: must be in (0, 1)\n"),
     "fit 1 sample": (_fit("--train-samples", "1"), 2,
-                     "error: need at least 2 training samples\n"),
+                     "acdkit fit: error: argument --train-samples: must be an integer >= 2\n"),
     "fit -1 samples": (_fit("--train-samples", "-1"), 2,
-                       "error: sample size must be nonnegative\n"),
+                       "acdkit fit: error: argument --train-samples: must be an integer >= 2\n"),
     "model truncated blob": (
         _fit_then_score(lambda m, man: rewrite_payload(
             man, m, (m / "model.bin").read_bytes()[:-8])),
@@ -663,6 +673,12 @@ MISUSE_CASES = {
     "model zero std": (
         _fit_then_score(_zero_std_x),
         1, "error: corrupt model: std entries must be strictly positive\n"),
+    "model huge lambda": (  # a JSON integer that float64 cannot hold
+        _fit_then_score(_set_config(lam=10**400), "--mode", "kernel"),
+        1, "error: corrupt model: config.lam is beyond float64's range\n"),
+    "model huge nu": (
+        _fit_then_score(_set_config(nu=10**400), "--dist", "ec", "--nu", "2"),
+        1, "error: corrupt model: config.nu is beyond float64's range\n"),
 }
 
 
@@ -672,7 +688,11 @@ def test_misuse_exits_with_its_code_and_one_line(scene, capsys, case):
     argv = argv(scene)
     capsys.readouterr()
     assert main(argv) == code
-    assert capsys.readouterr().err == message
+    err = capsys.readouterr().err
+    if message.startswith("acdkit "):  # argparse's: its usage, then the one error line
+        assert err.startswith("usage: ")
+        err = err[err.index("\nacdkit ") + 1:]
+    assert err == message
 
 
 def test_threads_must_be_positive(scene, capsys):

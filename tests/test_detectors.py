@@ -301,6 +301,26 @@ def test_score_ec_finite_at_extreme_nu(nu, betas):
             assert got[j] == pytest.approx(float(z - betas[0] * x - betas[1] * y), rel=1e-12)
 
 
+@pytest.mark.parametrize("betas", [(0, 0), (1, 0), (1, 1)])
+def test_combine_xi_nu_column_equals_the_scalar_calls(betas):
+    # the first row overflows xi / nu and takes the log fallback; the others do not
+    xi = np.array([[0.0, 1e-3, 2.5, 3e8, 1e12], [0.0, 2e-3, 1.0, 1e3, 5e11],
+                   [0.0, 1e-3, 0.5, 2e8, 1e6]])
+    nu = np.array([[5e-324], [1e-3], [1.0], [1e10]])
+    config = DetectorConfig(beta_x=betas[0], beta_y=betas[1], distribution="ec", nu=7.0)
+    block = combine_xi(*xi, config, 3, 2, nu=nu)
+    assert block.shape == (4, 5)
+    for row, v in zip(block, nu[:, 0]):
+        assert row.tobytes() == ec_scores(*xi, *betas, nu=v, d_x=3, d_y=2).tobytes()
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(np.log1p(xi[0] / nu[0])))  # row 0 needs the fallback
+
+
+def test_combine_xi_nu_column_is_for_ec_only():
+    with pytest.raises(ValueError, match="nu applies to the ec distribution only"):
+        combine_xi(*np.ones((3, 4)), DetectorConfig(), 3, 3, nu=np.array([[1.0], [2.0]]))
+
+
 def test_score_ec_rejects_bad_nu():
     # nu is checked once, where the config is built
     with pytest.raises(ValueError):

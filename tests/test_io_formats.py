@@ -165,6 +165,21 @@ def test_trace_csv_format(tmp_path):
     assert lines[1] == "1,,,0.75"
 
 
+def test_trace_csv_equals_a_per_row_format(tmp_path):
+    # repeated grid values, numpy and Python floats of one value, and untuned (None) axes
+    nus, sigmas = [np.float64(1e-5), 0.1, np.float64(0.1), 1 / 3], [None, np.float64(2.5), 2.5]
+    trace = [(GridPoint(nu=nu, sigma=sigma, lam=lam), auc)
+             for nu in nus for sigma in sigmas for lam, auc in ((None, 0.5), (1e-10, 2 / 3))]
+
+    def fmt(v):
+        return "" if v is None else format(float(v), ".17g")
+
+    expected = "nu,sigma,lambda,val_auc\n" + "".join(
+        f"{fmt(p.nu)},{fmt(p.sigma)},{fmt(p.lam)},{fmt(auc)}\n" for p, auc in trace)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == expected.encode()
+
+
 @pytest.mark.parametrize("mode", ["linear", "kernel"])
 def test_model_round_trip_scores_bit_exact(tmp_path, mode):
     x, y = correlated_pair(120, 3, seed=3)

@@ -102,6 +102,22 @@ def test_roc_auc_and_auc_score_are_the_exact_fraction(pairs):
     assert roc_curve(scores, labels).auc == auc_score(scores, labels) == exact
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(TIED_SETS, st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_auc_score_block_equals_its_row_calls(pairs, k, seed):
+    # k rows against one label vector: each row's AUC is the 1-d call's, bit for bit
+    labels = np.array([label for _, label in pairs], dtype=int)
+    rows = np.random.default_rng(seed).choice(TIED_VALUES, size=(k, labels.size))
+    aucs = auc_score(rows, labels)
+    assert isinstance(aucs, np.ndarray) and aucs.shape == (k,)
+    assert aucs.tolist() == [auc_score(row, labels) for row in rows]
+    assert aucs.tolist() == [mann_whitney_auc(row, labels) for row in rows]
+
+
+def test_auc_score_of_one_vector_is_a_float():
+    assert type(auc_score(np.array([0.1, 0.9, 0.4]), np.array([0, 1, 0]))) is float
+
+
 def check_corners(scores, labels):
     """roc_curve keeps, in order, exactly the full vertices that are corners."""
     thresholds, tp, fp = full_vertices(scores, labels)
@@ -178,6 +194,13 @@ def test_degenerate_labels_rejected():
         roc_curve(np.arange(4.0), np.zeros(4))
     with pytest.raises(DegenerateLabelsError):
         roc_curve(np.arange(4.0), np.ones(4))
+    for scores in (np.arange(4.0), np.arange(12.0).reshape(3, 4)):  # one row or a block
+        with pytest.raises(DegenerateLabelsError, match="degenerate"):
+            auc_score(scores, np.zeros(4))
+        with pytest.raises(DegenerateLabelsError, match="degenerate"):
+            auc_score(scores, np.ones(4))
+        with pytest.raises(ValueError, match="equal length"):
+            auc_score(scores, np.array([0, 1, 0]))
 
 
 def test_threshold_at_tpr_full_rate():
@@ -242,6 +265,13 @@ def test_metrics_reject_non_finite_scores(bad):
         threshold_at_tpr(scores, labels, 1.0)
     with pytest.raises(ValueError, match="non-finite"):
         threshold_at_quantile(scores, 0.5)
+    with pytest.raises(ValueError, match="non-finite"):
+        auc_score(scores, labels)
+    block = np.array([[0.9, 0.8, 0.1, 0.5], scores, [0.2, 0.3, 0.4, 0.6]])
+    with pytest.raises(ValueError, match="non-finite"):
+        auc_score(block, labels)
+    with pytest.raises(ValueError, match="non-finite"):  # checked before the labels
+        auc_score(block, np.zeros(4))
 
 
 def test_threshold_at_quantile_median():

@@ -310,3 +310,78 @@ def test_best_detector_is_the_refit_at_the_best_point(tmp_path, mode):
                 with_params(cfg, nu=best.nu, sigma=best.sigma, lam=best.lam))
     assert (model_bytes(result.best_detector, tmp_path / "search")
             == model_bytes(refit, tmp_path / "refit"))
+
+
+def test_grid_search_nu_blocks_match_per_point_refits(monkeypatch):
+    # 40 nu in blocks of 15, 15 and 10: every trace AUC is the refit's, exactly
+    from acdkit import tune
+
+    n_train, n_val, seed = 60, 150, 27
+    monkeypatch.setattr(tune, "_NU_BLOCK", 15 * n_val)
+    real, calls = tune.combine_xi, []
+
+    def counted(*args, nu=None):
+        calls.append(None if nu is None else nu.shape)
+        return real(*args, nu=nu)
+
+    monkeypatch.setattr(tune, "combine_xi", counted)
+    x, y, labels = labeled_pair(n=400, d=2, seed=26, anomaly_frac=0.08)
+    cfg = DetectorConfig(distribution="ec", nu=1.0, mode="kernel",
+                         kernel=KernelSpec("rbf", 1.0), beta_x=1, beta_y=1)
+    grid = TuneGrid(nu_grid=np.logspace(-4, 8, 40), sigma_grid=np.array([0.7, 3.0]),
+                    lambda_grid=np.array([1e-7, 1e-2]))
+    result = grid_search(x, y, labels, cfg, grid, n_train, n_val, seed)
+    assert calls == [(15, 1), (15, 1), (10, 1)] * 4
+
+    train_idx, val_idx = split_train_val(labels, n_train, n_val, seed)
+    brute = []
+    for nu in grid.nu_grid:
+        for sigma in grid.sigma_grid:
+            for lam in grid.lambda_grid:
+                det = fit(x[train_idx], y[train_idx],
+                          with_params(cfg, nu=nu, sigma=sigma, lam=lam))
+                brute.append((GridPoint(nu=nu, sigma=sigma, lam=lam),
+                              roc_curve(score_pixels(det, x[val_idx], y[val_idx]),
+                                        labels[val_idx]).auc))
+    assert list(result.trace) == brute
+    best_point, best_auc = brute[int(np.argmax([auc for _, auc in brute]))]
+    assert (result.best_params, result.best_val_auc) == (best_point, best_auc)
+
+
+def test_grid_search_tie_across_sigma_keeps_the_canonical_first_maximum(monkeypatch):
+    # Planted AUCs tie at four points. Each sigma's first maximum in (nu, lambda)
+    # order is (3, 0, 0), (2, 1, 1) and (2, 2, 0); the first in (nu, sigma,
+    # lambda) order is (2, 1, 1), though sigma 2 is searched later with a smaller lambda.
+    from acdkit import tune
+
+    n_val = 100
+    aucs = np.full((7, 3, 2), 0.5)
+    for point in [(4, 0, 1), (3, 0, 0), (5, 1, 0), (2, 1, 1), (2, 2, 0)]:
+        aucs[point] = 0.75
+    planted = iter([aucs[i:i + 3, i_s, i_l] for i_s in range(3) for i_l in range(2)
+                    for i in range(0, 7, 3)])
+    monkeypatch.setattr(tune, "_NU_BLOCK", 3 * n_val)
+    monkeypatch.setattr(tune, "auc_score", lambda scores, labels: next(planted).copy())
+    x, y, labels = labeled_pair(n=300, seed=28)
+    cfg = DetectorConfig(distribution="ec", nu=1.0, mode="kernel", kernel=KernelSpec("rbf", 1.0))
+    grid = TuneGrid(nu_grid=np.logspace(-1, 2, 7), sigma_grid=np.array([0.5, 1.0, 2.0]),
+                    lambda_grid=np.array([1e-6, 1e-3]))
+    result = grid_search(x, y, labels, cfg, grid, 40, n_val, seed=29)
+    assert [auc for _, auc in result.trace] == aucs.ravel().tolist()
+    nu, sigma, lam = grid.nu_grid[2], grid.sigma_grid[1], grid.lambda_grid[1]
+    assert result.best_params == GridPoint(nu=nu, sigma=sigma, lam=lam)
+    assert result.best_val_auc == 0.75
+    assert result.best_detector.config == with_params(cfg, nu=nu, sigma=sigma, lam=lam)
+
+
+def test_grid_search_ec_without_a_nu_axis_scores_the_config_nu():
+    x, y, labels = labeled_pair(n=400, seed=30)
+    cfg = DetectorConfig(distribution="ec", nu=3.0, mode="kernel", kernel=KernelSpec("rbf", 1.0))
+    grid = TuneGrid(sigma_grid=np.array([0.5, 2.0]))
+    result = grid_search(x, y, labels, cfg, grid, 80, 200, seed=31)
+    train_idx, val_idx = split_train_val(labels, 80, 200, 31)
+    for point, auc in result.trace:
+        assert point.nu is None
+        det = fit(x[train_idx], y[train_idx], with_params(cfg, sigma=point.sigma))
+        assert auc == roc_curve(score_pixels(det, x[val_idx], y[val_idx]), labels[val_idx]).auc
+    assert result.best_detector.config.nu == 3.0
