@@ -1,10 +1,10 @@
 """Command-line front end wiring the library into reproducible pipelines.
 
 Subcommands: simulate, fit, score, roc, map, tune. Every subcommand takes
---seed (default 42) and is deterministic given it. Every subcommand also
-accepts --threads, a positive integer that is checked and ignored: scoring
-runs in one loop, and only BLAS uses more threads. Randomness per
-subcommand is drawn in a fixed documented order:
+--seed (default 42, any integer >= 0) and is deterministic given it.
+Every subcommand also accepts --threads, a positive integer that is
+checked and ignored: scoring runs in one loop, and only BLAS uses more
+threads. Randomness per subcommand is drawn in a fixed documented order:
 
     simulate   pervasive noise with seed, scrambling with seed + 1
     fit        training-pixel draw with seed
@@ -15,11 +15,14 @@ converts the rows it computes on to float64. simulate adds the noise
 into new rows, drops its input and scrambles those rows in place, which
 become the output: it never holds more than the input and one float64
 scene. fit drops both scenes once it has drawn its training rows. tune
---model-out saves the detector the search built at its best point.
+--model-out saves the detector the search built at its best point, and
+--trace-out streams the trace from the search's array of AUCs.
 
 Exit codes: 0 success, 1 I/O failure (including a raster write holding a
 value beyond float32's range, which writes nothing), 2 usage error,
-3 numerical failure (np.linalg.LinAlgError), 4 degenerate labels.
+3 numerical failure (np.linalg.LinAlgError), 4 degenerate labels. Every
+numeric flag is range-checked by its argparse type, so a value out of
+range exits 2 with one line naming the flag, before any file is read.
 """
 
 from __future__ import annotations
@@ -52,18 +55,27 @@ EXIT_NUMERICAL = 3
 EXIT_DEGENERATE = 4
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError("must be a finite number")
-    return value
+def _ranged(convert, ok, message: str):
+    """An argparse type: convert the text, then reject a value for which ok is false.
+    Text that does not convert is argparse's `invalid int value` (or float)."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _not_nan(text: str) -> float:
-    value = float(text)
-    if np.isnan(value):
-        raise argparse.ArgumentTypeError("must be a number, not nan")
-    return value
+_finite = _ranged(float, np.isfinite, "must be a finite number")
+_nonnegative_finite = _ranged(float, lambda v: 0 <= v < np.inf, "must be a finite number >= 0")
+_not_nan = _ranged(float, lambda v: not np.isnan(v), "must be a number, not nan")
+_positive_int = _ranged(int, lambda v: v >= 1, "must be a positive integer")
+_seed = _ranged(int, lambda v: v >= 0, "must be an integer >= 0")
+_sample_count = _ranged(int, lambda v: v >= 2, "must be an integer >= 2")
+_rate = _ranged(float, lambda v: 0 < v <= 1, "must be in (0, 1]")
+_open_fraction = _ranged(float, lambda v: 0 < v < 1, "must be in (0, 1)")
 
 
 def _positive_or_auto(text: str):
@@ -72,34 +84,6 @@ def _positive_or_auto(text: str):
     value = float(text)
     if not 0 < value < np.inf:
         raise argparse.ArgumentTypeError("must be finite and positive, or 'auto'")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
-def _sample_count(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("must be an integer >= 2")
-    return value
-
-
-def _rate(text: str) -> float:
-    value = float(text)
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError("must be in (0, 1]")
-    return value
-
-
-def _open_fraction(text: str) -> float:
-    value = float(text)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError("must be in (0, 1)")
     return value
 
 
@@ -150,8 +134,6 @@ def _build_config(args, nu, sigma, lam) -> DetectorConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    if not 0.0 < args.scramble_frac <= 1.0:
-        raise ValueError("--scramble-frac must be in (0, 1]")
     cube = io_formats.read_raster(args.input)
     height, width = cube.height, cube.width
     pixels = pervasive_noise(flatten(cube), args.noise_std, args.seed)
@@ -240,7 +222,7 @@ def cmd_tune(args) -> int:
         f"val_auc={result.best_val_auc:.17g}"
     )
     if args.trace_out:
-        io_formats.write_trace_csv(result.trace, args.trace_out)
+        io_formats.write_trace_csv(result.points(), args.trace_out)
     if args.model_out:
         io_formats.save_model(result.best_detector, args.model_out)
     return EXIT_OK
@@ -252,7 +234,8 @@ def cmd_tune(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
+    common.add_argument("--seed", type=_seed, default=42,
+                        help="random seed, an integer >= 0 (default 42)")
     common.add_argument(
         "--threads", type=_positive_int, default=1,
         help="accepted and ignored: scoring runs in one thread plus BLAS's own",
@@ -285,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common],
                        help="simulate a second image with pervasive noise and scrambled anomalies")
     p.add_argument("--input", required=True)
-    p.add_argument("--noise-std", type=float, default=0.1)
-    p.add_argument("--scramble-frac", type=float, default=0.01)
+    p.add_argument("--noise-std", type=_nonnegative_finite, default=0.1)
+    p.add_argument("--scramble-frac", type=_rate, default=0.01)
     p.add_argument("--out", required=True)
     p.add_argument("--labels", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -331,8 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--n-train", type=int, default=1000)
-    p.add_argument("--n-val", type=int, default=4000)
+    p.add_argument("--n-train", type=_sample_count, default=1000)
+    p.add_argument("--n-val", type=_sample_count, default=4000,
+                   help="validation pixels, which must hold both classes")
     p.add_argument("--trace-out", default=None)
     p.add_argument("--model-out", default=None)
     p.set_defaults(func=cmd_tune)

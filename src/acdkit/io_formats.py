@@ -171,8 +171,9 @@ def write_roc_csv(curve: RocCurve, path) -> None:
 
 
 def write_trace_csv(trace, path) -> None:
-    """One row per (GridPoint, auc) of the trace. Each distinct nu, sigma and lambda is
-    formatted once: grid entries are positive, so equal values have equal text."""
+    """One row per (GridPoint, auc) pair of an iterable such as TuneResult.points(),
+    each written as it is read, into one open file. Each distinct nu, sigma and lambda
+    is formatted once: grid entries are positive, so equal values have equal text."""
     formatted = {}
 
     def fmt(v) -> str:
@@ -180,10 +181,10 @@ def write_trace_csv(trace, path) -> None:
             formatted[v] = _fmt(v)
         return formatted[v]
 
-    lines = ["nu,sigma,lambda,val_auc"]
-    for point, auc in trace:
-        lines.append(f"{fmt(point.nu)},{fmt(point.sigma)},{fmt(point.lam)},{_fmt(auc)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as f:
+        f.write("nu,sigma,lambda,val_auc\n")
+        f.writelines(f"{fmt(point.nu)},{fmt(point.sigma)},{fmt(point.lam)},{_fmt(auc)}\n"
+                     for point, auc in trace)
 
 
 # ---------------------------------------------------------------------------

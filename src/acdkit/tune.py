@@ -27,13 +27,23 @@ refit at its point. The search returns the detector it scored at the
 best point, with the best nu put in its config, so no refit is needed
 to save it.
 
+A TuneResult keeps one record of the search: the TuneGrid it searched
+and the read-only (n_nu, n_sigma, n_lambda) array of validation AUCs.
+The best point and its AUC are read off one argmax of that array, and
+points() streams the trace from it, one (GridPoint, auc) pair at a time.
+The `trace` property, a tuple of all the pairs, is kept only for the
+benchmark harness under bench/, which reads it; it goes when the
+harness streams points() too.
+
 `default_grid` fills exactly the axes a config exposes, and `grid_search`
 rejects a grid that fills any other.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
@@ -112,20 +122,55 @@ class GridPoint:
     lam: float | None = None
 
 
-@dataclass(frozen=True)
-class TuneResult:
-    """The best grid point, its validation AUC and detector, and the whole trace.
+def _axis_values(grid: TuneGrid) -> tuple[list, list, list]:
+    """The (nu, sigma, lambda) axes' values, [None] for an axis that is not tuned."""
+    return tuple(list(values) if values.size else [None]
+                 for values in (grid.nu_grid, grid.sigma_grid, grid.lambda_grid))
 
-    best_detector is the detector the search scored at the best point, with
-    the best nu in its config; it equals, array for array, a fit on the
-    search's training draw at that point. Results compare equal by their
-    point, AUC and trace.
+
+def _first_max(aucs: np.ndarray) -> tuple[int, ...]:
+    """Index of the first maximum in C order, which is the canonical (nu, sigma,
+    lambda) order: ties break toward the smallest nu, then sigma, then lambda."""
+    return np.unravel_index(int(np.argmax(aucs)), aucs.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class TuneResult:
+    """The searched grid, the validation AUC of each of its points, and the best detector.
+
+    aucs is read-only, (n_nu, n_sigma, n_lambda), with size 1 on each axis the
+    grid leaves empty; it is the only record of the search. best_detector is
+    the detector the search scored at the best point, with the best nu in its
+    config; it equals, array for array, a fit on the search's training draw at
+    that point. Results hold arrays, so they compare by identity; compare
+    aucs.tobytes(), the grid axes and best_params instead.
     """
 
-    best_params: GridPoint
-    best_val_auc: float
-    trace: tuple  # of (GridPoint, auc), in canonical grid order
-    best_detector: FittedDetector = field(repr=False, compare=False)
+    grid: TuneGrid
+    aucs: np.ndarray
+    best_detector: FittedDetector = field(repr=False)
+
+    @property
+    def best_params(self) -> GridPoint:
+        best = _first_max(self.aucs)
+        return GridPoint(*(axis[i] for axis, i in zip(_axis_values(self.grid), best)))
+
+    @property
+    def best_val_auc(self) -> float:
+        return float(self.aucs[_first_max(self.aucs)])
+
+    def points(self) -> Iterator[tuple[GridPoint, float]]:
+        """Yield (GridPoint, auc) for every grid point, in canonical (nu, sigma,
+        lambda) nested order, without holding the pairs."""
+        for params, auc in zip(product(*_axis_values(self.grid)), self.aucs.flat):
+            yield GridPoint(*params), float(auc)
+
+    @property
+    def trace(self) -> tuple:
+        """tuple(self.points()), for the benchmark harness: bench/child.py writes it
+        and bench/tracer.py counts it. It goes once they read points(), as all other
+        code does."""
+        return tuple(self.points())
 
 
 def anchor_sigma(x_train: np.ndarray, y_train: np.ndarray) -> float:
@@ -212,8 +257,8 @@ def grid_search(
     """Exhaustive search maximizing validation AUC.
 
     Ties break toward the smallest parameters, nu first, then sigma, then
-    lambda. The trace lists every grid point in canonical (nu, sigma,
-    lambda) nested order. Passing grid=None builds the default grid; a
+    lambda. The result's points() lists every grid point in canonical (nu,
+    sigma, lambda) nested order. Passing grid=None builds the default grid; a
     sigma axis, if the config has one, is anchored at the mean
     pairwise-distance heuristic of the training draw. x and y are
     validated here, once, and a grid that fills an axis the config does
@@ -238,45 +283,34 @@ def grid_search(
         has_sigma = _exposed_axes(config)[1]
         grid = default_grid(config, sigma_heuristic(training[4]) if has_sigma else None)
 
-    nu_values = list(grid.nu_grid) if grid.nu_grid.size else [None]
-    sigma_values = list(grid.sigma_grid) if grid.sigma_grid.size else [None]
-    lambda_values = list(grid.lambda_grid) if grid.lambda_grid.size else [None]
-
     # Per sigma, the terms come from one eigendecomposition per Gram matrix,
     # and the detectors of the whole lambda axis, which differ only in the
     # weights they derive, are scored in one pass over them. nu only
     # affects the score combination, so it is swept over their cached xi in
     # blocks of k values: one (k, n_val) combination and one auc_score call
     # per block. Without a nu axis (Gaussian scores take no nu at all) that
-    # is one call per lambda. Each sigma's best is the first maximum of its
-    # slab in (nu, lambda) order, and the first of those in (nu, sigma,
-    # lambda) order wins, so only the best point's detector is kept.
+    # is one call per lambda. A sigma's detector is kept while the first
+    # maximum of the slabs searched so far lies in its slab, so only the best
+    # point's detector outlives its sigma.
     d_x, d_y = x.shape[1], y.shape[1]
     k = max(1, _NU_BLOCK // n_val)
     nu_blocks = ([(slice(i, i + k), grid.nu_grid[i:i + k, None])
                   for i in range(0, grid.nu_grid.size, k)] or [(slice(None), None)])
+    nu_values, sigma_values, lambda_values = _axis_values(grid)
     aucs = np.empty((len(nu_values), len(sigma_values), len(lambda_values)))
-    best_key, best_detector = None, None
+    best_detector = None
     for i_s, sigma in enumerate(sigma_values):
         dets = _fit_lambdas(training, with_params(config, sigma=sigma), lambda_values)
         for i_l, xi in enumerate(_xi_rows(dets, x_val, y_val)):
             for rows, nu in nu_blocks:
                 aucs[rows, i_s, i_l] = auc_score(combine_xi(*xi, config, d_x, d_y, nu=nu),
                                                  val_labels)
-        i_n, i_l = divmod(int(np.argmax(aucs[:, i_s])), len(lambda_values))
-        key = (-aucs[i_n, i_s, i_l], i_n, i_s, i_l)
-        if best_key is None or key < best_key:
-            best_key, best_detector = key, dets[i_l]
+        _, i_best, i_l = _first_max(aucs[:, :i_s + 1])
+        if i_best == i_s:
+            best_detector = dets[i_l]
         del dets, xi  # so they do not coexist with the next sigma's
 
-    auc_values = aucs.tolist()
-    trace = tuple((GridPoint(nu=nu, sigma=sigma, lam=lam), auc_values[i_n][i_s][i_l])
-                  for i_n, nu in enumerate(nu_values)
-                  for i_s, sigma in enumerate(sigma_values)
-                  for i_l, lam in enumerate(lambda_values))
-    _, i_n, i_s, i_l = best_key
-    best_params = GridPoint(nu=nu_values[i_n], sigma=sigma_values[i_s], lam=lambda_values[i_l])
-    best_detector = replace(best_detector,
-                            config=with_params(best_detector.config, nu=best_params.nu))
-    return TuneResult(best_params=best_params, best_val_auc=auc_values[i_n][i_s][i_l],
-                      trace=trace, best_detector=best_detector)
+    aucs.flags.writeable = False
+    best_nu = nu_values[_first_max(aucs)[0]]
+    best_detector = replace(best_detector, config=with_params(best_detector.config, nu=best_nu))
+    return TuneResult(grid=grid, aucs=aucs, best_detector=best_detector)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acdkit.cli import main
+from acdkit.cli import build_parser, main
 from acdkit.io_formats import _manifest_crc, load_model, read_raster, write_raster
 from acdkit.metrics import roc_curve
 from acdkit.raster import ImageCube
@@ -528,7 +529,10 @@ def test_simulate_rejects_non_finite_noise_std(scene, capsys, std):
     rc = main(["simulate", "--input", str(scene["x"]), "--out", str(out),
                "--labels", str(scene["dir"] / "labels_bad.bin"), "--noise-std", std])
     assert rc == 2
-    assert capsys.readouterr().err == "error: noise std must be finite and nonnegative\n"
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert err.endswith("\nacdkit simulate: error: argument --noise-std: "
+                        "must be a finite number >= 0\n")
     assert not out.exists()
 
 
@@ -629,6 +633,11 @@ def _set_config(**fields):
     return lambda model, manifest: manifest["config"].update(fields)
 
 
+def _tune(*flags):
+    return lambda s: ["tune", "--x", str(s["x"]), "--y", str(s["y"]), "--labels", str(s["labels"]),
+                      *flags]
+
+
 # CLI branches reached only by a misplaced or malformed input: (argv of the
 # scene, exit code, the one stderr line). A flag out of its range is
 # argparse's to reject, before any file is read: it prints its usage, then
@@ -666,6 +675,18 @@ MISUSE_CASES = {
                      "acdkit fit: error: argument --train-samples: must be an integer >= 2\n"),
     "fit -1 samples": (_fit("--train-samples", "-1"), 2,
                        "acdkit fit: error: argument --train-samples: must be an integer >= 2\n"),
+    "tune 1 training sample": (
+        _tune("--n-train", "1"), 2,
+        "acdkit tune: error: argument --n-train: must be an integer >= 2\n"),
+    "tune 0 validation samples": (
+        _tune("--n-val", "0"), 2,
+        "acdkit tune: error: argument --n-val: must be an integer >= 2\n"),
+    "seed -1": (_fit("--seed", "-1"), 2,
+                "acdkit fit: error: argument --seed: must be an integer >= 0\n"),
+    "simulate noise std -1": (
+        lambda s: ["simulate", "--input", str(s["x"]), "--out", str(s["dir"] / "y2.bin"),
+                   "--labels", str(s["dir"] / "l2.bin"), "--noise-std", "-1"],
+        2, "acdkit simulate: error: argument --noise-std: must be a finite number >= 0\n"),
     "model truncated blob": (
         _fit_then_score(lambda m, man: rewrite_payload(
             man, m, (m / "model.bin").read_bytes()[:-8])),
@@ -711,3 +732,56 @@ def test_help_exits_zero():
 
 def test_unknown_flag_exits_two():
     assert main(["simulate", "--bogus"]) == 2
+
+
+def test_seed_of_any_size_runs(scene):
+    # default_rng takes any integer >= 0; simulate and tune add 1 to it
+    d, seed = scene["dir"], str(2**64)
+    assert main(["simulate", "--input", str(scene["x"]), "--out", str(d / "y2.bin"),
+                 "--labels", str(d / "l2.bin"), "--seed", seed]) == 0
+    assert main(["fit", "--x", str(scene["x"]), "--y", str(scene["y"]), "--seed", seed,
+                 "--train-samples", "100", "--model-out", str(d / "m")]) == 0
+
+
+BOUNDARY_VALUES = ["-1", "0", "1", "2", "0.5", "nan", "inf", "-inf", "1e400", "5e-324",
+                   "18446744073709551616"]
+
+
+def test_every_numeric_flag_parses_or_names_itself(capsys):
+    # Walks the parser, so a new numeric flag is covered with no new row. Each value
+    # either parses to a number (never nan), or argparse exits 2 with its usage and one
+    # error line naming the flag. Only parsing runs; no command does.
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    checked = 0
+    for name, sub in commands.choices.items():
+        groups = [g for g in sub._mutually_exclusive_groups if g.required]
+        for action in sub._actions:
+            if action.type is None or not action.option_strings:
+                continue
+            flag = "/".join(action.option_strings)
+            base = [name]
+            for other in sub._actions:  # dummy values for the required flags
+                if other.required and other is not action:
+                    base += [other.option_strings[0], "x"]
+            for group in groups:
+                if action not in group._group_actions:
+                    base += [group._group_actions[0].option_strings[0], "0.5"]
+            if not any(action in group._group_actions for group in groups):
+                parser.parse_args(base)  # the dummies alone parse
+            for value in BOUNDARY_VALUES:
+                argv = [*base, f"{action.option_strings[0]}={value}"]
+                capsys.readouterr()
+                try:
+                    parsed = getattr(parser.parse_args(argv), action.dest)
+                except SystemExit as e:
+                    assert e.code == 2, argv
+                    err = capsys.readouterr().err
+                    assert err.startswith("usage: "), argv
+                    assert err.count("error:") == 1, argv
+                    assert err.endswith("\n") and err.splitlines()[-1].startswith(
+                        f"acdkit {name}: error: argument {flag}: "), (argv, err)
+                else:
+                    assert parsed is None or parsed == parsed, argv  # nan != nan
+                checked += 1
+    assert checked >= 23 * len(BOUNDARY_VALUES)  # --seed and --threads on six commands, 11 more

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from acdkit.detectors import DetectorConfig, fit, score_pixels, with_params
+from acdkit.io_formats import write_trace_csv
 from acdkit.kernels import KernelSpec
 from acdkit.metrics import DegenerateLabelsError, roc_curve
 from acdkit.tune import (
@@ -80,7 +81,7 @@ def test_grid_search_computes_the_sigma_heuristic_only_for_a_sigma_axis(monkeypa
     cfg = DetectorConfig(mode="kernel", kernel=KernelSpec(kind, None if kind == "linear" else 1.0))
     result = grid_search(x, y, labels, cfg, None, 40, 100, seed=26)
     assert len(seen) == calls
-    assert len(result.trace) == 30 * (60 if kind == "rbf" else 1)
+    assert result.aucs.shape == (1, 60 if kind == "rbf" else 1, 30)
 
 
 def test_tune_grid_validation():
@@ -122,9 +123,9 @@ def test_grid_search_single_point():
     cfg = DetectorConfig(distribution="ec", nu=1.0, mode="linear", beta_x=1, beta_y=1)
     grid = TuneGrid(nu_grid=np.array([2.5]))
     result = grid_search(x, y, labels, cfg, grid, 150, 300, seed=5)
-    assert len(result.trace) == 1
-    assert result.best_params == GridPoint(nu=2.5, sigma=None, lam=None)
-    assert result.best_val_auc == result.trace[0][1]
+    [(point, auc)] = result.points()
+    assert result.best_params == point == GridPoint(nu=2.5, sigma=None, lam=None)
+    assert result.best_val_auc == auc
 
 
 def test_grid_search_dominated_duplicate_keeps_best():
@@ -132,11 +133,11 @@ def test_grid_search_dominated_duplicate_keeps_best():
     cfg = DetectorConfig(distribution="ec", nu=1.0, mode="linear", beta_x=1, beta_y=1)
     base = TuneGrid(nu_grid=np.array([0.5, 5.0]))
     r1 = grid_search(x, y, labels, cfg, base, 150, 300, seed=7)
-    worst_nu = min((auc, p.nu) for p, auc in r1.trace)[1]
+    worst_nu = min((auc, p.nu) for p, auc in r1.points())[1]
     padded = TuneGrid(nu_grid=np.sort(np.append(base.nu_grid, worst_nu)))
     r2 = grid_search(x, y, labels, cfg, padded, 150, 300, seed=7)
     assert r2.best_val_auc == r1.best_val_auc
-    assert len(r2.trace) == 3
+    assert r2.aucs.shape == (3, 1, 1)
 
 
 def test_grid_search_best_is_trace_max():
@@ -144,7 +145,7 @@ def test_grid_search_best_is_trace_max():
     cfg = DetectorConfig(distribution="ec", nu=1.0, mode="linear", beta_x=1, beta_y=1)
     grid = TuneGrid(nu_grid=np.logspace(-2, 2, 7))
     result = grid_search(x, y, labels, cfg, grid, 150, 300, seed=9)
-    assert result.best_val_auc == max(a for _, a in result.trace)
+    assert result.best_val_auc == max(a for _, a in result.points())
 
 
 def test_grid_search_trace_canonical_order():
@@ -159,7 +160,7 @@ def test_grid_search_trace_canonical_order():
         lambda_grid=np.array([1e-6, 1e-3]),
     )
     result = grid_search(x, y, labels, cfg, grid, 100, 200, seed=11)
-    seen = [(p.nu, p.sigma, p.lam) for p, _ in result.trace]
+    seen = [(p.nu, p.sigma, p.lam) for p, _ in result.points()]
     expected = [
         (nu, s, l)
         for nu in grid.nu_grid
@@ -175,7 +176,10 @@ def test_grid_search_deterministic():
     grid = TuneGrid(sigma_grid=np.array([0.5, 2.0, 8.0]))
     r1 = grid_search(x, y, labels, cfg, grid, 100, 200, seed=13)
     r2 = grid_search(x, y, labels, cfg, grid, 100, 200, seed=13)
-    assert r1 == r2
+    assert r1.aucs.tobytes() == r2.aucs.tobytes()
+    for axis in ("nu_grid", "sigma_grid", "lambda_grid"):
+        assert getattr(r1.grid, axis).tobytes() == getattr(r2.grid, axis).tobytes()
+    assert r1.best_params == r2.best_params
 
 
 def test_grid_search_tie_break_smallest():
@@ -184,7 +188,7 @@ def test_grid_search_tie_break_smallest():
     cfg = DetectorConfig(distribution="ec", nu=1.0, mode="linear", beta_x=0, beta_y=0)
     grid = TuneGrid(nu_grid=np.array([1.0, 10.0, 100.0]))
     result = grid_search(x, y, labels, cfg, grid, 150, 300, seed=15)
-    assert len({auc for _, auc in result.trace}) == 1
+    assert len({auc for _, auc in result.points()}) == 1
     assert result.best_params.nu == 1.0
 
 
@@ -249,8 +253,8 @@ def test_grid_search_matches_brute_force_refits():
                 scores = score_pixels(det, x[val_idx], y[val_idx])
                 brute.append((GridPoint(nu=nu, sigma=sigma, lam=lam),
                               roc_curve(scores, labels[val_idx]).auc))
-    assert [p for p, _ in result.trace] == [p for p, _ in brute]
-    for (_, got), (_, expected) in zip(result.trace, brute):
+    assert [p for p, _ in result.points()] == [p for p, _ in brute]
+    for (_, got), (_, expected) in zip(result.points(), brute):
         assert got == pytest.approx(expected, abs=1e-12)
     best_point, best_auc = brute[int(np.argmax([a for _, a in brute]))]
     assert result.best_params == best_point
@@ -285,7 +289,7 @@ def test_grid_search_best_auc_equals_refit_auc(mode):
         return roc_curve(score_pixels(det, x[val_idx], y[val_idx]), labels[val_idx]).auc
 
     assert result.best_val_auc == refit_auc(result.best_params)
-    assert [auc for _, auc in result.trace] == [refit_auc(p) for p, _ in result.trace]
+    assert [auc for _, auc in result.points()] == [refit_auc(p) for p, _ in result.points()]
 
 
 @pytest.mark.parametrize("mode", ["kernel", "linear"])
@@ -343,7 +347,7 @@ def test_grid_search_nu_blocks_match_per_point_refits(monkeypatch):
                 brute.append((GridPoint(nu=nu, sigma=sigma, lam=lam),
                               roc_curve(score_pixels(det, x[val_idx], y[val_idx]),
                                         labels[val_idx]).auc))
-    assert list(result.trace) == brute
+    assert list(result.points()) == brute
     best_point, best_auc = brute[int(np.argmax([auc for _, auc in brute]))]
     assert (result.best_params, result.best_val_auc) == (best_point, best_auc)
 
@@ -367,7 +371,7 @@ def test_grid_search_tie_across_sigma_keeps_the_canonical_first_maximum(monkeypa
     grid = TuneGrid(nu_grid=np.logspace(-1, 2, 7), sigma_grid=np.array([0.5, 1.0, 2.0]),
                     lambda_grid=np.array([1e-6, 1e-3]))
     result = grid_search(x, y, labels, cfg, grid, 40, n_val, seed=29)
-    assert [auc for _, auc in result.trace] == aucs.ravel().tolist()
+    assert [auc for _, auc in result.points()] == aucs.ravel().tolist()
     nu, sigma, lam = grid.nu_grid[2], grid.sigma_grid[1], grid.lambda_grid[1]
     assert result.best_params == GridPoint(nu=nu, sigma=sigma, lam=lam)
     assert result.best_val_auc == 0.75
@@ -380,8 +384,22 @@ def test_grid_search_ec_without_a_nu_axis_scores_the_config_nu():
     grid = TuneGrid(sigma_grid=np.array([0.5, 2.0]))
     result = grid_search(x, y, labels, cfg, grid, 80, 200, seed=31)
     train_idx, val_idx = split_train_val(labels, 80, 200, 31)
-    for point, auc in result.trace:
+    for point, auc in result.points():
         assert point.nu is None
         det = fit(x[train_idx], y[train_idx], with_params(cfg, sigma=point.sigma))
         assert auc == roc_curve(score_pixels(det, x[val_idx], y[val_idx]), labels[val_idx]).auc
     assert result.best_detector.config.nu == 3.0
+
+
+def test_trace_csv_streamed_from_points_equals_the_trace_tuple(tmp_path):
+    # points() streams what the trace tuple holds, so both write the same bytes
+    x, y, labels = labeled_pair(n=400, seed=32)
+    cfg = DetectorConfig(distribution="ec", nu=1.0, mode="kernel", kernel=KernelSpec("rbf", 1.0))
+    grid = TuneGrid(nu_grid=np.logspace(-1, 2, 5), sigma_grid=np.array([0.5, 2.0]),
+                    lambda_grid=np.array([1e-6, 1e-3, 1.0]))
+    result = grid_search(x, y, labels, cfg, grid, 80, 200, seed=33)
+    assert result.aucs.shape == (5, 2, 3) and not result.aucs.flags.writeable
+    assert result.trace == tuple(result.points())
+    write_trace_csv(result.points(), tmp_path / "points.csv")
+    write_trace_csv(result.trace, tmp_path / "trace.csv")
+    assert (tmp_path / "points.csv").read_bytes() == (tmp_path / "trace.csv").read_bytes()

@@ -13,7 +13,7 @@ from acdkit.detectors import _SCORE_CHUNK, DetectorConfig, fit, score_pixels, xi
 from acdkit.io_formats import write_raster
 from acdkit.kernels import KernelSpec
 from acdkit.simulate import _NOISE_CHUNK
-from acdkit.tune import TuneGrid, anchor_sigma, grid_search
+from acdkit.tune import _NU_BLOCK, TuneGrid, anchor_sigma, grid_search
 
 from conftest import correlated_pair, mixture_cube, model_bytes
 
@@ -159,6 +159,29 @@ def test_cli_step_memory_follows_its_buffers(cli_scene, monkeypatch, step):
     assert _traced_peak(main, argv) < bound
 
 
+# The CLI's default EC rbf grid: 100 nu x 60 sigma x 30 lambda points.
+_TUNE_POINTS = 180_000
+
+
+def test_cli_tune_memory_follows_its_auc_array(tmp_path, monkeypatch):
+    # A small scene, so that what the step holds is the search's record: the
+    # (nu, sigma, lambda) float64 AUC array, plus eight 256 KiB nu-block buffers
+    # (combine_xi's and auc_score's temporaries, the lambda axis's validation xi and
+    # the chunk loop's blocks) and the usual slack. --trace-out streams the 180,000
+    # rows from that array; an eager tuple of (GridPoint, auc) pairs and a list of
+    # CSV lines made this case peak at ~82 MiB.
+    monkeypatch.chdir(tmp_path)
+    write_raster(mixture_cube(32, 32, 8, seed=0), "x")
+    assert main(["simulate", "--input", "x", "--out", "y", "--labels", "labels",
+                 "--scramble-frac", "0.1"]) == 0
+    argv = ["tune", "--x", "x", "--y", "y", "--labels", "labels", "--dist", "ec",
+            "--mode", "kernel", "--kernel", "rbf", "--n-train", "30", "--n-val", "200",
+            "--trace-out", "trace.csv"]
+    peak = _traced_peak(main, argv)
+    assert peak < 8 * _TUNE_POINTS + 8 * 8 * _NU_BLOCK + _SLACK
+    assert len((tmp_path / "trace.csv").read_text().splitlines()) == 1 + _TUNE_POINTS
+
+
 DTYPE_CONFIGS = {
     "linear-gaussian": (DetectorConfig(), TuneGrid()),
     "linear-ec": (DetectorConfig(distribution="ec", nu=2.0),
@@ -187,7 +210,7 @@ def test_float32_pixels_give_the_bits_of_their_float64_copy(tmp_path, name):
             xi_pixels(det, x, y).tobytes(),
             score_pixels(det, x, y).tobytes(),
             np.float64(anchor_sigma(x[:n_train], y[:n_train])).tobytes(),
-            [(point, np.float64(auc).tobytes()) for point, auc in search.trace],
+            [(point, np.float64(auc).tobytes()) for point, auc in search.points()],
             search.best_params,
             model_bytes(search.best_detector, tmp_path / f"best{tag}"),
         )
