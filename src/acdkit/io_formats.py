@@ -137,7 +137,7 @@ def cube_to_labels(cube: ImageCube) -> np.ndarray:
     """Flatten a 1-band cube back to a binary label vector; ValueError for another band count."""
     if cube.bands != 1:
         raise ValueError("label raster must have exactly one band")
-    return (cube.data.ravel() > 0.5).astype(np.uint8)
+    return (cube.data.ravel() > 0.5).view(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +145,18 @@ def cube_to_labels(cube: ImageCube) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def write_pgm(values: np.ndarray, path) -> None:
-    """Render an (H, W) binary map as an 8-bit P5 PGM: positive values 255, others 0."""
-    values = np.asarray(values, dtype=np.float64)
+    """Render an (H, W) binary map as an 8-bit P5 PGM: positive values 255, others 0.
+
+    The pixels are built as uint8 from the map as given, and written after the header
+    without another copy."""
+    values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError("expected an (H, W) map")
-    pixels = np.where(values > 0, 255, 0).astype(np.uint8)
+    pixels = np.where(values > 0, np.uint8(255), np.uint8(0))
     h, w = values.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + pixels.tobytes(order="C"))
+    with Path(path).open("wb") as f:
+        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        f.write(pixels)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,14 @@ positives are kept as integer counts, so the trapezoid area under the
 vertices is the integer 2 #(pos > neg) + #(pos == neg) over
 2 n_pos n_neg, and the AUC is that fraction rounded once: the
 Mann-Whitney statistic with half credit for ties, exactly. `roc_curve`
-keeps only the corners of the curve (vertices where its direction
-changes), which leaves the polyline and its area unchanged; `auc_score`
-counts the same integer without building the curve, for one score vector
-or for a (k, n) block of them against the same labels, which are then
-checked once.
+and `auc_score` count that integer one way, `_auc`: each positive score
+adds the number of sorted negatives below it plus the number at or
+below it. `roc_curve` value-sorts each class once and counts the curve
+at O(n_pos) candidate vertices, keeping only its corners (vertices where
+its direction changes), which leaves the polyline and its area
+unchanged; `auc_score` does not build the curve, and takes one score
+vector or a (k, n) block of them against the same labels, which are then
+checked once. Float32 scores stay float32 (each is exact in float64).
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .raster import _all_finite, _real
 
 __all__ = [
     "DegenerateLabelsError",
@@ -56,9 +61,10 @@ class RocCurve:
 
 
 def _finite_scores(scores: np.ndarray) -> np.ndarray:
-    """scores as a float64 array of the same shape, checked once for NaN and infinity."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
+    """scores as an array of the same shape, float32 as given and anything else as float64,
+    checked once for NaN and infinity."""
+    scores = _real(scores)
+    if not _all_finite(scores):
         raise ValueError("scores contain non-finite values")
     return scores
 
@@ -82,57 +88,65 @@ def _check_scored_labels(scores: np.ndarray, labels: np.ndarray):
     return (scores, *_check_labels(labels, scores.size))
 
 
-def _exact_auc(twice_area: int, n_pos: int, n_neg: int) -> float:
-    """The AUC from its integer numerator 2 #(pos > neg) + #ties, rounded once."""
-    return int(twice_area) / (2 * n_pos * n_neg)
+def _sorted_class(scores: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The scores where members is true, sorted ascending, with -0.0 made +0.0."""
+    values = scores[members]  # compress would first build an int64 array of positions
+    values += 0.0  # -0.0 + 0.0 is +0.0
+    values.sort()
+    return values
+
+
+def _auc(neg: np.ndarray, pos: np.ndarray) -> float:
+    """The exact AUC of the positive scores against the sorted negative scores."""
+    twice_area = int(neg.searchsorted(pos, "left").sum() + neg.searchsorted(pos, "right").sum())
+    return twice_area / (2 * pos.size * neg.size)
 
 
 def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
-    """Sweep thresholds over the distinct scores, descending.
+    """The ROC corners, from threshold +inf at (0, 0) down to the minimum score at (1, 1).
 
-    The curve starts at (0, 0) with threshold +inf and ends at (1, 1) at
-    the minimum score. Of the vertices in between, those whose two integer
-    steps (dfp, dtp) are parallel lie strictly inside a straight run and
-    are dropped. The AUC is the integer trapezoid sum over the counts.
+    Between two adjacent distinct positive scores lie only negatives, a
+    horizontal run whose inner vertices are collinear. So the counts are
+    taken, by searching the two sorted classes, only at each positive
+    score, at the smallest negative above it (the end of a run) and at the
+    minimum score. Of those vertices, the ones whose two integer steps
+    (dfp, dtp) are parallel lie strictly inside a straight run and are
+    dropped. A zero threshold is +0.0 whatever the pixel order.
     """
     scores, labels, n_pos, n_neg = _check_scored_labels(scores, labels)
-    # Counts are read only where a run of equal scores ends, so the order
-    # within a run does not matter and no stable sort is needed.
-    order = np.argsort(-scores)
-    s_sorted = scores[order]
-    cut = np.append(np.nonzero(np.diff(s_sorted))[0], s_sorted.size - 1)
-    tp = np.concatenate([[0], np.cumsum(labels[order], dtype=np.int64)[cut]])
-    fp = np.concatenate([[0], cut + 1]) - tp
+    positive = labels.view(bool)
+    neg, pos = _sorted_class(scores, ~positive), _sorted_class(scores, positive)
+    above = neg.searchsorted(pos, "right")
+    cuts = np.sort(np.concatenate([pos, neg[above[above < n_neg]], neg[:1]]))[::-1]
+    cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]  # np.unique would import numpy.ma
+    tp = np.concatenate([[0], n_pos - pos.searchsorted(cuts, "left")])
+    fp = np.concatenate([[0], n_neg - neg.searchsorted(cuts, "left")])
     dtp, dfp = np.diff(tp), np.diff(fp)
-    auc = _exact_auc(np.sum(dfp * (tp[1:] + tp[:-1])), n_pos, n_neg)
-
     keep = np.ones(tp.size, dtype=bool)
     keep[1:-1] = dfp[:-1] * dtp[1:] != dtp[:-1] * dfp[1:]
-    thresholds = np.concatenate([[np.inf], s_sorted[cut]])[keep]
-    return RocCurve(fpr=fp[keep] / n_neg, tpr=tp[keep] / n_pos, thresholds=thresholds, auc=auc)
+    thresholds = np.concatenate([[np.inf], cuts])[keep]
+    return RocCurve(fpr=fp[keep] / n_neg, tpr=tp[keep] / n_pos, thresholds=thresholds,
+                    auc=_auc(neg, pos))
 
 
 def auc_score(scores: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
     """The AUC of roc_curve, bit for bit, counted without building the curve.
 
-    Each positive score adds the number of negatives below it plus the
-    number at or below it to the integer numerator. A (k, n) block of
-    scores, k rows against the same n labels, gives a float64 array of k
-    AUCs, each equal to the call on its row: the labels are checked once,
-    the block's finiteness once, and the negatives of every row are sorted
-    in one call. Scores of any other shape are raveled and give one float.
+    A (k, n) block of scores, k rows against the same n labels, gives a
+    float64 array of k AUCs, each equal to the call on its row: the labels
+    are checked once, the block's finiteness once, and the negatives of
+    every row are sorted in one call. Scores of any other shape are raveled
+    and give one float.
     """
     scores = _finite_scores(scores)
     rows = scores if scores.ndim == 2 else scores.reshape(1, -1)
-    labels, n_pos, n_neg = _check_labels(labels, rows.shape[1])
+    labels = _check_labels(labels, rows.shape[1])[0]
     # compress keeps the gathered rows C-contiguous (rows[:, mask] would not), so each row
     # sorts and searches in place
     positive = labels.view(bool)
     negs = rows.compress(~positive, axis=1)
     negs.sort(axis=1)
-    aucs = [_exact_auc(neg.searchsorted(pos, "left").sum()
-                       + neg.searchsorted(pos, "right").sum(), n_pos, n_neg)
-            for neg, pos in zip(negs, rows.compress(positive, axis=1))]
+    aucs = [_auc(neg, pos) for neg, pos in zip(negs, rows.compress(positive, axis=1))]
     return np.array(aucs) if scores.ndim == 2 else aucs[0]
 
 
@@ -149,7 +163,7 @@ def threshold_at_tpr(scores: np.ndarray, labels: np.ndarray, rate: float) -> flo
     # That vertex is the k-th largest positive score, for the least k with
     # k / n_pos >= rate, computed with the same division as roc_curve's tpr.
     k = int(np.argmax(np.arange(1, n_pos + 1) / n_pos >= rate))
-    return float(np.sort(scores[labels == 1])[n_pos - 1 - k])
+    return float(_sorted_class(scores, labels.view(bool))[n_pos - 1 - k])
 
 
 def threshold_at_quantile(scores: np.ndarray, q: float) -> float:
@@ -166,11 +180,15 @@ def threshold_at_quantile(scores: np.ndarray, q: float) -> float:
         raise ValueError("q must be in (0, 1)")
     k = int(np.floor(q * scores.size))
     if k == 0:
-        return float(np.nextafter(scores.max(), np.inf))
-    return float(np.sort(scores)[scores.size - k])
+        return float(np.nextafter(float(scores.max()), np.inf))  # a float64 step for any dtype
+    # the k-th largest score by selection; + 0.0 makes a -0.0 threshold +0.0
+    return float(np.partition(scores, scores.size - k)[scores.size - k]) + 0.0
 
 
 def apply_threshold(scores: np.ndarray, t: float) -> np.ndarray:
-    """Binary map: 1 where score >= t."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return (scores >= t).astype(np.uint8)
+    """Binary map: 1 where score >= t, compared in float64 whatever the scores' dtype.
+
+    t is made a numpy float64, which float32 scores promote to; a Python
+    float would be cast to float32 and could flag scores just below t.
+    """
+    return (np.asarray(scores) >= np.float64(t)).view(np.uint8)

@@ -523,6 +523,19 @@ def test_map_threshold_must_be_a_number(scene, tmp_path, value, code):
     assert (tmp_path / "map.pgm").exists() == (code == 0)
 
 
+def test_map_threshold_between_two_float32_scores_compares_in_float64(tmp_path, capsys):
+    # 1 + 2**-24 lies half a float32 ulp above 1.0: the float32 score 1.0 is below it,
+    # though the threshold cast to float32 would round to 1.0 and flag that pixel
+    scores = tmp_path / "scores.bin"
+    above = np.nextafter(np.float32(1.0), np.float32(2.0))
+    write_raster(ImageCube(np.array([1.0, above, 0.5], dtype=np.float32).reshape(1, 3, 1)),
+                 scores)
+    assert main(["map", "--scores", str(scores), f"--threshold={1 + 2**-24!r}",
+                 "--out", str(tmp_path / "map.pgm")]) == 0
+    assert (tmp_path / "map.pgm").read_bytes() == b"P5\n3 1\n255\n\x00\xff\x00"
+    assert capsys.readouterr().out == "threshold 1.0000000596046448\n"
+
+
 @pytest.mark.parametrize("std", ["nan", "inf"])
 def test_simulate_rejects_non_finite_noise_std(scene, capsys, std):
     out = scene["dir"] / "y_bad.bin"

@@ -138,6 +138,89 @@ def check_corners(scores, labels):
     return idx.size, thresholds.size
 
 
+def reference_roc_curve(scores, labels):
+    """roc_curve by an argsort sweep over every distinct score, all counts n-length.
+
+    Returns (fpr, tpr, thresholds, auc). Of a run of equal scores it reports
+    whichever one argsort leaves last, so a run of zeros of both signs may
+    give -0.0 or +0.0 as its threshold.
+    """
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    labels = (np.asarray(labels).ravel() > 0).astype(np.uint8)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    order = np.argsort(-scores)
+    s_sorted = scores[order]
+    cut = np.append(np.nonzero(np.diff(s_sorted))[0], s_sorted.size - 1)
+    tp = np.concatenate([[0], np.cumsum(labels[order], dtype=np.int64)[cut]])
+    fp = np.concatenate([[0], cut + 1]) - tp
+    dtp, dfp = np.diff(tp), np.diff(fp)
+    auc = int(np.sum(dfp * (tp[1:] + tp[:-1]))) / (2 * n_pos * n_neg)
+    keep = np.ones(tp.size, dtype=bool)
+    keep[1:-1] = dfp[:-1] * dtp[1:] != dtp[:-1] * dfp[1:]
+    thresholds = np.concatenate([[np.inf], s_sorted[cut]])[keep]
+    return fp[keep] / n_neg, tp[keep] / n_pos, thresholds, auc
+
+
+def check_reference_bytes(scores, labels):
+    """roc_curve gives the reference's fpr, tpr and threshold bytes and its AUC.
+
+    The scores' zeros are made +0.0 for the reference, so they have one sign."""
+    fpr, tpr, thresholds, auc = reference_roc_curve(np.asarray(scores) + 0.0, labels)
+    c = roc_curve(scores, labels)
+    assert c.fpr.tobytes() == fpr.tobytes()
+    assert c.tpr.tobytes() == tpr.tobytes()
+    assert c.thresholds.tobytes() == thresholds.tobytes()
+    assert c.auc == auc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(TIED_SETS)
+def test_roc_gives_the_reference_bytes_property(pairs):
+    labels = np.array([label for _, label in pairs], dtype=int)
+    scores = np.array([score for score, _ in pairs], dtype=np.float64)
+    check_reference_bytes(scores, labels)
+    f32_max = np.finfo(np.float32).max  # +-1e300 become it; 5e-324 becomes 0.0
+    check_reference_bytes(np.clip(scores, -f32_max, f32_max).astype(np.float32), labels)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_roc_gives_the_reference_bytes_on_a_large_tied_vector(dtype):
+    rng = np.random.default_rng(21)
+    n = 200_000
+    labels = (rng.random(n) < 0.01).astype(np.uint8)
+    scores = np.round(rng.normal(size=n) + 2.0 * labels, 2).astype(dtype)  # ~800 values
+    check_reference_bytes(scores, labels)
+
+
+@pytest.mark.parametrize("scores, labels", [
+    ([0.3, 0.1, 0.7, 0.1, 0.5], [0, 0, 1, 0, 0]),  # one positive
+    ([0.3, 0.1, 0.7, 0.1, 0.5], [1, 1, 0, 1, 1]),  # one negative
+    ([0.5, 0.2, 0.9], [1, 0, 0]),  # the positive below a negative and above another
+    ([2.0, 2.0, 2.0, 2.0], [1, 0, 0, 1]),  # all scores tied
+    ([-1.0, -1.0], [0, 1]),
+])
+def test_roc_gives_the_reference_bytes_on_edge_cases(scores, labels):
+    for dtype in (np.float64, np.float32):
+        check_reference_bytes(np.array(scores, dtype=dtype), np.array(labels))
+
+
+def test_zero_threshold_does_not_depend_on_pixel_order():
+    # The same (score, label) pairs in two orders. An argsort sweep reports whichever
+    # zero of the tied run it leaves last, -0.0 for one of these orders.
+    first = roc_curve(np.array([0.0, -0.0, 1.0]), np.array([1, 0, 0]))
+    second = roc_curve(np.array([-0.0, 0.0, 1.0]), np.array([0, 1, 0]))
+    for c in (first, second):
+        assert c.thresholds.tolist() == [np.inf, 1.0, 0.0]
+        assert not np.signbit(c.thresholds).any()
+    assert first.thresholds.tobytes() == second.thresholds.tobytes()
+    t = threshold_at_tpr(np.array([-0.0, 1.0]), np.array([1, 0]), 1.0)
+    assert t == 0.0 and not np.signbit(t)
+    for scores in ([0.0, -0.0, 1.0, -1.0], [-0.0, 0.0, 1.0, -1.0], [-0.0, -0.0, 1.0, -1.0]):
+        t = threshold_at_quantile(np.array(scores), 0.5)
+        assert t == 0.0 and not np.signbit(t)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(TIED_SETS)
 def test_roc_keeps_only_corners_property(pairs):
@@ -294,6 +377,19 @@ def test_threshold_at_quantile_counting():
         t = threshold_at_quantile(scores, q)
         frac = apply_threshold(scores, t).mean()
         assert abs(frac - q) <= 1.0 / 500
+
+
+def test_float32_scores_give_the_thresholds_of_their_float64_copy():
+    # float32 scores are sorted and selected as float32; every threshold, including
+    # the one just above the maximum (k = 0), is the float64 copy's
+    rng = np.random.default_rng(3)
+    scores = rng.normal(size=301).astype(np.float32)
+    labels = (rng.random(301) < 0.3).astype(int)
+    wide = scores.astype(np.float64)
+    for q in (1e-9, 0.1, 0.5, 0.99):
+        assert threshold_at_quantile(scores, q) == threshold_at_quantile(wide, q)
+    for rate in (0.1, 0.5, 1.0):
+        assert threshold_at_tpr(scores, labels, rate) == threshold_at_tpr(wide, labels, rate)
 
 
 def test_apply_threshold_boundaries():

@@ -113,10 +113,10 @@ def test_scoring_makes_no_full_scene_copy(case):
 
 
 def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory traced while it ran."""
     tracemalloc.start()
     try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
+        return fn(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -139,6 +139,15 @@ CLI_MEMORY_CASES = {
     # both payloads, the (3, n) float64 xi, and combine_xi's scores plus one temporary
     "score": (["score", "--model", "model", "--x", "x", "--y", "y", "--out", "scores"],
               2 * _P + 5 * 8 * _N + _SLACK),
+    # the scores' and the labels' one-band payloads and the two sorted classes, one
+    # float32 payload between them
+    "roc": (["roc", "--scores", "scores", "--labels", "labels", "--out", "roc.csv"],
+            2 * 4 * _N + 4 * _N + _SLACK),
+    # the scores' and the labels' one-band payloads; the sorted positives (1% of the
+    # scores) fit in the slack
+    "map": (["map", "--scores", "scores", "--tpr-rate", "0.9", "--labels", "labels",
+             "--out", "map.pgm"],
+            2 * 4 * _N + _SLACK),
 }
 
 
@@ -146,9 +155,10 @@ CLI_MEMORY_CASES = {
 def cli_scene(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli_memory")
     write_raster(mixture_cube(512, 512, 8, seed=0), d / "x")
-    for step in ("simulate", "fit"):
+    for step in ("simulate", "fit", "score"):
         argv = CLI_MEMORY_CASES[step][0]
-        assert main([str(d / a) if a in ("x", "y", "labels", "model") else a for a in argv]) == 0
+        assert main([str(d / a) if a in ("x", "y", "labels", "model", "scores") else a
+                     for a in argv]) == 0
     return d
 
 
@@ -156,7 +166,8 @@ def cli_scene(tmp_path_factory):
 def test_cli_step_memory_follows_its_buffers(cli_scene, monkeypatch, step):
     argv, bound = CLI_MEMORY_CASES[step]
     monkeypatch.chdir(cli_scene)
-    assert _traced_peak(main, argv) < bound
+    code, peak = _traced_peak(main, argv)
+    assert code == 0 and peak < bound
 
 
 # The CLI's default EC rbf grid: 100 nu x 60 sigma x 30 lambda points.
@@ -177,7 +188,8 @@ def test_cli_tune_memory_follows_its_auc_array(tmp_path, monkeypatch):
     argv = ["tune", "--x", "x", "--y", "y", "--labels", "labels", "--dist", "ec",
             "--mode", "kernel", "--kernel", "rbf", "--n-train", "30", "--n-val", "200",
             "--trace-out", "trace.csv"]
-    peak = _traced_peak(main, argv)
+    code, peak = _traced_peak(main, argv)
+    assert code == 0
     assert peak < 8 * _TUNE_POINTS + 8 * 8 * _NU_BLOCK + _SLACK
     assert len((tmp_path / "trace.csv").read_text().splitlines()) == 1 + _TUNE_POINTS
 
