@@ -70,17 +70,17 @@ def _finite_scores(scores: np.ndarray) -> np.ndarray:
 
 
 def _check_labels(labels: np.ndarray, n: int):
-    """n labels as a 0/1 uint8 vector with its positive and negative counts; both classes
-    must be present."""
+    """n labels as a boolean mask of the positives with its positive and negative counts;
+    both classes must be present."""
     labels = np.asarray(labels).ravel()
     if labels.size != n:
         raise ValueError("scores and labels must have equal length")
-    labels = (labels > 0).view(np.uint8)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
+    positive = labels > 0
+    n_pos = int(positive.sum())
+    n_neg = positive.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("degenerate labels: need both classes")
-    return labels, n_pos, n_neg
+    return positive, n_pos, n_neg
 
 
 def _check_scored_labels(scores: np.ndarray, labels: np.ndarray):
@@ -113,8 +113,7 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     (dfp, dtp) are parallel lie strictly inside a straight run and are
     dropped. A zero threshold is +0.0 whatever the pixel order.
     """
-    scores, labels, n_pos, n_neg = _check_scored_labels(scores, labels)
-    positive = labels.view(bool)
+    scores, positive, n_pos, n_neg = _check_scored_labels(scores, labels)
     neg, pos = _sorted_class(scores, ~positive), _sorted_class(scores, positive)
     above = neg.searchsorted(pos, "right")
     cuts = np.sort(np.concatenate([pos, neg[above[above < n_neg]], neg[:1]]))[::-1]
@@ -140,10 +139,9 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
     """
     scores = _finite_scores(scores)
     rows = scores if scores.ndim == 2 else scores.reshape(1, -1)
-    labels = _check_labels(labels, rows.shape[1])[0]
+    positive = _check_labels(labels, rows.shape[1])[0]
     # compress keeps the gathered rows C-contiguous (rows[:, mask] would not), so each row
     # sorts and searches in place
-    positive = labels.view(bool)
     negs = rows.compress(~positive, axis=1)
     negs.sort(axis=1)
     aucs = [_auc(neg, pos) for neg, pos in zip(negs, rows.compress(positive, axis=1))]
@@ -159,11 +157,11 @@ def threshold_at_tpr(scores: np.ndarray, labels: np.ndarray, rate: float) -> flo
     """
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0, 1]")
-    scores, labels, n_pos, _ = _check_scored_labels(scores, labels)
+    scores, positive, n_pos, _ = _check_scored_labels(scores, labels)
     # That vertex is the k-th largest positive score, for the least k with
     # k / n_pos >= rate, computed with the same division as roc_curve's tpr.
     k = int(np.argmax(np.arange(1, n_pos + 1) / n_pos >= rate))
-    return float(_sorted_class(scores, labels.view(bool))[n_pos - 1 - k])
+    return float(_sorted_class(scores, positive)[n_pos - 1 - k])
 
 
 def threshold_at_quantile(scores: np.ndarray, q: float) -> float:
