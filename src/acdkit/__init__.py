@@ -27,7 +27,6 @@ from .raster import (
     ImageCube,
     flatten,
     sample_pixels,
-    unflatten,
 )
 from .simulate import pervasive_noise, scramble_anomalies
 from .tune import TuneGrid, TuneResult, default_grid, grid_search

@@ -10,11 +10,13 @@ threads. Randomness per subcommand is drawn in a fixed documented order:
     fit        training-pixel draw with seed
     tune       training draw with seed, validation draw with seed + 1
 
-Rasters stay float32 as read (io_formats.read_raster); the library
-converts the rows it computes on to float64. simulate adds the noise
-into new rows, drops its input and scrambles those rows in place, which
-become the output: it never holds more than the input and one float64
-scene. fit drops both scenes once it has drawn its training rows. tune
+Rasters stay float32 as read (io_formats.read_raster). Each subcommand
+works on pixel rows and the scene's (H, W): it flattens what it reads and
+reshapes what it writes, and the library converts the rows it computes
+on to float64. simulate adds the noise into new rows, drops its input and
+scrambles those rows in place, which become the output: it never holds
+more than the input and one float64 scene. fit drops both scenes once it
+has drawn its training rows. tune
 --model-out saves the detector the search built at its best point, and
 --trace-out streams the trace from the search's array of AUCs.
 
@@ -42,7 +44,7 @@ from .metrics import (
     threshold_at_quantile,
     threshold_at_tpr,
 )
-from .raster import flatten, unflatten
+from .raster import ImageCube, flatten
 from .simulate import pervasive_noise, scramble_anomalies
 from .tune import anchor_sigma, grid_search, training_draw
 
@@ -88,18 +90,33 @@ def _positive_or_auto(text: str):
 
 
 def _read_pair(x_path, y_path):
+    """The x rows, the y rows and the (H, W) of a raster pair."""
     cube_x = io_formats.read_raster(x_path)
     cube_y = io_formats.read_raster(y_path)
-    if (cube_x.height, cube_x.width) != (cube_y.height, cube_y.width):
+    shape = cube_x.data.shape[:2]
+    if cube_y.data.shape[:2] != shape:
         raise ValueError("unaligned pair: rasters differ in height/width")
-    return cube_x, cube_y
+    return flatten(cube_x), flatten(cube_y), shape
 
 
-def _read_labels(path, height, width) -> np.ndarray:
+def _read_labels(path, shape) -> np.ndarray:
     cube = io_formats.read_raster(path)
-    if (cube.height, cube.width) != (height, width):
+    if cube.data.shape[:2] != shape:
         raise ValueError("label raster does not match image dimensions")
     return io_formats.cube_to_labels(cube)
+
+
+def _read_scores(path):
+    """The scores of a one-band raster as a flat vector, and its (H, W)."""
+    data = io_formats.read_raster(path).data
+    if data.shape[2] != 1:
+        raise ValueError("scores raster must have exactly one band")
+    return data.ravel(), data.shape[:2]
+
+
+def _write_rows(rows: np.ndarray, shape, path) -> None:
+    """Write pixel rows, or one value per pixel, as an (H, W, d) raster."""
+    io_formats.write_raster(ImageCube(rows.reshape(*shape, -1)), path)
 
 
 def _takes_sigma(args) -> bool:
@@ -135,23 +152,23 @@ def _build_config(args, nu, sigma, lam) -> DetectorConfig:
 
 def cmd_simulate(args) -> int:
     cube = io_formats.read_raster(args.input)
-    height, width = cube.height, cube.width
+    shape = cube.data.shape[:2]
     pixels = pervasive_noise(flatten(cube), args.noise_std, args.seed)
     del cube  # the input need not coexist with the scrambled rows
     labels = scramble_anomalies(pixels, args.scramble_frac, args.seed + 1)
-    io_formats.write_raster(unflatten(pixels, height, width), args.out)
-    io_formats.write_raster(io_formats.labels_to_cube(labels, height, width), args.labels)
+    _write_rows(pixels, shape, args.out)
+    _write_rows(labels.astype(np.float32), shape, args.labels)
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
-    cube_x, cube_y = _read_pair(args.x, args.y)
+    x, y, shape = _read_pair(args.x, args.y)
     labels = None
     if args.train_labels:
-        labels = _read_labels(args.train_labels, cube_x.height, cube_x.width)
-    idx = training_draw(cube_x.n_pixels, args.train_samples, args.seed, labels)
-    x_tr, y_tr = flatten(cube_x)[idx], flatten(cube_y)[idx]
-    del cube_x, cube_y  # fit reads only the drawn rows
+        labels = _read_labels(args.train_labels, shape)
+    idx = training_draw(x.shape[0], args.train_samples, args.seed, labels)
+    x_tr, y_tr = x[idx], y[idx]
+    del x, y  # fit reads only the drawn rows
 
     sigma = args.sigma
     if _takes_sigma(args) and sigma is None:
@@ -165,50 +182,37 @@ def cmd_fit(args) -> int:
 
 def cmd_score(args) -> int:
     det = io_formats.load_model(args.model)
-    cube_x, cube_y = _read_pair(args.x, args.y)
-    scores = score_pixels(det, flatten(cube_x), flatten(cube_y))
-    cube = unflatten(scores[:, None], cube_x.height, cube_x.width)
-    io_formats.write_raster(cube, args.out)
+    x, y, shape = _read_pair(args.x, args.y)
+    _write_rows(score_pixels(det, x, y), shape, args.out)
     return EXIT_OK
 
 
 def cmd_roc(args) -> int:
-    scores_cube = io_formats.read_raster(args.scores)
-    if scores_cube.bands != 1:
-        raise ValueError("scores raster must have exactly one band")
-    labels = _read_labels(args.labels, scores_cube.height, scores_cube.width)
-    curve = roc_curve(scores_cube.data.ravel(), labels)
+    scores, shape = _read_scores(args.scores)
+    curve = roc_curve(scores, _read_labels(args.labels, shape))
     io_formats.write_roc_csv(curve, args.out)
     print(f"AUC {curve.auc:.17g}")
     return EXIT_OK
 
 
 def cmd_map(args) -> int:
-    scores_cube = io_formats.read_raster(args.scores)
-    if scores_cube.bands != 1:
-        raise ValueError("scores raster must have exactly one band")
-    scores = scores_cube.data.ravel()
+    scores, shape = _read_scores(args.scores)
     if args.threshold is not None:
         t = args.threshold
     elif args.tpr_rate is not None:
         if not args.labels:
             raise ValueError("--tpr-rate requires --labels")
-        labels = _read_labels(args.labels, scores_cube.height, scores_cube.width)
-        t = threshold_at_tpr(scores, labels, args.tpr_rate)
+        t = threshold_at_tpr(scores, _read_labels(args.labels, shape), args.tpr_rate)
     else:
         t = threshold_at_quantile(scores, args.quantile)
-    binary = apply_threshold(scores, t)
-    io_formats.write_pgm(
-        binary.reshape(scores_cube.height, scores_cube.width), args.out
-    )
+    io_formats.write_pgm(apply_threshold(scores, t).reshape(shape), args.out)
     print(f"threshold {t:.17g}")
     return EXIT_OK
 
 
 def cmd_tune(args) -> int:
-    cube_x, cube_y = _read_pair(args.x, args.y)
-    x, y = flatten(cube_x), flatten(cube_y)
-    labels = _read_labels(args.labels, cube_x.height, cube_x.width)
+    x, y, shape = _read_pair(args.x, args.y)
+    labels = _read_labels(args.labels, shape)
     # grid_search replaces nu (ec) and sigma (rbf, sam); 1.0 keeps the config valid until then.
     config = _build_config(args, 1.0 if args.dist == "ec" else None,
                            1.0 if _takes_sigma(args) else None, None)

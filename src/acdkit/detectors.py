@@ -58,7 +58,6 @@ from .kernels import KernelSpec, cross_gram, gram, joint_kernel
 from .linalg import SpdEigen, covariance, inverse_weights, mahalanobis_batch, spd_factorize
 from .raster import (
     BandStats,
-    _all_finite,
     _readonly,
     as_pixel_matrix,
     stack_pair,
@@ -318,9 +317,9 @@ def combine_xi(
 
     nu, for an ec config only, is a (k, 1) column of shapes that replaces
     config.nu: the scores of n pixels come back as (k, n), and row j equals
-    the call at config.nu = nu[j] bit for bit, the same operations in the
-    same order, with the fallback taken for exactly the rows whose scores
-    it would take it for.
+    the call at config.nu = nu[j] bit for bit. A call without nu is row 0
+    of the call with the column [[config.nu]]. The fallback is taken per
+    row, for the rows with a non-finite score.
     """
     beta_x, beta_y = config.beta_x, config.beta_y
     if config.distribution == "gaussian":
@@ -344,15 +343,16 @@ def combine_xi(
     def fallback(xi, nu):
         return np.log(nu + xi) - np.log(nu)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # the checks below see an overflow
-        if nu is None:
-            score = ec(config.nu, direct)
-            return score if _all_finite(score) else ec(config.nu, fallback)
-        score = ec(nu, direct)
-        bad = ~np.isfinite(score).all(axis=1)
+    column = np.array([[config.nu]]) if nu is None else nu
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below sees an overflow
+        score = ec(column, direct)
+        # min and max propagate NaN, and an infinity is one of them, so no (k, n) bool
+        # temporary is made; initial=0.0 passes a row of no pixels
+        bad = ~(np.isfinite(score.min(axis=1, initial=0.0))
+                & np.isfinite(score.max(axis=1, initial=0.0)))
         if bad.any():
-            score[bad] = ec(nu[bad], fallback)
-    return score
+            score[bad] = ec(column[bad], fallback)
+    return score if nu is not None else score[0]
 
 
 def xi_pixels(det: FittedDetector, x: np.ndarray, y: np.ndarray) -> np.ndarray:

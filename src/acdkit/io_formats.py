@@ -1,11 +1,13 @@
 """Serialization: raster binary + JSON sidecar, PGM maps, CSV tables, models.
 
 Rasters are raw little-endian float32 payloads in band-interleaved-by-pixel
-order with a JSON sidecar at `<path>.json` describing the shape.
-`read_raster` returns a float32 cube over the payload it read, with no
-copy, and checks its values once, there. `write_raster` writes a float32
-cube's buffer as it is; a float64 cube is converted once, and a value
-beyond float32's range fails the write before any file is made. Models are
+order with a JSON sidecar at `<path>.json` describing the shape, which
+is the cube's array shape. `read_raster` returns a float32 cube over the
+payload it read, with no copy, and checks its values once, there.
+`write_raster` writes a float32 cube's buffer as it is; a float64 cube is
+converted once, and a value beyond float32's range fails the write before
+any file is made. A label raster is a one-band cube of 0 and 1, and
+`cube_to_labels` reads it as a flat uint8 vector. Models are
 a directory holding `manifest.json` and `model.bin`, every float64 array
 little-endian in one fixed order (`_layout`). Each term stores its basis
 U and spectrum s; a linear term adds its mean and ridge, and the x and y
@@ -37,7 +39,6 @@ __all__ = [
     "UnsupportedVersionError",
     "write_raster",
     "read_raster",
-    "labels_to_cube",
     "cube_to_labels",
     "write_pgm",
     "write_roc_csv",
@@ -79,10 +80,11 @@ def write_raster(cube: ImageCube, path) -> None:
         payload = np.ascontiguousarray(cube.data, dtype="<f4")
     if not _all_finite(payload):
         raise RasterFormatError(f"cannot write raster {path}: a value is beyond float32's range")
+    height, width, bands = cube.data.shape
     sidecar = {
-        "height": cube.height,
-        "width": cube.width,
-        "bands": cube.bands,
+        "height": height,
+        "width": width,
+        "bands": bands,
         "dtype": "f32",
         "interleave": "bip",
     }
@@ -125,17 +127,9 @@ def read_raster(path) -> ImageCube:
         raise RasterFormatError(f"bad raster {path}: {e}") from e
 
 
-def labels_to_cube(labels: np.ndarray, height: int, width: int) -> ImageCube:
-    """Pack a flat binary label vector as a 1-band cube."""
-    labels = np.asarray(labels).ravel()
-    if labels.size != height * width:
-        raise ValueError("label count does not match height*width")
-    return ImageCube((labels > 0).astype(np.float32).reshape(height, width, 1))
-
-
 def cube_to_labels(cube: ImageCube) -> np.ndarray:
     """Flatten a 1-band cube back to a binary label vector; ValueError for another band count."""
-    if cube.bands != 1:
+    if cube.data.shape[2] != 1:
         raise ValueError("label raster must have exactly one band")
     return (cube.data.ravel() > 0.5).view(np.uint8)
 

@@ -4,16 +4,16 @@ An image cube is the type of a raster file: one H x W x d array of
 real-valued bands stored band-interleaved-by-pixel (row-major pixel order,
 bands fastest), and nothing else; its dimensions are the array's shape.
 The library computes on pixel matrices, numpy arrays of shape (n, d), one
-spectrum per row; `flatten` and `unflatten` convert between the two
-without a copy. Both keep float32 values as float32, so a raster read from
-disk stays its float32 payload, and store any other values as float64.
+spectrum per row. `flatten` views a cube's array as its rows without a
+copy, and `ImageCube(rows.reshape(h, w, -1))` wraps rows back. A cube
+keeps float32 values as float32, so a raster read from disk stays its
+float32 payload, and stores any other values as float64.
 Arithmetic runs in float64, on rows converted where it needs them (one
 chunk, or the gathered training rows); float32 -> float64 is exact. The
 containers here are immutable after construction; every operation here is
 pure. `as_pixel_matrix` validates a matrix once, where it enters the
 library; the row helpers expect finite 2-d float64 rows
-(`standardize_apply` and `unflatten` also float32 ones) and check only
-shapes.
+(`standardize_apply` also float32 ones) and check only shapes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "BandStats",
     "as_pixel_matrix",
     "flatten",
-    "unflatten",
     "stack_pair",
     "standardize_fit",
     "standardize_apply",
@@ -76,22 +75,6 @@ class ImageCube:
             raise ValueError("cube contains non-finite values")
         object.__setattr__(self, "data", _readonly(data))
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def bands(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def n_pixels(self) -> int:
-        return self.height * self.width
-
 
 @dataclass(frozen=True)
 class BandStats:
@@ -130,14 +113,7 @@ def as_pixel_matrix(m: np.ndarray) -> np.ndarray:
 
 def flatten(cube: ImageCube) -> np.ndarray:
     """Flatten a cube to an (H*W, d) matrix in row-major pixel order."""
-    return cube.data.reshape(cube.n_pixels, cube.bands)
-
-
-def unflatten(m: np.ndarray, height: int, width: int) -> ImageCube:
-    """Inverse of :func:`flatten` for finite 2-d rows; bit-exact round trip."""
-    if m.shape[0] != height * width:
-        raise ValueError("row count does not match height*width")
-    return ImageCube(m.reshape(height, width, m.shape[1]))
+    return cube.data.reshape(-1, cube.data.shape[2])
 
 
 def stack_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -205,19 +205,25 @@ def default_grid(config: DetectorConfig, heuristic_sigma: float | None = None) -
 def training_draw(
     n_total: int, n_train: int, seed: int, labels: np.ndarray | None = None
 ) -> np.ndarray:
-    """Seeded draw of n_train distinct indices among the non-anomalous pixels.
+    """Seeded draw of n_train distinct indices in [0, n_total) among the non-anomalous pixels.
 
-    Pixels whose label is 0 are background; without labels every pixel is.
+    labels, of any shape, holds one label per pixel, n_total in all; pixels
+    whose label is 0 are background. Without labels every pixel is.
     """
     if labels is None:
-        background = np.arange(n_total)
+        n_background = n_total
     else:
-        background = np.nonzero(labels == 0)[0]
-    if n_train > background.size:
+        labels = np.asarray(labels).ravel()
+        if labels.size != n_total:
+            raise ValueError(f"unaligned labels: {labels.size} labels for {n_total} pixels")
+        background = np.flatnonzero(labels == 0)
+        n_background = background.size
+    if n_train > n_background:
         raise ValueError(
-            f"not enough non-anomalous pixels: need {n_train}, have {background.size}"
+            f"not enough non-anomalous pixels: need {n_train}, have {n_background}"
         )
-    return background[sample_pixels(background.size, n_train, seed)]
+    idx = sample_pixels(n_background, n_train, seed)
+    return idx if labels is None else background[idx]
 
 
 def split_train_val(
@@ -229,17 +235,17 @@ def split_train_val(
     indices come from the remaining pixels and must contain both classes.
     Draw order: training draw with `seed`, validation draw with `seed + 1`.
     """
-    labels = (np.asarray(labels).ravel() > 0).astype(np.int64)
-    n_total = labels.size
-    train_idx = training_draw(n_total, n_train, seed, labels)
+    positive = np.asarray(labels).ravel() > 0
+    n_total = positive.size
+    train_idx = training_draw(n_total, n_train, seed, positive)
     if n_train + n_val > n_total:
         raise ValueError("n_train + n_val exceeds available pixels")
     mask = np.ones(n_total, dtype=bool)
     mask[train_idx] = False
     rest = np.nonzero(mask)[0]
     val_idx = rest[sample_pixels(rest.size, n_val, seed + 1)]
-    val_labels = labels[val_idx]
-    if val_labels.min() == val_labels.max():
+    val_positive = positive[val_idx]
+    if val_positive.min() == val_positive.max():
         raise DegenerateLabelsError("validation draw has a single class")
     return train_idx, val_idx
 
@@ -261,13 +267,17 @@ def grid_search(
     sigma, lambda) nested order. Passing grid=None builds the default grid; a
     sigma axis, if the config has one, is anchored at the mean
     pairwise-distance heuristic of the training draw. x and y are
-    validated here, once, and a grid that fills an axis the config does
-    not expose is rejected before any draw. The drawn training and
-    validation rows are converted to float64 after they are gathered, so
-    float32 x and y are not copied whole.
+    validated here, once; x, y and labels of different lengths, and a grid
+    that fills an axis the config does not expose, are rejected before any
+    draw. The drawn training and validation rows are converted to float64
+    after they are gathered, so float32 x and y are not copied whole.
     """
     x = as_pixel_matrix(x)
     y = as_pixel_matrix(y)
+    labels = np.asarray(labels).ravel()
+    for name, n in (("y", y.shape[0]), ("labels", labels.size)):
+        if n != x.shape[0]:
+            raise ValueError(f"unaligned pair: x has {x.shape[0]} rows, {name} has {n}")
     if grid is not None:
         axes = (("nu", grid.nu_grid), ("sigma", grid.sigma_grid), ("lambda", grid.lambda_grid))
         for (name, values), exposed in zip(axes, _exposed_axes(config)):
@@ -276,7 +286,7 @@ def grid_search(
     train_idx, val_idx = split_train_val(labels, n_train, n_val, seed)
     x_tr, y_tr, x_val, y_val = (np.asarray(m[idx], dtype=np.float64)
                                 for idx in (train_idx, val_idx) for m in (x, y))
-    val_labels = (np.asarray(labels).ravel()[val_idx] > 0).astype(np.int64)
+    val_labels = labels[val_idx] > 0
     training = standardized_training(x_tr, y_tr)
 
     if grid is None:

@@ -642,6 +642,17 @@ def _fit(*flags):
                       "--model-out", str(s["dir"] / "m")]
 
 
+def _score_pair(height, width):
+    """Argv scoring a fresh linear model on x and a height x width y."""
+    def case(scene):
+        d = scene["dir"]
+        assert main(["fit", "--x", str(scene["x"]), "--y", str(scene["y"]),
+                     "--train-samples", "80", "--model-out", str(d / "m")]) == 0
+        return ["score", "--model", str(d / "m"), "--x", str(scene["x"]),
+                "--y", _raster(d / "y2.bin", height, width, 3), "--out", str(d / "s.bin")]
+    return case
+
+
 def _set_config(**fields):
     return lambda model, manifest: manifest["config"].update(fields)
 
@@ -660,6 +671,24 @@ MISUSE_CASES = {
         lambda s: ["fit", "--x", str(s["x"]), "--y", _raster(s["dir"] / "y2.bin", 40, 48, 3),
                    "--model-out", str(s["dir"] / "m")],
         2, "error: unaligned pair: rasters differ in height/width\n"),
+    "score pair height/width": (_score_pair(48, 40), 2,
+                                "error: unaligned pair: rasters differ in height/width\n"),
+    "tune pair height/width": (
+        lambda s: ["tune", "--x", str(s["x"]), "--y", _raster(s["dir"] / "y2.bin", 40, 40, 3),
+                   "--labels", str(s["labels"])],
+        2, "error: unaligned pair: rasters differ in height/width\n"),
+    "fit train label raster size": (
+        lambda s: _fit("--train-labels", _raster(s["dir"] / "l.bin", 48, 40, 1))(s),
+        2, "error: label raster does not match image dimensions\n"),
+    "tune label raster size": (
+        lambda s: ["tune", "--x", str(s["x"]), "--y", str(s["y"]),
+                   "--labels", _raster(s["dir"] / "l.bin", 40, 48, 1)],
+        2, "error: label raster does not match image dimensions\n"),
+    "map tpr label raster size": (
+        lambda s: ["map", "--scores", _raster(s["dir"] / "s.bin", 48, 48, 1),
+                   "--tpr-rate", "0.5", "--labels", _raster(s["dir"] / "l.bin", 40, 40, 1),
+                   "--out", str(s["dir"] / "map.pgm")],
+        2, "error: label raster does not match image dimensions\n"),
     "label raster size": (
         lambda s: ["roc", "--scores", _raster(s["dir"] / "s.bin", 48, 48, 1),
                    "--labels", _raster(s["dir"] / "l.bin", 48, 40, 1),
@@ -670,6 +699,10 @@ MISUSE_CASES = {
                    "--labels", _raster(s["dir"] / "l.bin", 48, 48, 2),
                    "--out", str(s["dir"] / "roc.csv")],
         2, "error: label raster must have exactly one band\n"),
+    "roc scores bands": (
+        lambda s: ["roc", "--scores", _raster(s["dir"] / "s.bin", 48, 48, 2),
+                   "--labels", str(s["labels"]), "--out", str(s["dir"] / "roc.csv")],
+        2, "error: scores raster must have exactly one band\n"),
     "map scores bands": (
         lambda s: ["map", "--scores", _raster(s["dir"] / "s.bin", 48, 48, 2),
                    "--quantile", "0.5", "--out", str(s["dir"] / "map.pgm")],

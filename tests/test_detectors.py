@@ -314,6 +314,9 @@ def test_combine_xi_nu_column_equals_the_scalar_calls(betas):
         assert row.tobytes() == ec_scores(*xi, *betas, nu=v, d_x=3, d_y=2).tobytes()
     with np.errstate(over="ignore"):
         assert not np.all(np.isfinite(np.log1p(xi[0] / nu[0])))  # row 0 needs the fallback
+    # no pixels: an empty row, in either form
+    assert combine_xi(*np.empty((3, 0)), config, 3, 2).shape == (0,)
+    assert combine_xi(*np.empty((3, 0)), config, 3, 2, nu=nu).shape == (4, 0)
 
 
 def test_combine_xi_nu_column_is_for_ec_only():

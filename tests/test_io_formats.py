@@ -14,7 +14,6 @@ from acdkit.io_formats import (
     UnsupportedVersionError,
     _layout,
     cube_to_labels,
-    labels_to_cube,
     load_model,
     read_raster,
     save_model,
@@ -129,10 +128,15 @@ def test_malformed_sidecar_rejected(tmp_path, capsys, change, payload):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_labels_cube_round_trip():
+def test_labels_cube_round_trip(tmp_path):
+    # labels are written as a one-band float32 cube of 0 and 1, as `acdkit simulate` does
     labels = np.array([0, 1, 1, 0, 1, 0], dtype=np.uint8)
-    cube = labels_to_cube(labels, 2, 3)
-    assert np.array_equal(cube_to_labels(cube), labels)
+    write_raster(ImageCube(labels.astype(np.float32).reshape(2, 3, 1)), tmp_path / "l.bin")
+    assert (tmp_path / "l.bin").read_bytes() == labels.astype("<f4").tobytes()
+    back = cube_to_labels(read_raster(tmp_path / "l.bin"))
+    assert back.dtype == np.uint8 and np.array_equal(back, labels)
+    with pytest.raises(ValueError, match="exactly one band"):
+        cube_to_labels(ImageCube(np.ones((2, 3, 2))))
 
 
 def test_pgm_binary_bytes(tmp_path):

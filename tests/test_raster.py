@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from acdkit.raster import (
     stack_pair,
     standardize_apply,
     standardize_fit,
-    unflatten,
 )
 
 
@@ -27,10 +28,14 @@ def test_flatten_row_major_order():
 
 
 def test_flatten_unflatten_round_trip_bit_exact():
+    # rows are wrapped back as a cube by reshaping them to (H, W, d), as the CLI writes them
     rng = np.random.default_rng(7)
-    cube = ImageCube(rng.normal(size=(7, 5, 4)))
-    back = unflatten(flatten(cube), 7, 5)
-    assert np.array_equal(back.data, cube.data)
+    for data in (rng.normal(size=(7, 5, 4)), rng.normal(size=(7, 5, 1)).astype(np.float32)):
+        cube = ImageCube(data)
+        rows = flatten(cube)
+        assert rows.shape == (35, data.shape[2]) and np.shares_memory(rows, cube.data)
+        back = ImageCube(rows.reshape(7, 5, -1))
+        assert back.data.dtype == data.dtype and back.data.tobytes() == data.tobytes()
 
 
 def test_cube_rejects_non_finite():
@@ -42,7 +47,10 @@ def test_cube_rejects_non_finite():
 
 def test_cube_dimensions_are_its_array_shape():
     cube = ImageCube(np.arange(24.0).reshape(2, 3, 4))
-    assert (cube.height, cube.width, cube.bands, cube.n_pixels) == (2, 3, 4, 6)
+    # the one field is the array, and nothing restates its shape
+    assert [f.name for f in dataclasses.fields(ImageCube)] == ["data"]
+    assert not [name for name, v in vars(ImageCube).items() if isinstance(v, property)]
+    assert cube.data.shape == (2, 3, 4) and flatten(cube).shape == (6, 4)
     assert cube.data.dtype == np.float64 and not cube.data.flags.writeable
     for shape in [(6, 4), (0, 3, 4), (2, 3, 0)]:
         with pytest.raises(ValueError, match="3-d"):

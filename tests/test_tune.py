@@ -5,6 +5,7 @@ from acdkit.detectors import DetectorConfig, fit, score_pixels, with_params
 from acdkit.io_formats import write_trace_csv
 from acdkit.kernels import KernelSpec
 from acdkit.metrics import DegenerateLabelsError, roc_curve
+from acdkit.raster import sample_pixels
 from acdkit.tune import (
     GridPoint,
     TuneGrid,
@@ -12,6 +13,7 @@ from acdkit.tune import (
     default_grid,
     grid_search,
     split_train_val,
+    training_draw,
 )
 
 from conftest import correlated_pair, model_bytes
@@ -209,6 +211,39 @@ def test_grid_search_rejects_axes_the_config_lacks(monkeypatch, cfg, grid):
     x, y, labels = labeled_pair(n=300, seed=23)
     with pytest.raises(ValueError, match="grid given, but the config has no"):
         grid_search(x, y, labels, cfg, grid, 100, 100, seed=24)
+
+
+@pytest.mark.parametrize("name, n", [("labels", 500), ("labels", 1001), ("y", 900)])
+def test_grid_search_rejects_unaligned_inputs(monkeypatch, name, n):
+    from acdkit import tune
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("the lengths are checked before the train/validation split")
+
+    monkeypatch.setattr(tune, "split_train_val", no_split)
+    x, y, labels = labeled_pair(n=1100, seed=23)
+    inputs = {"y": y[:1000], "labels": labels[:1000]}
+    inputs[name] = {"y": y, "labels": labels}[name][:n]
+    with pytest.raises(ValueError, match=f"^unaligned pair: x has 1000 rows, {name} has {n}$"):
+        grid_search(x[:1000], inputs["y"], inputs["labels"], DetectorConfig(), None, 100, 100,
+                    seed=24)
+
+
+def test_training_draw_indexes_the_scene():
+    # without labels, the draw is sample_pixels' own
+    assert np.array_equal(training_draw(100, 5, 0), sample_pixels(100, 5, 0))
+    with pytest.raises(ValueError, match="need 101, have 100"):
+        training_draw(100, 101, 0)
+    # labels of any shape are one per pixel, raveled: the draw is of pixel indices
+    labels = np.zeros((10, 20), dtype=np.uint8)
+    labels[:, ::2] = 1
+    idx = training_draw(200, 50, 3, labels)
+    assert np.array_equal(idx, training_draw(200, 50, 3, labels.ravel()))
+    assert np.unique(idx).size == 50 and np.all(idx % 2 == 1) and idx.max() < 200
+    with pytest.raises(ValueError, match="need 101, have 100"):
+        training_draw(200, 101, 3, labels)
+    with pytest.raises(ValueError, match="^unaligned labels: 200 labels for 100 pixels$"):
+        training_draw(100, 5, 0, np.zeros(200))
 
 
 def test_grid_search_selects_near_optimal_sigma():

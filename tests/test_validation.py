@@ -133,9 +133,9 @@ CLI_MEMORY_CASES = {
     # and writing it adds one float32 payload to the two.
     "simulate": (["simulate", "--input", "x", "--out", "y", "--labels", "labels"],
                  _P + 2 * _P + _NOISE_CHUNK * 8 * 8 + _SLACK),
-    # both payloads and training_draw's index of the background pixels
+    # both payloads; without labels, training_draw holds only the drawn indices
     "fit": (["fit", "--x", "x", "--y", "y", "--model-out", "model"],
-            2 * _P + 8 * _N + _SLACK),
+            2 * _P + _SLACK),
     # both payloads, the (3, n) float64 xi, and combine_xi's scores plus one temporary
     "score": (["score", "--model", "model", "--x", "x", "--y", "y", "--out", "scores"],
               2 * _P + 5 * 8 * _N + _SLACK),
