@@ -24,7 +24,8 @@ Exit codes: 0 success, 1 I/O failure (including a raster write holding a
 value beyond float32's range, which writes nothing), 2 usage error,
 3 numerical failure (np.linalg.LinAlgError), 4 degenerate labels. Every
 numeric flag is range-checked by its argparse type, so a value out of
-range exits 2 with one line naming the flag, before any file is read.
+range exits 2 with one line naming the flag, before any file is read;
+map --labels without --tpr-rate exits 2 before any file is read too.
 """
 
 from __future__ import annotations
@@ -196,6 +197,8 @@ def cmd_roc(args) -> int:
 
 
 def cmd_map(args) -> int:
+    if args.labels and args.tpr_rate is None:
+        raise ValueError("--labels applies to --tpr-rate only")
     scores, shape = _read_scores(args.scores)
     if args.threshold is not None:
         t = args.threshold

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import KernelSpec, cross_gram, gram, joint_kernel
+from .kernels import _F64_MAX, KernelSpec, cross_gram, gram, joint_kernel
 from .linalg import SpdEigen, covariance, inverse_weights, mahalanobis_batch, spd_factorize
 from .raster import (
     BandStats,
@@ -118,7 +118,7 @@ class DetectorConfig:
         if self.distribution not in ("gaussian", "ec"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.distribution == "ec":
-            if self.nu is None or not 0 < self.nu < np.inf:
+            if self.nu is None or not 0 < self.nu <= _F64_MAX:  # False for NaN
                 raise ValueError("ec distribution requires a finite nu > 0")
         elif self.nu is not None:
             raise ValueError("nu applies to the ec distribution only")
@@ -127,7 +127,7 @@ class DetectorConfig:
         if self.mode == "kernel":
             if self.kernel is None:
                 raise ValueError("kernel mode requires a kernel spec")
-            if self.lam is not None and not 0 < self.lam < np.inf:
+            if self.lam is not None and not 0 < self.lam <= _F64_MAX:
                 raise ValueError("lam must be finite and positive (or None for auto)")
         elif self.kernel is not None:
             raise ValueError("a kernel spec applies to kernel mode only")

@@ -9,10 +9,15 @@ regularizer lambda. Default grids:
             a pairwise-distance heuristic anchor
     lambda  30 points, log-spaced over [1e-10, 10^2.5]
 
-Training pixels are drawn from non-anomalous positions only; validation
-pixels are drawn from the remainder and keep both classes. For each
-sigma the search builds the detectors of the whole lambda axis with the
-builder that `detectors.fit` uses at its one lambda: the terms are fit
+A label > 0 marks an anomalous pixel and every other pixel is background.
+Training pixels are drawn from background positions only; validation
+pixels are drawn from the remainder and keep both classes. Both draws
+place seeded ranks past a sorted array of excluded positions (the
+anomalous pixels, then the training draw), so neither builds an index
+over the whole scene.
+
+For each sigma the search builds the detectors of the whole lambda axis
+with the builder that `detectors.fit` uses at its one lambda: the terms are fit
 once, each Gram matrix eigendecomposed once, and the detectors over them
 differ only in the weights they derive from the config's lambda (linear
 mode fits once). It scores them on the validation rows
@@ -202,28 +207,37 @@ def default_grid(config: DetectorConfig, heuristic_sigma: float | None = None) -
     )
 
 
+def _past(ranks: np.ndarray, excluded: np.ndarray) -> np.ndarray:
+    """The positions of the given ranks among the pixels not in excluded.
+
+    excluded is a sorted array of distinct positions; rank r lands on the
+    r-th position, counting from 0, that excluded does not hold.
+    """
+    return ranks + np.searchsorted(excluded - np.arange(excluded.size), ranks, side="right")
+
+
 def training_draw(
     n_total: int, n_train: int, seed: int, labels: np.ndarray | None = None
 ) -> np.ndarray:
-    """Seeded draw of n_train distinct indices in [0, n_total) among the non-anomalous pixels.
+    """Seeded draw of n_train distinct indices in [0, n_total) among the background pixels.
 
-    labels, of any shape, holds one label per pixel, n_total in all; pixels
-    whose label is 0 are background. Without labels every pixel is.
+    labels, of any shape, holds one label per pixel, n_total in all; a pixel
+    whose label is > 0 is anomalous, and every other pixel is background.
+    Without labels every pixel is. The draw holds only the anomalous
+    positions, which it steps past, never an index of the background.
     """
-    if labels is None:
-        n_background = n_total
-    else:
-        labels = np.asarray(labels).ravel()
+    anomalous = np.empty(0, dtype=np.intp)
+    if labels is not None:
+        labels = np.asarray(labels)
         if labels.size != n_total:
             raise ValueError(f"unaligned labels: {labels.size} labels for {n_total} pixels")
-        background = np.flatnonzero(labels == 0)
-        n_background = background.size
+        anomalous = np.flatnonzero(labels > 0)
+    n_background = n_total - anomalous.size
     if n_train > n_background:
         raise ValueError(
             f"not enough non-anomalous pixels: need {n_train}, have {n_background}"
         )
-    idx = sample_pixels(n_background, n_train, seed)
-    return idx if labels is None else background[idx]
+    return _past(sample_pixels(n_background, n_train, seed), anomalous)
 
 
 def split_train_val(
@@ -231,21 +245,19 @@ def split_train_val(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded train/validation index split.
 
-    Training indices come from non-anomalous pixels only; validation
-    indices come from the remaining pixels and must contain both classes.
-    Draw order: training draw with `seed`, validation draw with `seed + 1`.
+    A label > 0 is anomalous, and every other pixel is background. Training
+    indices come from background pixels only (training_draw); validation
+    indices come from the pixels the training draw left and must contain
+    both classes. Draw order: training draw with `seed`, validation draw
+    with `seed + 1`.
     """
-    positive = np.asarray(labels).ravel() > 0
-    n_total = positive.size
-    train_idx = training_draw(n_total, n_train, seed, positive)
+    labels = np.asarray(labels).ravel()
+    n_total = labels.size
+    train_idx = training_draw(n_total, n_train, seed, labels)
     if n_train + n_val > n_total:
         raise ValueError("n_train + n_val exceeds available pixels")
-    mask = np.ones(n_total, dtype=bool)
-    mask[train_idx] = False
-    rest = np.nonzero(mask)[0]
-    val_idx = rest[sample_pixels(rest.size, n_val, seed + 1)]
-    val_positive = positive[val_idx]
-    if val_positive.min() == val_positive.max():
+    val_idx = _past(sample_pixels(n_total - n_train, n_val, seed + 1), np.sort(train_idx))
+    if not 0 < np.count_nonzero(labels[val_idx] > 0) < n_val:
         raise DegenerateLabelsError("validation draw has a single class")
     return train_idx, val_idx
 

@@ -709,6 +709,10 @@ MISUSE_CASES = {
         2, "error: scores raster must have exactly one band\n"),
     "map tpr without labels": (_map("--tpr-rate", "0.5"), 2,
                                "error: --tpr-rate requires --labels\n"),
+    "map threshold with labels": (_map("--threshold", "5", labels=True), 2,
+                                  "error: --labels applies to --tpr-rate only\n"),
+    "map quantile with labels": (_map("--quantile", "0.5", labels=True), 2,
+                                 "error: --labels applies to --tpr-rate only\n"),
     "map tpr 0": (_map("--tpr-rate", "0", labels=True), 2,
                   "acdkit map: error: argument --tpr-rate: must be in (0, 1]\n"),
     "map tpr 1.5": (_map("--tpr-rate", "1.5", labels=True), 2,

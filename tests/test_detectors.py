@@ -80,7 +80,7 @@ def test_config_validation():
         kernel_config(lam=-1.0)
 
 
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 10**400])
 def test_hyperparameters_must_be_finite(bad):
     with pytest.raises(ValueError, match="finite sigma"):
         KernelSpec("rbf", bad)

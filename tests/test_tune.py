@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acdkit.detectors import DetectorConfig, fit, score_pixels, with_params
 from acdkit.io_formats import write_trace_csv
@@ -118,6 +122,8 @@ def test_split_train_val_errors():
         split_train_val(labels, 50, 60, seed=0)  # exceeds total
     with pytest.raises(DegenerateLabelsError):
         split_train_val(np.zeros(100, dtype=int), 10, 10, seed=0)
+    with pytest.raises(DegenerateLabelsError, match="single class"):
+        split_train_val(labels, 10, 0, seed=0)  # an empty validation draw
 
 
 def test_grid_search_single_point():
@@ -244,6 +250,92 @@ def test_training_draw_indexes_the_scene():
         training_draw(200, 101, 3, labels)
     with pytest.raises(ValueError, match="^unaligned labels: 200 labels for 100 pixels$"):
         training_draw(100, 5, 0, np.zeros(200))
+
+
+def reference_training_draw(n_total, n_train, seed, labels=None):
+    """training_draw as it was before it stepped past the anomalous pixels:
+    an index of every background pixel (label 0), then a draw into it."""
+    if labels is None:
+        n_background = n_total
+    else:
+        labels = np.asarray(labels).ravel()
+        if labels.size != n_total:
+            raise ValueError(f"unaligned labels: {labels.size} labels for {n_total} pixels")
+        background = np.flatnonzero(labels == 0)
+        n_background = background.size
+    if n_train > n_background:
+        raise ValueError(f"not enough non-anomalous pixels: need {n_train}, have {n_background}")
+    idx = sample_pixels(n_background, n_train, seed)
+    return idx if labels is None else background[idx]
+
+
+def reference_split_train_val(labels, n_train, n_val, seed):
+    """split_train_val as it was before: a mask and an index of the pixels
+    the training draw left, then a draw into that index."""
+    positive = np.asarray(labels).ravel() > 0
+    n_total = positive.size
+    train_idx = reference_training_draw(n_total, n_train, seed, positive)
+    if n_train + n_val > n_total:
+        raise ValueError("n_train + n_val exceeds available pixels")
+    mask = np.ones(n_total, dtype=bool)
+    mask[train_idx] = False
+    rest = np.nonzero(mask)[0]
+    val_idx = rest[sample_pixels(rest.size, n_val, seed + 1)]
+    val_positive = positive[val_idx]
+    if val_positive.min() == val_positive.max():
+        raise DegenerateLabelsError("validation draw has a single class")
+    return train_idx, val_idx
+
+
+def _same_draw(draw, reference, *args):
+    """draw(*args) returns what reference(*args) does, in values and dtype, or
+    raises the same exception type with the same message."""
+    try:
+        expected = reference(*args)
+    except ValueError as e:
+        with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+            draw(*args)
+        return
+    got = draw(*args)
+    if isinstance(got, np.ndarray):
+        got, expected = (got,), (expected,)
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    form=st.sampled_from(["uint8", "bool", "2-d"]),
+    n=st.integers(1, 120),
+    seed=st.integers(0, 2**32),
+)
+def test_draws_equal_the_reference_on_0_1_labels(data, form, n, seed):
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                      dtype=np.uint8)
+    if form == "bool":
+        labels = labels.astype(bool)
+    elif form == "2-d":
+        labels = labels.reshape(2, n // 2) if n % 2 == 0 else labels[None]
+    n_train = data.draw(st.integers(0, n + 1))
+    n_val = data.draw(st.integers(1, max(1, n + 1 - n_train)))
+    _same_draw(training_draw, reference_training_draw, n, n_train, seed, labels)
+    _same_draw(training_draw, reference_training_draw, n, n_train, seed)
+    _same_draw(split_train_val, reference_split_train_val, labels, n_train, n_val, seed)
+
+
+def test_draws_equal_the_reference_on_a_large_scene():
+    # 2**20 pixels at 1% positives, the draws' sizes of the CLI and bench defaults
+    labels = (np.random.default_rng(5).random(2**20) < 0.01).astype(np.uint8)
+    _same_draw(training_draw, reference_training_draw, labels.size, 1000, 7, labels)
+    _same_draw(split_train_val, reference_split_train_val, labels, 1000, 4000, 7)
+
+
+@pytest.mark.parametrize("other", [-1.0, np.nan])
+def test_only_a_label_above_zero_is_anomalous(other):
+    # a pixel labelled -1 or NaN is background in the training draw, as it is in
+    # the validation classes and in the metrics
+    assert np.array_equal(training_draw(3, 1, 0, np.array([1.0, other, 1.0])), [1])
 
 
 def test_grid_search_selects_near_optimal_sigma():

@@ -13,7 +13,7 @@ from acdkit.detectors import _SCORE_CHUNK, DetectorConfig, fit, score_pixels, xi
 from acdkit.io_formats import write_raster
 from acdkit.kernels import KernelSpec
 from acdkit.simulate import _NOISE_CHUNK
-from acdkit.tune import _NU_BLOCK, TuneGrid, anchor_sigma, grid_search
+from acdkit.tune import _NU_BLOCK, TuneGrid, anchor_sigma, grid_search, split_train_val
 
 from conftest import correlated_pair, mixture_cube, model_bytes
 
@@ -136,6 +136,12 @@ CLI_MEMORY_CASES = {
     # both payloads; without labels, training_draw holds only the drawn indices
     "fit": (["fit", "--x", "x", "--y", "y", "--model-out", "model"],
             2 * _P + _SLACK),
+    # both payloads and the label raster's read: its float32 payload and the uint8
+    # labels; the draw holds the anomalous positions (1% of the pixels), not an index
+    # of the background
+    "fit train labels": (["fit", "--x", "x", "--y", "y", "--train-labels", "labels",
+                          "--model-out", "labels_model"],
+                         2 * _P + 5 * _N + _SLACK),
     # both payloads, the (3, n) float64 xi, and combine_xi's scores plus one temporary
     "score": (["score", "--model", "model", "--x", "x", "--y", "y", "--out", "scores"],
               2 * _P + 5 * 8 * _N + _SLACK),
@@ -168,6 +174,16 @@ def test_cli_step_memory_follows_its_buffers(cli_scene, monkeypatch, step):
     monkeypatch.chdir(cli_scene)
     code, peak = _traced_peak(main, argv)
     assert code == 0 and peak < bound
+
+
+def test_split_train_val_holds_no_index_of_the_scene():
+    # 2**20 uint8 labels at 1% positives: the draws hold one n-byte comparison, the
+    # anomalous positions and the drawn indices. An int64 index of the background,
+    # or of the pixels the training draw left, would add 8 bytes a pixel.
+    n = 2**20
+    labels = (np.random.default_rng(3).random(n) < 0.01).view(np.uint8)
+    _, peak = _traced_peak(split_train_val, labels, 1000, 4000, 5)
+    assert peak < 2 * n
 
 
 # The CLI's default EC rbf grid: 100 nu x 60 sigma x 30 lambda points.
