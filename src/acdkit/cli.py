@@ -24,8 +24,11 @@ Exit codes: 0 success, 1 I/O failure (including a raster write holding a
 value beyond float32's range, which writes nothing), 2 usage error,
 3 numerical failure (np.linalg.LinAlgError), 4 degenerate labels. Every
 numeric flag is range-checked by its argparse type, so a value out of
-range exits 2 with one line naming the flag, before any file is read;
-map --labels without --tpr-rate exits 2 before any file is read too.
+range exits 2 with one line naming the flag, before any file is read:
+fit --nu must be finite and > 0, and fit --sigma passes KernelSpec's own
+range check. map --labels without --tpr-rate exits 2 before any file is
+read too; a flag that needs another (--nu without --dist ec, --sigma
+outside an rbf or sam kernel) is reported when the config is built.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from . import io_formats
 from .detectors import DETECTOR_BETAS, DetectorConfig, fit, score_pixels
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _valid_sigma
 from .metrics import (
     DegenerateLabelsError,
     apply_threshold,
@@ -72,6 +75,7 @@ def _ranged(convert, ok, message: str):
 
 
 _finite = _ranged(float, np.isfinite, "must be a finite number")
+_positive_finite = _ranged(_finite, lambda v: v > 0, "must be a finite number > 0")
 _nonnegative_finite = _ranged(float, lambda v: 0 <= v < np.inf, "must be a finite number >= 0")
 _not_nan = _ranged(float, lambda v: not np.isnan(v), "must be a number, not nan")
 _positive_int = _ranged(int, lambda v: v >= 1, "must be a positive integer")
@@ -88,6 +92,12 @@ def _positive_or_auto(text: str):
     if not 0 < value < np.inf:
         raise argparse.ArgumentTypeError("must be finite and positive, or 'auto'")
     return value
+
+
+# KernelSpec's own sigma range, so that the flag is named before any file is read
+_sigma_or_auto = _ranged(_positive_or_auto, lambda v: v is None or _valid_sigma(v),
+                         "must be a sigma whose square is a normal float64 "
+                         "(about 1.5e-154 to 1.3e154)")
 
 
 def _read_pair(x_path, y_path):
@@ -256,9 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     # fit only: tune searches these
     hyperparameters = argparse.ArgumentParser(add_help=False)
-    hyperparameters.add_argument("--nu", type=_finite, default=None, help="EC shape parameter")
+    hyperparameters.add_argument("--nu", type=_positive_finite, default=None,
+                                 help="EC shape parameter")
     hyperparameters.add_argument(
-        "--sigma", type=_positive_or_auto, default="auto", dest="sigma",
+        "--sigma", type=_sigma_or_auto, default="auto", dest="sigma",
         help="kernel lengthscale, or 'auto' for the mean-distance heuristic",
     )
     hyperparameters.add_argument(

@@ -58,8 +58,8 @@ from .kernels import _F64_MAX, KernelSpec, cross_gram, gram, joint_kernel
 from .linalg import SpdEigen, covariance, inverse_weights, mahalanobis_batch, spd_factorize
 from .raster import (
     BandStats,
+    _pixel_pair,
     _readonly,
-    as_pixel_matrix,
     stack_pair,
     standardize_apply,
     standardize_fit,
@@ -255,15 +255,11 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, config: DetectorConfig) -> Fit
     detector. Linear mode stores, for x, y and the stacked z, the mean and
     the covariance's eigendecomposition; kernel mode stores the standardized
     training rows and their Gram matrix's eigendecomposition per term.
-    x_train and y_train are validated here, and float32 rows are converted
-    to float64 here.
+    x_train and y_train are validated here, as a pixel pair, and float32
+    rows are converted to float64 here; standardize_fit rejects fewer than
+    two rows.
     """
-    x_train, y_train = (np.asarray(as_pixel_matrix(m), dtype=np.float64)
-                        for m in (x_train, y_train))
-    if x_train.shape[0] != y_train.shape[0]:
-        raise ValueError("unaligned pair: training row counts differ")
-    if x_train.shape[0] < 2:
-        raise ValueError("need at least 2 training samples")
+    x_train, y_train = (np.asarray(m, dtype=np.float64) for m in _pixel_pair(x_train, y_train))
     return _fit_lambdas(standardized_training(x_train, y_train), config, [None])[0]
 
 
@@ -358,26 +354,26 @@ def combine_xi(
 def xi_pixels(det: FittedDetector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-pixel xi as a (3, n) array whose rows are xi_z, xi_x and xi_y.
 
-    x and y are validated here. The one chunk loop converts each
-    _SCORE_CHUNK rows to float64, standardizes them and projects them for
-    each term in turn, so no full-scene copy is made (float32 pixels stay
-    float32) and a kernel model keeps three _SCORE_CHUNK x n_train blocks.
+    x and y are validated here, as a pixel pair with the detector's band
+    counts. The one chunk loop converts each _SCORE_CHUNK rows to float64,
+    standardizes them and projects them for each term in turn, so no
+    full-scene copy is made (float32 pixels stay float32) and a kernel model
+    keeps three _SCORE_CHUNK x n_train blocks.
     """
-    return _xi_rows([det], as_pixel_matrix(x), as_pixel_matrix(y))[0]
-
-
-def _xi_rows(dets: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """xi_pixels of each of dets, detectors that differ only in lambda, as a (len(dets), 3, n)
-    array, on finite 2-d float32 or float64 rows. Per chunk, x and y are standardized once
-    and each term's projection p is made once, then weighted by each detector."""
-    det = dets[0]
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("unaligned pair: row counts differ")
+    x, y = _pixel_pair(x, y)
     if x.shape[1] != det.d_x or y.shape[1] != det.d_y:
         raise ValueError(
             f"band-count mismatch: expected ({det.d_x}, {det.d_y}), "
             f"got ({x.shape[1]}, {y.shape[1]})"
         )
+    return _xi_rows([det], x, y)[0]
+
+
+def _xi_rows(dets: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """xi_pixels of each of dets, detectors that differ only in lambda, as a (len(dets), 3, n)
+    array, on a checked pixel pair with their band counts. Per chunk, x and y are standardized
+    once and each term's projection p is made once, then weighted by each detector."""
+    det = dets[0]
     n = x.shape[0]
     terms = (det.term_z, det.term_x, det.term_y)
     weights = [[d.weights[i] for d in dets] for i in range(3)]

@@ -38,6 +38,11 @@ _HEURISTIC_MAX_EXACT = 2000
 _F64_TINY, _F64_MAX = float(np.finfo(np.float64).tiny), float(np.finfo(np.float64).max)
 
 
+def _valid_sigma(sigma) -> bool:
+    """Whether sigma is > 0 with a finite, normal float64 square (False for NaN)."""
+    return 0 < sigma <= _F64_MAX and _F64_TINY <= float(sigma) * float(sigma) <= _F64_MAX
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel kind plus lengthscale: rbf and sam need a sigma, the linear kernel takes none.
@@ -54,8 +59,7 @@ class KernelSpec:
         if self.kind == "linear":
             if self.sigma is not None:
                 raise ValueError("the linear kernel takes no sigma")
-        elif not (self.sigma is not None and 0 < self.sigma <= _F64_MAX  # False for NaN
-                  and _F64_TINY <= float(self.sigma) * float(self.sigma) <= _F64_MAX):
+        elif self.sigma is None or not _valid_sigma(self.sigma):
             raise ValueError(f"{self.kind} kernel requires a finite sigma > 0 "
                              "whose square is a normal float64")
 
@@ -136,14 +140,12 @@ def cross_gram(
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(m, n) kernel values between probe and training rows, both finite 2-d float64.
+    """(m, n) kernel values between probe and training rows, finite 2-d float64 of one width.
 
     The values are written into out when given, a C-contiguous (m, n)
     float64 array, and out is returned. An rbf evaluation also needs a
     second such array for its GEMM: work when given, else a fresh one.
     """
-    if probes.shape[1] != train.shape[1]:
-        raise ValueError("dimension mismatch between probes and training rows")
     if out is None:
         out = np.empty((probes.shape[0], train.shape[0]))
     return _eval_into(probes, train, spec, out, work)
@@ -164,13 +166,12 @@ def joint_kernel(k_x: np.ndarray, k_y: np.ndarray, spec: KernelSpec,
 
 
 def sigma_heuristic(rows: np.ndarray) -> float:
-    """Mean pairwise Euclidean distance over all pairs i < j of finite 2-d float64 rows.
+    """Mean pairwise Euclidean distance over all pairs i < j of finite 2-d float64 rows,
+    at least two of them.
 
     Exact up to 2000 rows; above that the estimate uses 2000 seeded random
-    rows so the O(n^2) cost stays bounded.
+    rows so the O(n^2) cost stays bounded. Rows that are all one point raise.
     """
-    if rows.shape[0] < 2:
-        raise ValueError("need at least 2 rows")
     if rows.shape[0] > _HEURISTIC_MAX_EXACT:
         idx = sample_pixels(rows.shape[0], _HEURISTIC_MAX_EXACT, seed=0)
         rows = rows[np.sort(idx)]

@@ -33,27 +33,19 @@ class SpdEigen(NamedTuple):
 
 
 def covariance(m: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Covariance (1/n) sum (row - mean)(row - mean)^T of finite 2-d float64 rows, symmetric."""
-    mean = np.asarray(mean, dtype=np.float64)
-    n, d = m.shape
-    if n < 2:
-        raise ValueError("need at least 2 rows to estimate covariance")
-    if mean.shape != (d,):
-        raise ValueError("mean length does not match column count")
+    """Covariance (1/n) sum (row - mean)(row - mean)^T, symmetric, of finite 2-d float64
+    rows (at least two) and their float64 column mean."""
     centered = m - mean
-    return (centered.T @ centered) / n  # exactly symmetric: a rank-k update
+    return (centered.T @ centered) / m.shape[0]  # exactly symmetric: a rank-k update
 
 
 def spd_factorize(c: np.ndarray, ridge_scale: float = RIDGE_SCALE) -> SpdEigen:
-    """Eigendecompose a symmetric matrix and pick its ridge eps = ridge_scale * trace(C)/d.
+    """Eigendecompose a symmetric float64 matrix and pick its ridge eps = ridge_scale * trace(C)/d.
 
     When that product is 0 but ridge_scale is not (a zero covariance), eps is
     the machine-epsilon floor eps_64 * max(trace(C)/d, 1). ridge_scale 0 gives
     eps 0. Raises np.linalg.LinAlgError if the eigensolver does not converge.
     """
-    c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError("expected a square matrix")
     scale = max(float(np.trace(c)) / c.shape[0], 0.0)
     ridge = ridge_scale * scale
     if ridge == 0.0 and ridge_scale > 0.0:

@@ -11,9 +11,11 @@ float32 payload, and stores any other values as float64.
 Arithmetic runs in float64, on rows converted where it needs them (one
 chunk, or the gathered training rows); float32 -> float64 is exact. The
 containers here are immutable after construction; every operation here is
-pure. `as_pixel_matrix` validates a matrix once, where it enters the
-library; the row helpers expect finite 2-d float64 rows
-(`standardize_apply` also float32 ones) and check only shapes.
+pure. A pixel pair enters the library once, through `_pixel_pair`: each
+matrix through `as_pixel_matrix` (finite and 2-d), and the two with one
+row count. The row helpers expect rows an entry has checked so, and
+re-check none of it; `standardize_fit` still needs two rows, which a
+caller's draw may not give.
 """
 
 from __future__ import annotations
@@ -111,13 +113,24 @@ def as_pixel_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _pixel_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as pixel matrices (as_pixel_matrix), rejected unless aligned row for row."""
+    x, y = as_pixel_matrix(x), as_pixel_matrix(y)
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(f"unaligned pair: x has {x.shape[0]} rows, y has {y.shape[0]}")
+    return x, y
+
+
 def flatten(cube: ImageCube) -> np.ndarray:
     """Flatten a cube to an (H*W, d) matrix in row-major pixel order."""
     return cube.data.reshape(-1, cube.data.shape[2])
 
 
 def stack_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Concatenate finite 2-d float64 rows pairwise: row i becomes [x_i, y_i]."""
+    """Concatenate finite 2-d float64 rows pairwise: row i becomes [x_i, y_i].
+
+    Unaligned rows raise: a loaded kernel model's x and y training rows reach here unchecked.
+    """
     if x.shape[0] != y.shape[0]:
         raise ValueError("unaligned pair: row counts differ "
                          f"({x.shape[0]} vs {y.shape[0]})")
@@ -141,14 +154,12 @@ def standardize_fit(m: np.ndarray) -> BandStats:
 
 
 def standardize_apply(m: np.ndarray, s: BandStats) -> np.ndarray:
-    """Apply (v - mean) / std per column of finite 2-d rows; the result is float64.
+    """Apply (v - mean) / std per column of finite 2-d rows with s.d columns; the result
+    is float64.
 
     float32 rows are converted by the subtraction itself, which gives the
     same bits as subtracting from their float64 copy.
     """
-    if m.shape[1] != s.d:
-        raise ValueError(f"dimension mismatch: matrix has {m.shape[1]} columns, "
-                         f"stats have {s.d}")
     out = m - s.mean
     out /= s.std
     return out

@@ -63,7 +63,7 @@ from .detectors import (
 )
 from .kernels import sigma_heuristic
 from .metrics import DegenerateLabelsError, auc_score
-from .raster import as_pixel_matrix, sample_pixels
+from .raster import _pixel_pair, sample_pixels
 
 __all__ = [
     "TuneGrid",
@@ -181,10 +181,10 @@ class TuneResult:
 def anchor_sigma(x_train: np.ndarray, y_train: np.ndarray) -> float:
     """Bandwidth anchor: pairwise-distance heuristic on standardized stacked rows.
 
-    x_train and y_train are validated here, and float32 rows are converted to float64 here.
+    x_train and y_train are validated here, as a pixel pair, and float32 rows are converted
+    to float64 here.
     """
-    x_train, y_train = (np.asarray(as_pixel_matrix(m), dtype=np.float64)
-                        for m in (x_train, y_train))
+    x_train, y_train = (np.asarray(m, dtype=np.float64) for m in _pixel_pair(x_train, y_train))
     return sigma_heuristic(standardized_training(x_train, y_train)[4])
 
 
@@ -224,14 +224,15 @@ def training_draw(
     labels, of any shape, holds one label per pixel, n_total in all; a pixel
     whose label is > 0 is anomalous, and every other pixel is background.
     Without labels every pixel is. The draw holds only the anomalous
-    positions, which it steps past, never an index of the background.
+    positions, which it steps past, never an index of the background; bool
+    and unsigned labels are read as they are, with no comparison array.
     """
     anomalous = np.empty(0, dtype=np.intp)
     if labels is not None:
         labels = np.asarray(labels)
         if labels.size != n_total:
             raise ValueError(f"unaligned labels: {labels.size} labels for {n_total} pixels")
-        anomalous = np.flatnonzero(labels > 0)
+        anomalous = np.flatnonzero(labels if labels.dtype.kind in "bu" else labels > 0)
     n_background = n_total - anomalous.size
     if n_train > n_background:
         raise ValueError(
@@ -284,12 +285,10 @@ def grid_search(
     draw. The drawn training and validation rows are converted to float64
     after they are gathered, so float32 x and y are not copied whole.
     """
-    x = as_pixel_matrix(x)
-    y = as_pixel_matrix(y)
+    x, y = _pixel_pair(x, y)
     labels = np.asarray(labels).ravel()
-    for name, n in (("y", y.shape[0]), ("labels", labels.size)):
-        if n != x.shape[0]:
-            raise ValueError(f"unaligned pair: x has {x.shape[0]} rows, {name} has {n}")
+    if labels.size != x.shape[0]:
+        raise ValueError(f"unaligned pair: x has {x.shape[0]} rows, labels has {labels.size}")
     if grid is not None:
         axes = (("nu", grid.nu_grid), ("sigma", grid.sigma_grid), ("lambda", grid.lambda_grid))
         for (name, values), exposed in zip(axes, _exposed_axes(config)):

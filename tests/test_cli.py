@@ -104,7 +104,7 @@ def test_fit_gaussian_rejects_nu(scene, capsys):
     model = scene["dir"] / "m"
     rc = main([
         "fit", "--x", str(scene["x"]), "--y", str(scene["y"]),
-        "--dist", "gaussian", "--nu", "-3", "--train-samples", "100",
+        "--dist", "gaussian", "--nu", "3", "--train-samples", "100",
         "--model-out", str(model),
     ])
     err = capsys.readouterr().err
@@ -380,6 +380,10 @@ def test_tune_rejects_hyperparameter_flags(scene, capsys, flag, value):
     ["--mode", "kernel", "--sigma", "nan"],
     ["--mode", "kernel", "--lambda", "inf"],
     ["--mode", "kernel", "--lambda", "nan"],
+    ["--dist", "ec", "--nu", "0"],
+    ["--dist", "ec", "--nu", "-1"],
+    ["--mode", "kernel", "--sigma", "1e-200"],
+    ["--mode", "kernel", "--sigma", "1e200"],
 ], ids=" ".join)
 def test_fit_rejects_non_finite_hyperparameters(scene, capsys, flags):
     out = scene["dir"] / "m_bad"
@@ -480,13 +484,16 @@ def test_score_rejects_linear_kernel_model_with_a_sigma(scene, capsys, where):
 @pytest.mark.parametrize("kernel", ["rbf", "sam"])
 @pytest.mark.parametrize("sigma", ["1.4e154", "1e-170", "1e-300"])
 def test_sigma_whose_square_is_not_normal_is_rejected(scene, capsys, kernel, sigma):
-    # 1.4e154 squared overflows float64, 1e-170 squared is subnormal, 1e-300 squared is 0
+    # 1.4e154 squared overflows float64, 1e-170 squared is subnormal, 1e-300 squared is 0;
+    # the flag's type applies KernelSpec's rule, so argparse names the flag
     d = scene["dir"]
     message = f"{kernel} kernel requires a finite sigma > 0 whose square is a normal float64\n"
     fit = ["fit", "--x", str(scene["x"]), "--y", str(scene["y"]), "--mode", "kernel",
            "--kernel", kernel, "--train-samples", "80"]
     assert main([*fit, "--sigma", sigma, "--model-out", str(d / "m_bad")]) == 2
-    assert capsys.readouterr().err == f"error: {message}"
+    assert capsys.readouterr().err.endswith(
+        "acdkit fit: error: argument --sigma: must be a sigma whose square is a normal "
+        "float64 (about 1.5e-154 to 1.3e154)\n")
     assert not (d / "m_bad").exists()
     # a model holding such a sigma does not load
     assert main([*fit, "--sigma", "0.7", "--model-out", str(d / "m")]) == 0

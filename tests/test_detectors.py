@@ -166,6 +166,14 @@ def test_fit_rejects_unaligned():
         fit(x, y[:-1], DetectorConfig())
 
 
+@pytest.mark.parametrize("config", [DetectorConfig(), kernel_config()], ids=["linear", "kernel"])
+def test_fit_needs_two_rows(config):
+    # the band statistics are the first thing fit on the training rows
+    x, y = correlated_pair(30, 2, seed=2)
+    with pytest.raises(ValueError, match="^need at least 2 rows to fit band statistics$"):
+        fit(x[:1], y[:1], config)
+
+
 def test_fit_recovers_known_covariance():
     # unit-variance bands with known correlations, so standardization is
     # close to the identity and the fitted z covariance approximates truth

@@ -1,9 +1,10 @@
 """Every finite value the parser accepts for sigma, lambda, nu and the noise
 std either gives finite outputs with nothing on stderr, or exits with its
 documented code and one `error:` line: never a traceback or a warning
-(the suite turns any warning into an error). Values are drawn from the
-whole positive float64 range, subnormals included; examples are
-derandomized so the suite cannot flake.
+(the suite turns any warning into an error). A sigma whose square is not
+a normal float64 is rejected by the parser, naming the flag. Values are
+drawn from the whole positive float64 range, subnormals included;
+examples are derandomized so the suite cannot flake.
 """
 
 import contextlib
@@ -25,7 +26,7 @@ EXTREME = settings(max_examples=60, deadline=None, derandomize=True, database=No
 # ten or more examples per parameter and kernel
 EXTREME_FIT = settings(EXTREME, max_examples=150)
 
-F64_MAX = float(np.finfo(np.float64).max)
+F64_TINY, F64_MAX = float(np.finfo(np.float64).tiny), float(np.finfo(np.float64).max)
 
 # fit flags per parameter, around the drawn value
 FIT_FLAGS = {
@@ -67,6 +68,10 @@ def test_fit_and_score_give_finite_scores_or_one_line(pair, param, value):
         rc, err = run(["fit", "--x", str(pair / "x.bin"), "--y", str(pair / "y.bin"),
                        "--train-samples", "200", *FIT_FLAGS[param](repr(value)),
                        "--model-out", str(model)])
+        if param.endswith("sigma") and not F64_TINY <= value * value <= F64_MAX:
+            assert rc == 2 and err.startswith("usage: ") and not model.exists()
+            assert err.splitlines()[-1].startswith("acdkit fit: error: argument --sigma: must be")
+            return
         if rc == 0:
             assert err == ""
             rc, err = run(["score", "--model", str(model), "--x", str(pair / "x.bin"),

@@ -45,11 +45,6 @@ def test_covariance_sampling_oracle():
     assert np.max(np.abs(c - true_c)) < 0.1
 
 
-def test_covariance_requires_two_rows():
-    with pytest.raises(ValueError):
-        covariance(np.ones((1, 2)), np.zeros(2))
-
-
 def test_spd_factorize_identity_no_ridge():
     eig = spd_factorize(np.eye(3), ridge_scale=0.0)
     assert np.array_equal(eig.values, np.ones(3))

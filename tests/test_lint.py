@@ -1,6 +1,7 @@
 """Source checks that need no linter: every module imports only what it uses,
-every model error names itself as one, and every function the benchmark
-traces by name exists."""
+every model error names itself as one, pixel matrices enter the library
+through the one pair check, and every function the benchmark traces by
+name exists."""
 
 import ast
 import importlib
@@ -77,6 +78,40 @@ def test_model_error_check_finds_an_unprefixed_message():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_model_errors_start_with_corrupt_model(path):
     assert unprefixed_model_errors(path.read_text()) == []
+
+
+def pixel_matrix_uses(source: str) -> list:
+    """(line, enclosing function) of each use of as_pixel_matrix, by name or as an
+    attribute; None for a use outside any function. Imports are not uses."""
+    uses = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if "as_pixel_matrix" in (getattr(child, "id", None), getattr(child, "attr", None)):
+                uses.append((child.lineno, function))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(ast.parse(source), None)
+    return sorted(uses)
+
+
+def test_pixel_matrix_check_finds_every_use():
+    source = ("from .raster import as_pixel_matrix\n"
+              "def as_pixel_matrix(m):\n    return m\n"
+              "def entry(x):\n    return as_pixel_matrix(x)\n"
+              "def helper(xs):\n    f = lambda m: raster.as_pixel_matrix(m)\n"
+              "    return list(map(as_pixel_matrix, xs))\n"
+              "top = as_pixel_matrix\n")
+    assert pixel_matrix_uses(source) == [(5, "entry"), (7, "helper"), (8, "helper"), (9, None)]
+
+
+def test_pixel_matrices_enter_only_through_the_pair_check():
+    # A new entry point takes its x and y through raster._pixel_pair, which checks
+    # them as pixel matrices and as one aligned pair; simulate takes one matrix.
+    uses = {(path.stem, function) for path in PACKAGE.glob("*.py")
+            for _, function in pixel_matrix_uses(path.read_text())}
+    assert uses == {("raster", "_pixel_pair"), ("simulate", "pervasive_noise")}
 
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"

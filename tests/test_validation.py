@@ -24,8 +24,11 @@ def _labels(n):
     return labels
 
 
+# Every library entry that takes a pixel pair, called on (x, y).
 ENTRY_POINTS = {
     "fit": lambda x, y: fit(x, y, DetectorConfig()),
+    "xi_pixels": lambda x, y: xi_pixels(
+        fit(*correlated_pair(50, 2, seed=1), DetectorConfig()), x, y),
     "score_pixels": lambda x, y: score_pixels(
         fit(*correlated_pair(50, 2, seed=1), DetectorConfig()), x, y),
     "grid_search": lambda x, y: grid_search(
@@ -43,6 +46,13 @@ def test_entry_points_reject_non_finite_pixels(entry, side, bad):
     (x if side == "x" else y)[17, 1] = bad
     with pytest.raises(ValueError, match="pixel matrix contains non-finite values"):
         ENTRY_POINTS[entry](x, y)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_an_unaligned_pair_with_one_message(entry):
+    x, y = correlated_pair(50, 2, seed=25)
+    with pytest.raises(ValueError, match="^unaligned pair: x has 50 rows, y has 49$"):
+        ENTRY_POINTS[entry](x, y[:49])
 
 
 def _count_validations(monkeypatch):
@@ -177,13 +187,14 @@ def test_cli_step_memory_follows_its_buffers(cli_scene, monkeypatch, step):
 
 
 def test_split_train_val_holds_no_index_of_the_scene():
-    # 2**20 uint8 labels at 1% positives: the draws hold one n-byte comparison, the
-    # anomalous positions and the drawn indices. An int64 index of the background,
-    # or of the pixels the training draw left, would add 8 bytes a pixel.
+    # 2**20 uint8 labels at 1% positives: the draws hold the anomalous positions and
+    # the drawn indices, about a quarter byte a pixel. An n-byte `labels > 0`
+    # comparison would add 1 byte a pixel; an int64 index of the background, or of
+    # the pixels the training draw left, 8.
     n = 2**20
     labels = (np.random.default_rng(3).random(n) < 0.01).view(np.uint8)
     _, peak = _traced_peak(split_train_val, labels, 1000, 4000, 5)
-    assert peak < 2 * n
+    assert peak < 0.5 * n
 
 
 # The CLI's default EC rbf grid: 100 nu x 60 sigma x 30 lambda points.
