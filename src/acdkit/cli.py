@@ -13,12 +13,16 @@ threads. Randomness per subcommand is drawn in a fixed documented order:
 Rasters stay float32 as read (io_formats.read_raster). Each subcommand
 works on pixel rows and the scene's (H, W): it flattens what it reads and
 reshapes what it writes, and the library converts the rows it computes
-on to float64. simulate adds the noise into new rows, drops its input and
-scrambles those rows in place, which become the output: it never holds
-more than the input and one float64 scene. fit drops both scenes once it
-has drawn its training rows. tune
---model-out saves the detector the search built at its best point, and
---trace-out streams the trace from the search's array of AUCs.
+on to float64. score reads its pair in chunks (io_formats.RasterChunks),
+checking both sidecars and the pair's (H, W) before it reads any pixel;
+it scores each chunk pair into one float32 vector of the scene's scores
+and writes that after the last read, so --out may name an input.
+simulate adds the noise into new rows, drops its input and scrambles
+those rows in place, which become the output: it never holds more than
+the input and one float64 scene. fit drops both scenes once it has drawn
+its training rows. tune --model-out saves the detector the search built
+at its best point, and --trace-out streams the trace from the search's
+array of AUCs.
 
 Exit codes: 0 success, 1 I/O failure (including a raster write holding a
 value beyond float32's range, which writes nothing), 2 usage error,
@@ -48,7 +52,7 @@ from .metrics import (
     threshold_at_quantile,
     threshold_at_tpr,
 )
-from .raster import ImageCube, flatten
+from .raster import ImageCube, _all_finite, flatten
 from .simulate import pervasive_noise, scramble_anomalies
 from .tune import anchor_sigma, grid_search, training_draw
 
@@ -94,19 +98,27 @@ def _positive_or_auto(text: str):
     return value
 
 
+_positive_or_auto.__name__ = "float"  # argparse's `invalid float value`, as _ranged names types
+
+
 # KernelSpec's own sigma range, so that the flag is named before any file is read
 _sigma_or_auto = _ranged(_positive_or_auto, lambda v: v is None or _valid_sigma(v),
                          "must be a sigma whose square is a normal float64 "
                          "(about 1.5e-154 to 1.3e154)")
 
 
+def _pair_shape(shape_x, shape_y):
+    """The (H, W) of a raster pair of shapes (H, W, d); ValueError unless they share it."""
+    if shape_x[:2] != shape_y[:2]:
+        raise ValueError("unaligned pair: rasters differ in height/width")
+    return shape_x[:2]
+
+
 def _read_pair(x_path, y_path):
     """The x rows, the y rows and the (H, W) of a raster pair."""
     cube_x = io_formats.read_raster(x_path)
     cube_y = io_formats.read_raster(y_path)
-    shape = cube_x.data.shape[:2]
-    if cube_y.data.shape[:2] != shape:
-        raise ValueError("unaligned pair: rasters differ in height/width")
+    shape = _pair_shape(cube_x.data.shape, cube_y.data.shape)
     return flatten(cube_x), flatten(cube_y), shape
 
 
@@ -193,8 +205,18 @@ def cmd_fit(args) -> int:
 
 def cmd_score(args) -> int:
     det = io_formats.load_model(args.model)
-    x, y, shape = _read_pair(args.x, args.y)
-    _write_rows(score_pixels(det, x, y), shape, args.out)
+    with io_formats.RasterChunks(args.x) as x, io_formats.RasterChunks(args.y) as y:
+        shape = _pair_shape(x.shape, y.shape)
+        scores = np.empty(shape[0] * shape[1], dtype=np.float32)
+        start = 0
+        for x_rows, y_rows in zip(x, y):
+            stop = start + x_rows.shape[0]
+            with np.errstate(over="ignore"):  # reported below, once every chunk is read
+                scores[start:stop] = score_pixels(det, x_rows, y_rows)
+            start = stop
+    if not _all_finite(scores):
+        raise io_formats._beyond_float32(args.out)
+    _write_rows(scores, shape, args.out)  # after the last read, so --out may name an input
     return EXIT_OK
 
 

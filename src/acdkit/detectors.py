@@ -372,27 +372,52 @@ def xi_pixels(det: FittedDetector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _xi_rows(dets: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """xi_pixels of each of dets, detectors that differ only in lambda, as a (len(dets), 3, n)
     array, on a checked pixel pair with their band counts. Per chunk, x and y are standardized
-    once and each term's projection p is made once, then weighted by each detector."""
+    once and each term's projection p is made once, then weighted by each detector.
+
+    Every block a chunk fills is allocated once per call. For linear terms,
+    whose chunks are mostly elementwise work, the band stats and each term's
+    mean are tiled to chunk height once, so no ufunc broadcasts a row across
+    a chunk; a kernel chunk's GEMMs dwarf that broadcast, so its stats stay
+    one row and its memory stays its three blocks. No arithmetic is
+    reordered: each value keeps the bits of the broadcast form.
+    """
     det = dets[0]
-    n = x.shape[0]
-    terms = (det.term_z, det.term_x, det.term_y)
+    n, height = x.shape[0], min(x.shape[0], _SCORE_CHUNK)
     weights = [[d.weights[i] for d in dets] for i in range(3)]
-    blocks = (np.empty((3, min(n, _SCORE_CHUNK), det.term_z.train.shape[0]))
-              if det.config.mode == "kernel" else None)
+    if det.config.mode == "kernel":
+        tile_height, project = 1, _kernel_projections
+        blocks = np.empty((3, height, det.term_z.train.shape[0]))
+    else:  # per term: its tiled mean, and its centered rows and their projection
+        tile_height, project = height, _linear_projections
+        blocks = [(np.tile(term.mean, (height, 1)), np.empty((height, term.dim)),
+                   np.empty((height, term.dim))) for term in (det.term_z, det.term_x, det.term_y)]
+    stats = (det.band_stats_x, det.band_stats_y)
+    tiles = [(np.tile(s.mean, (tile_height, 1)), np.tile(s.std, (tile_height, 1))) for s in stats]
+    xs, ys = (np.empty((height, s.d)) for s in stats)
     xi = np.empty((len(dets), 3, n))
     for start in range(0, n, _SCORE_CHUNK):
-        sl = slice(start, min(start + _SCORE_CHUNK, n))
-        xs = standardize_apply(x[sl], det.band_stats_x)
-        ys = standardize_apply(y[sl], det.band_stats_y)
-        if blocks is None:  # linear terms: p = (v - mean) U
-            projections = ((i, (rows - term.mean) @ term.basis) for i, (term, rows)
-                           in enumerate(zip(terms, (stack_pair(xs, ys), xs, ys))))
-        else:
-            projections = _kernel_projections(det, xs, ys, blocks[:, : sl.stop - start])
-        for i, p in projections:
-            xi[:, i, sl] = mahalanobis_batch(p, weights[i])
-        del xs, ys, projections  # so the next chunk's rows do not coexist with these
+        stop = min(start + _SCORE_CHUNK, n)
+        m = stop - start
+        for rows, out, (mean, std) in zip((x[start:stop], y[start:stop]), (xs, ys), tiles):
+            out = out[:m]
+            np.copyto(out, rows)  # float32 -> float64 is exact, and float64 ufuncs run faster
+            np.subtract(out, mean[:m], out=out)
+            np.divide(out, std[:m], out=out)
+        for i, p in project(det, xs[:m], ys[:m], blocks):
+            mahalanobis_batch(p, weights[i], out=xi[:, i, start:stop])
     return xi
+
+
+def _linear_projections(det: FittedDetector, xs: np.ndarray, ys: np.ndarray, blocks):
+    """(term index, (v - mean) U) of a linear detector's z, x and y terms on one standardized
+    chunk, each centered into its term's blocks. z's rows [xs | ys] are copied into its block
+    and centered there: a ufunc writing half of each row loops over one row at a time."""
+    m = xs.shape[0]
+    z = np.concatenate((xs, ys), axis=1, out=blocks[0][1][:m])
+    terms = (det.term_z, det.term_x, det.term_y)
+    for i, (term, rows, (mean, c, p)) in enumerate(zip(terms, (z, xs, ys), blocks)):
+        c = np.subtract(rows, mean[:m], out=c[:m])
+        yield i, np.matmul(c, term.basis, out=p[:m])
 
 
 def _kernel_projections(det: FittedDetector, xs: np.ndarray, ys: np.ndarray, blocks):
@@ -400,7 +425,7 @@ def _kernel_projections(det: FittedDetector, xs: np.ndarray, ys: np.ndarray, blo
     k_x and k_y fill two blocks and each p the third, so each p must be used before the
     next; k_z is built in place of k_x (or evaluated on z, for sam)."""
     spec = det.config.kernel
-    k_x, k_y, proj = blocks
+    k_x, k_y, proj = blocks[:, : xs.shape[0]]
     k_x = cross_gram(det.term_x.train, xs, spec, out=k_x, work=proj)
     k_y = cross_gram(det.term_y.train, ys, spec, out=k_y, work=proj)
     yield 1, np.matmul(k_x, det.term_x.basis, out=proj)

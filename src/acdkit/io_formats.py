@@ -4,6 +4,10 @@ Rasters are raw little-endian float32 payloads in band-interleaved-by-pixel
 order with a JSON sidecar at `<path>.json` describing the shape, which
 is the cube's array shape. `read_raster` returns a float32 cube over the
 payload it read, with no copy, and checks its values once, there.
+`RasterChunks` reads the same files as float32 pixel rows, READ_CHUNK rows
+at a time into one reused buffer, and checks each chunk's values as it is
+read. Both check the payload's size against the sidecar before they read
+any of it; they share one sidecar parser.
 `write_raster` writes a float32 cube's buffer as it is; a float64 cube is
 converted once, and a value beyond float32's range fails the write before
 any file is made. A label raster is a one-band cube of 0 and 1, and
@@ -22,13 +26,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import zlib
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .detectors import DetectorConfig, FittedDetector, KernelTerm, LinearTerm
+from .detectors import _SCORE_CHUNK, DetectorConfig, FittedDetector, KernelTerm, LinearTerm
 from .kernels import KernelSpec
 from .metrics import RocCurve
 from .raster import BandStats, ImageCube, _all_finite, stack_pair
@@ -39,6 +44,7 @@ __all__ = [
     "UnsupportedVersionError",
     "write_raster",
     "read_raster",
+    "RasterChunks",
     "cube_to_labels",
     "write_pgm",
     "write_roc_csv",
@@ -51,6 +57,11 @@ FORMAT_VERSION = 5
 
 # The manifest fields load_model reads; the manifest's own "crc32" covers them.
 _MANIFEST_FIELDS = ("format_version", "config", "band_stats", "terms", "payload_crc32")
+
+# Pixel rows per RasterChunks chunk: a multiple of the scoring chunk, so that
+# scoring a raster chunk by chunk runs the blocks, and gives the bits, of
+# scoring it whole.
+READ_CHUNK = 64 * _SCORE_CHUNK
 
 
 class RasterFormatError(Exception):
@@ -69,6 +80,10 @@ class UnsupportedVersionError(Exception):
 # rasters
 # ---------------------------------------------------------------------------
 
+def _beyond_float32(path) -> RasterFormatError:
+    return RasterFormatError(f"cannot write raster {path}: a value is beyond float32's range")
+
+
 def write_raster(cube: ImageCube, path) -> None:
     """Write the payload, then the sidecar.
 
@@ -79,7 +94,7 @@ def write_raster(cube: ImageCube, path) -> None:
     with np.errstate(over="ignore"):  # the check below reports an overflow
         payload = np.ascontiguousarray(cube.data, dtype="<f4")
     if not _all_finite(payload):
-        raise RasterFormatError(f"cannot write raster {path}: a value is beyond float32's range")
+        raise _beyond_float32(path)
     height, width, bands = cube.data.shape
     sidecar = {
         "height": height,
@@ -92,12 +107,8 @@ def write_raster(cube: ImageCube, path) -> None:
     Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
 
 
-def read_raster(path) -> ImageCube:
-    """A read-only float32 cube over the payload's bytes, with no copy.
-
-    ImageCube checks its values once, here: NaN or infinity raises RasterFormatError.
-    """
-    path = Path(path)
+def _sidecar_shape(path: Path) -> tuple:
+    """A raster's (H, W, d), read from its sidecar; FileNotFoundError if either file is missing."""
     sidecar_path = Path(str(path) + ".json")
     if not path.exists() or not sidecar_path.exists():
         raise FileNotFoundError(f"raster {path} or its sidecar is missing")
@@ -112,19 +123,74 @@ def read_raster(path) -> ImageCube:
             raise RasterFormatError(f"sidecar missing {key!r}")
     if meta["dtype"] != "f32" or meta["interleave"] != "bip":
         raise RasterFormatError("unsupported raster dtype or interleave")
-    h, w, d = meta["height"], meta["width"], meta["bands"]
-    if not all(type(v) is int and v > 0 for v in (h, w, d)):
+    shape = meta["height"], meta["width"], meta["bands"]
+    if not all(type(v) is int and v > 0 for v in shape):
         raise RasterFormatError("sidecar height, width and bands must be positive integers")
+    return shape
+
+
+def _check_size(nbytes: int, shape) -> None:
+    """Raise unless nbytes is the float32 payload size of shape."""
+    expected = 4 * math.prod(shape)
+    if nbytes != expected:
+        raise RasterFormatError(f"payload is {nbytes} bytes, expected {expected}")
+
+
+def read_raster(path) -> ImageCube:
+    """A read-only float32 cube over the payload's bytes, with no copy.
+
+    ImageCube checks its values once, here: NaN or infinity raises RasterFormatError.
+    """
+    path = Path(path)
+    shape = _sidecar_shape(path)
     payload = path.read_bytes()
-    if len(payload) != h * w * d * 4:
-        raise RasterFormatError(
-            f"payload is {len(payload)} bytes, expected {h * w * d * 4}"
-        )
-    data = np.frombuffer(payload, dtype="<f4").reshape(h, w, d)
+    _check_size(len(payload), shape)
+    data = np.frombuffer(payload, dtype="<f4").reshape(shape)
     try:
         return ImageCube(data)
     except ValueError as e:  # NaN or inf in the payload; ImageCube's own scan finds it
         raise RasterFormatError(f"bad raster {path}: {e}") from e
+
+
+class RasterChunks:
+    """A raster opened to be read once as float32 pixel rows, a chunk at a time.
+
+    Opening it reads the sidecar and checks the payload's size, as
+    read_raster does, and reads none of the payload; `shape` is then its
+    (H, W, d). Iterating it reads the payload in row-major pixel order as
+    (m, d) chunks, m = READ_CHUNK except in the last, each read into the one
+    buffer and so valid until the next is read. A chunk holding NaN or
+    infinity raises RasterFormatError with read_raster's message.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.shape = _sidecar_shape(self.path)
+        self._file = self.path.open("rb")
+        try:
+            _check_size(os.fstat(self._file.fileno()).st_size, self.shape)
+        except RasterFormatError:
+            self._file.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def __iter__(self):
+        h, w, d = self.shape
+        n = h * w
+        buffer = np.empty((min(n, READ_CHUNK), d), dtype="<f4")
+        for start in range(0, n, READ_CHUNK):
+            chunk = buffer[: min(READ_CHUNK, n - start)]
+            got = self._file.readinto(chunk)
+            if got != chunk.nbytes:  # the file changed after its size was checked
+                _check_size(4 * d * start + got, self.shape)
+            if not _all_finite(chunk):  # ImageCube's words, as read_raster reports them
+                raise RasterFormatError(f"bad raster {self.path}: cube contains non-finite values")
+            yield chunk
 
 
 def cube_to_labels(cube: ImageCube) -> np.ndarray:

@@ -32,6 +32,8 @@ KERNEL_KINDS = ("linear", "rbf", "sam")
 
 # The pairwise-distance heuristic goes exact up to this many rows, subsampled above.
 _HEURISTIC_MAX_EXACT = 2000
+# Rows per block of the heuristic's pairwise pass: each block holds two (64, n) float64 arrays.
+_HEURISTIC_BLOCK = 64
 
 # Python floats: an int of any size compares with them exactly, and a product
 # of Python floats neither warns nor raises when it overflows.
@@ -175,14 +177,27 @@ def sigma_heuristic(rows: np.ndarray) -> float:
     if rows.shape[0] > _HEURISTIC_MAX_EXACT:
         idx = sample_pixels(rows.shape[0], _HEURISTIC_MAX_EXACT, seed=0)
         rows = rows[np.sort(idx)]
-    # Squared differences are summed column by column, in column order, so
-    # each distance rounds exactly as a per-pair loop over the columns does.
-    i, j = np.triu_indices(rows.shape[0], k=1)
-    sq = np.zeros(i.size)
-    for col in rows.T:
-        diff = col[i] - col[j]
-        sq += diff * diff
-    dists = np.sqrt(sq)
-    if not np.any(dists > 0):
+    n = rows.shape[0]
+    columns = rows.T.copy()
+    # Each distance is summed column by column from zero, in column order, as a
+    # per-pair loop over the columns does. A block of rows is taken against
+    # every row after its first, and each row's pairs i < j go into one array
+    # in triu order, so one mean over it gives that of the per-pair distances.
+    dists = np.empty(n * (n - 1) // 2)
+    filled = 0
+    for first in range(0, n - 1, _HEURISTIC_BLOCK):
+        height = min(_HEURISTIC_BLOCK, n - 1 - first)
+        sq = np.zeros((height, n - 1 - first))
+        diff = np.empty_like(sq)
+        for col in columns:
+            np.subtract(col[first:first + height, None], col[None, first + 1:], out=diff)
+            np.multiply(diff, diff, out=diff)
+            sq += diff
+        for r in range(height):  # row first + r and the rows after it
+            count = n - 1 - first - r
+            dists[filled:filled + count] = sq[r, r:]
+            filled += count
+    np.sqrt(dists, out=dists)
+    if not dists.max(initial=0.0) > 0:
         raise ValueError("zero dispersion: all rows identical")
     return float(dists.mean())

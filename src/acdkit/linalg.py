@@ -63,10 +63,14 @@ def inverse_weights(spectrum: np.ndarray, shift: float) -> np.ndarray:
     return w
 
 
-def mahalanobis_batch(p: np.ndarray, weights) -> list:
+def mahalanobis_batch(p: np.ndarray, weights, out: np.ndarray) -> np.ndarray:
     """(p * p) @ w for each weight vector w: one xi per row of the projection p = phi(v) U.
 
-    p is squared in place. Nonnegative by construction, since every w is positive.
+    p is squared in place, and the xi of weights[j] are written into out[j],
+    an (m,) float64 row for the m rows of p; out is returned. Nonnegative by
+    construction, since every w is positive.
     """
     np.square(p, out=p)
-    return [p @ w for w in weights]
+    for w, row in zip(weights, out):
+        np.matmul(p, w, out=row)
+    return out

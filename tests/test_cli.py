@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from acdkit.cli import build_parser, main
-from acdkit.io_formats import _manifest_crc, load_model, read_raster, write_raster
+from acdkit.io_formats import READ_CHUNK, _manifest_crc, load_model, read_raster, write_raster
 from acdkit.metrics import roc_curve
 from acdkit.raster import ImageCube
 
@@ -608,6 +608,78 @@ def test_every_finite_nu_scores_finite(scene, capsys, mode, nu):
     assert np.all(np.isfinite(read_raster(d / "s.bin").data))
 
 
+@pytest.fixture(scope="module")
+def two_chunk_scene(tmp_path_factory):
+    """A pair of 257 x 256 x 3 rasters, one pixel row more than one read chunk, and a
+    linear model fit on them."""
+    d = tmp_path_factory.mktemp("two_chunks")
+    write_raster(mixture_cube(257, 256, 3, seed=2), d / "x")
+    assert 256 * 256 == READ_CHUNK
+    assert main(["simulate", "--input", str(d / "x"), "--out", str(d / "y"),
+                 "--labels", str(d / "labels")]) == 0
+    assert main(["fit", "--x", str(d / "x"), "--y", str(d / "y"),
+                 "--model-out", str(d / "model")]) == 0
+    return d
+
+
+def _copy_raster(src, dst):
+    for suffix in ("", ".json"):
+        Path(str(dst) + suffix).write_bytes(Path(str(src) + suffix).read_bytes())
+
+
+def _score_argv(d, x, y, out):
+    return ["score", "--model", str(d / "model"), "--x", str(x), "--y", str(y),
+            "--out", str(out)]
+
+
+@pytest.mark.parametrize("which", ["x", "y"])
+def test_score_out_may_name_an_input(two_chunk_scene, tmp_path, which):
+    # the scores are written after the last chunk of either input is read
+    d = two_chunk_scene
+    assert main(_score_argv(d, d / "x", d / "y", tmp_path / "scores")) == 0
+    inputs = {"x": d / "x", "y": d / "y"}
+    inputs[which] = tmp_path / which
+    _copy_raster(d / which, inputs[which])
+    assert main(_score_argv(d, inputs["x"], inputs["y"], inputs[which])) == 0
+    for suffix in ("", ".json"):
+        assert (Path(str(inputs[which]) + suffix).read_bytes()
+                == Path(str(tmp_path / "scores") + suffix).read_bytes())
+
+
+@pytest.mark.parametrize("which", ["x", "y"])
+def test_score_nan_in_the_last_read_chunk_writes_nothing(two_chunk_scene, tmp_path, capsys,
+                                                         which):
+    d = two_chunk_scene
+    inputs = {"x": d / "x", "y": d / "y"}
+    inputs[which] = tmp_path / which
+    _copy_raster(d / which, inputs[which])
+    payload = bytearray(inputs[which].read_bytes())
+    payload[-4:] = np.array([np.nan], "<f4").tobytes()  # the last band of the last pixel
+    inputs[which].write_bytes(payload)
+    out = tmp_path / "scores"
+    capsys.readouterr()
+    assert main(_score_argv(d, inputs["x"], inputs["y"], out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: bad raster {inputs[which]}: cube contains non-finite values\n")
+    assert not out.exists() and not Path(str(out) + ".json").exists()
+
+
+@pytest.mark.parametrize("which", ["x", "y"])
+def test_score_short_payload_exits_1_before_it_reads(two_chunk_scene, tmp_path, capsys, which):
+    d = two_chunk_scene
+    inputs = {"x": d / "x", "y": d / "y"}
+    inputs[which] = tmp_path / which
+    _copy_raster(d / which, inputs[which])
+    expected = 257 * 256 * 3 * 4
+    inputs[which].write_bytes(inputs[which].read_bytes()[:-4])
+    out = tmp_path / "scores"
+    capsys.readouterr()
+    assert main(_score_argv(d, inputs["x"], inputs["y"], out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: payload is {expected - 4} bytes, expected {expected}\n")
+    assert not out.exists()
+
+
 def _raster(path, height, width, bands):
     write_raster(ImageCube(np.ones((height, width, bands))), path)
     return str(path)
@@ -744,6 +816,10 @@ MISUSE_CASES = {
         lambda s: ["simulate", "--input", str(s["x"]), "--out", str(s["dir"] / "y2.bin"),
                    "--labels", str(s["dir"] / "l2.bin"), "--noise-std", "-1"],
         2, "acdkit simulate: error: argument --noise-std: must be a finite number >= 0\n"),
+    "fit sigma abc": (_fit("--sigma", "abc"), 2,
+                      "acdkit fit: error: argument --sigma: invalid float value: 'abc'\n"),
+    "fit lambda abc": (_fit("--lambda", "abc"), 2,
+                       "acdkit fit: error: argument --lambda: invalid float value: 'abc'\n"),
     "model truncated blob": (
         _fit_then_score(lambda m, man: rewrite_payload(
             man, m, (m / "model.bin").read_bytes()[:-8])),
@@ -801,7 +877,7 @@ def test_seed_of_any_size_runs(scene):
 
 
 BOUNDARY_VALUES = ["-1", "0", "1", "2", "0.5", "nan", "inf", "-inf", "1e400", "5e-324",
-                   "18446744073709551616"]
+                   "18446744073709551616", "abc"]
 
 
 def test_every_numeric_flag_parses_or_names_itself(capsys):
@@ -838,6 +914,9 @@ def test_every_numeric_flag_parses_or_names_itself(capsys):
                     assert err.count("error:") == 1, argv
                     assert err.endswith("\n") and err.splitlines()[-1].startswith(
                         f"acdkit {name}: error: argument {flag}: "), (argv, err)
+                    if value == "abc":  # text that is no number is named by its type
+                        assert err.endswith((" invalid int value: 'abc'\n",
+                                             " invalid float value: 'abc'\n")), (argv, err)
                 else:
                     assert parsed is None or parsed == parsed, argv  # nan != nan
                 checked += 1

@@ -9,7 +9,9 @@ import pytest
 from acdkit.cli import main
 from acdkit.detectors import DetectorConfig, fit, score_pixels
 from acdkit.io_formats import (
+    READ_CHUNK,
     CorruptModelError,
+    RasterChunks,
     RasterFormatError,
     UnsupportedVersionError,
     _layout,
@@ -94,6 +96,28 @@ def test_raster_size_mismatch_rejected(tmp_path):
         read_raster(path)
 
 
+def test_raster_chunks_read_the_payload_a_read_chunk_at_a_time(tmp_path):
+    cube = f32_cube(257, 256, 2)  # one pixel row more than one read chunk
+    path = tmp_path / "img.bin"
+    write_raster(cube, path)
+    with RasterChunks(path) as chunks:
+        assert chunks.shape == (257, 256, 2)
+        first, last = [(chunk.copy(), chunk) for chunk in chunks]
+    assert first[0].shape == (READ_CHUNK, 2) and last[0].shape == (256, 2)
+    assert first[0].dtype == np.float32 and np.shares_memory(first[1], last[1])
+    rows = np.concatenate([first[0], last[0]])
+    assert rows.tobytes() == read_raster(path).data.tobytes()
+
+
+def test_raster_chunks_check_the_size_when_opened(tmp_path):
+    # opening reads no payload, so a short one fails before any chunk is read
+    path = tmp_path / "img.bin"
+    write_raster(f32_cube(3, 3, 2), path)
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(RasterFormatError, match="^payload is 68 bytes, expected 72$"):
+        RasterChunks(path)
+
+
 def test_raster_missing_sidecar(tmp_path):
     path = tmp_path / "img.bin"
     path.write_bytes(b"\x00" * 16)
@@ -119,8 +143,12 @@ def test_malformed_sidecar_rejected(tmp_path, capsys, change, payload):
     if isinstance(change, dict):
         change = json.dumps({**json.loads(sidecar.read_text()), **change})
     sidecar.write_text(change)
-    with pytest.raises(RasterFormatError):
+    with pytest.raises(RasterFormatError) as whole:
         read_raster(path)
+    with pytest.raises(RasterFormatError) as chunked:
+        with RasterChunks(path) as chunks:
+            list(chunks)
+    assert str(chunked.value) == str(whole.value)
     rc = main(["map", "--scores", str(path), "--threshold", "0", "--out",
                str(tmp_path / "map.pgm")])
     err = capsys.readouterr().err

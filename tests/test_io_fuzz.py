@@ -2,9 +2,10 @@
 
 Whatever a sidecar or manifest holds, read_raster and load_model either
 succeed or raise one of the documented format errors, which the CLI maps
-to exit 1. Whatever a raster or fitted model holds, writing and reading it
-back restores every value bit for bit. Examples are derandomized so the
-suite cannot flake.
+to exit 1; whatever a sidecar or payload holds, RasterChunks reads what
+read_raster reads, or raises its error. Whatever a raster or fitted model
+holds, writing and reading it back restores every value bit for bit.
+Examples are derandomized so the suite cannot flake.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from hypothesis.extra.numpy import arrays
 from acdkit.detectors import DetectorConfig, fit
 from acdkit.io_formats import (
     CorruptModelError,
+    RasterChunks,
     RasterFormatError,
     UnsupportedVersionError,
     load_model,
@@ -80,6 +82,29 @@ def loads_or_documented_error(load, path):
         pass
 
 
+def read_chunked(path) -> np.ndarray:
+    """A raster's payload as RasterChunks reads it, as an (H, W, d) float32 array."""
+    with RasterChunks(path) as chunks:
+        rows = [chunk.copy() for chunk in chunks]
+        return np.concatenate(rows).reshape(chunks.shape)
+
+
+def same_outcome(path):
+    """read_raster and RasterChunks give the same array, or the same documented error."""
+    outcomes = []
+    for read in (lambda p: read_raster(p).data, read_chunked):
+        try:
+            outcomes.append(read(path))
+        except DOCUMENTED as e:
+            outcomes.append((type(e), str(e)))
+    whole, chunked = outcomes
+    assert type(whole) is type(chunked)
+    if isinstance(whole, np.ndarray):
+        assert same_bits(whole, chunked)
+    else:
+        assert whole == chunked
+
+
 @pytest.fixture(scope="module")
 def raster(tmp_path_factory):
     path = tmp_path_factory.mktemp("raster") / "img.bin"
@@ -103,7 +128,7 @@ def with_sidecar(raster, text):
         path = Path(tmp) / raster.name
         shutil.copyfile(raster, path)
         Path(str(path) + ".json").write_bytes(text)
-        loads_or_documented_error(read_raster, path)
+        same_outcome(path)
 
 
 def with_manifest(model, text):
@@ -168,6 +193,20 @@ def test_raster_round_trip_bit_exact(data):
     with tempfile.TemporaryDirectory() as tmp:
         write_raster(cube, Path(tmp) / "img.bin")
         assert same_bits(read_raster(Path(tmp) / "img.bin"), cube)
+        assert same_bits(read_chunked(Path(tmp) / "img.bin"), cube.data)
+
+
+@FUZZ
+@given(content=st.binary(min_size=88, max_size=104)
+       | arrays(np.float32, 24, elements=st.floats(width=32)).map(lambda a: a.astype("<f4").tobytes()))
+def test_arbitrary_payload(raster, content):
+    # bytes around the 96 that the fixture's 4 x 3 x 2 sidecar names, NaN and infinity
+    # among them
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / raster.name
+        path.write_bytes(content)
+        shutil.copyfile(str(raster) + ".json", str(path) + ".json")
+        same_outcome(path)
 
 
 @FUZZ

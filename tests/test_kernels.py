@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,6 +8,8 @@ from scipy.spatial.distance import pdist
 
 from acdkit.detectors import DetectorConfig, with_params
 from acdkit.kernels import (
+    _HEURISTIC_BLOCK,
+    _HEURISTIC_MAX_EXACT,
     KernelSpec,
     _sam_cosines,
     cross_gram,
@@ -229,6 +232,48 @@ def test_sigma_heuristic_equals_pdist_mean_exactly(n, d):
 def test_sigma_heuristic_zero_dispersion():
     with pytest.raises(ValueError, match="zero dispersion"):
         sigma_heuristic(np.ones((5, 2)))
+    with pytest.raises(ValueError, match="zero dispersion"):
+        sigma_heuristic(np.ones((_HEURISTIC_BLOCK + 3, 4)))  # more than one block of rows
+
+
+def _per_pair_mean_distance(rows):
+    """The mean over pairs i < j, in triu order, of each pair's distance summed column by
+    column from zero."""
+    dists = []
+    for i in range(rows.shape[0]):
+        for j in range(i + 1, rows.shape[0]):
+            sq = 0.0
+            for a, b in zip(rows[i], rows[j]):
+                sq += (a - b) * (a - b)
+            dists.append(math.sqrt(sq))
+    return np.array(dists).mean()
+
+
+@pytest.mark.parametrize("n", [2, 3, _HEURISTIC_BLOCK, _HEURISTIC_BLOCK + 1, 2 * _HEURISTIC_BLOCK + 7])
+def test_sigma_heuristic_equals_a_per_pair_loop_bit_for_bit(n):
+    # columns of very different scales, so that another order of the per-pair sums
+    # would round differently; a few pairs, so that a one-ulp change shows in the mean
+    for seed in range(40 if n <= 3 else 2):
+        rng = np.random.default_rng([n, seed])
+        rows = rng.normal(size=(n, 12)) * 10.0 ** rng.uniform(-3, 3, size=12)
+        if n > 3:
+            rows[n - 1] = rows[1]  # duplicate rows, so one distance is zero
+            rows[n // 2] = rows[1]
+        assert sigma_heuristic(rows) == _per_pair_mean_distance(rows)
+
+
+def test_sigma_heuristic_holds_its_distances_and_one_block():
+    # 2000 rows: the n(n-1)/2 float64 distances, and a few (block, n) float64 arrays of
+    # squared differences; index arrays of the pairs would add 16 bytes a pair
+    n = _HEURISTIC_MAX_EXACT
+    rows = np.random.default_rng(4).normal(size=(n, 16))
+    tracemalloc.start()
+    try:
+        sigma_heuristic(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * (n - 1) // 2 + 4 * 8 * _HEURISTIC_BLOCK * n + 2**19
 
 
 def test_kernel_spec_validation():

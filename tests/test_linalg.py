@@ -16,11 +16,16 @@ def random_spd(d, seed):
     return a @ a.T + d * np.eye(d)
 
 
+def mahalanobis(p, weights):
+    """mahalanobis_batch into a fresh (len(weights), m) array."""
+    return mahalanobis_batch(p, weights, np.empty((len(weights), p.shape[0])))
+
+
 def linear_xi(c, mean, rows, ridge_scale=RIDGE_SCALE):
     """xi of each row under covariance c: factorize, weigh, then the one quadratic form."""
     eig = spd_factorize(c, ridge_scale)
     p = (np.asarray(rows, dtype=np.float64) - mean) @ eig.basis
-    return mahalanobis_batch(p, [inverse_weights(eig.values, eig.ridge)])[0]
+    return mahalanobis(p, [inverse_weights(eig.values, eig.ridge)])[0]
 
 
 def test_covariance_hand_case():
@@ -107,7 +112,7 @@ def test_mahalanobis_matches_explicit_inverse():
 def test_mahalanobis_dimension_mismatch():
     eig = spd_factorize(np.eye(3))
     with pytest.raises(ValueError):
-        mahalanobis_batch(np.zeros((1, 4)), [inverse_weights(eig.values, eig.ridge)])
+        mahalanobis(np.zeros((1, 4)), [inverse_weights(eig.values, eig.ridge)])
 
 
 def test_mahalanobis_batch_matches_single():
@@ -125,9 +130,10 @@ def test_mahalanobis_batch_one_square_for_many_weights():
     rng = np.random.default_rng(13)
     p = rng.normal(size=(20, 5))
     weights = [rng.uniform(0.1, 2.0, size=5) for _ in range(3)]
-    xis = mahalanobis_batch(p.copy(), weights)
+    xis = mahalanobis(p.copy(), weights)
     for w, xi in zip(weights, xis):
-        assert np.array_equal(xi, mahalanobis_batch(p.copy(), [w])[0])
+        assert np.array_equal(xi, mahalanobis(p.copy(), [w])[0])
+        assert np.array_equal(xi, (p * p) @ w)
 
 
 def test_mahalanobis_scale_invariance():

@@ -10,7 +10,7 @@ import pytest
 from acdkit import raster
 from acdkit.cli import main
 from acdkit.detectors import _SCORE_CHUNK, DetectorConfig, fit, score_pixels, xi_pixels
-from acdkit.io_formats import write_raster
+from acdkit.io_formats import READ_CHUNK, write_raster
 from acdkit.kernels import KernelSpec
 from acdkit.simulate import _NOISE_CHUNK
 from acdkit.tune import _NU_BLOCK, TuneGrid, anchor_sigma, grid_search, split_train_val
@@ -152,9 +152,11 @@ CLI_MEMORY_CASES = {
     "fit train labels": (["fit", "--x", "x", "--y", "y", "--train-labels", "labels",
                           "--model-out", "labels_model"],
                          2 * _P + 5 * _N + _SLACK),
-    # both payloads, the (3, n) float64 xi, and combine_xi's scores plus one temporary
+    # the n float32 scores, one float32 read chunk of x and of y, and that chunk's
+    # (3, m) float64 xi and combine_xi's scores plus one temporary: four read chunks
+    # of 2**16 rows, so nothing the size of the scene but the scores
     "score": (["score", "--model", "model", "--x", "x", "--y", "y", "--out", "scores"],
-              2 * _P + 5 * 8 * _N + _SLACK),
+              4 * _N + 2 * READ_CHUNK * 8 * 4 + 5 * 8 * READ_CHUNK + _SLACK),
     # the scores' and the labels' one-band payloads and the two sorted classes, one
     # float32 payload between them
     "roc": (["roc", "--scores", "scores", "--labels", "labels", "--out", "roc.csv"],
